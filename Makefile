@@ -66,7 +66,11 @@ chaos:
 	  --set ethereum.architecture.duration_blocks=45 \
 	  --set pbft.duration=1.0 --set fabric.duration=1.0 --set edge.duration=1.0
 
-# Distributed-execution gate, two chaos stages (repro.distributed.smoke):
+# Distributed-execution gate.  First the two timer gates (TCP within 3x
+# of the same run on a Unix socket; ~40 ms jobs not held to the worker's
+# 200 ms poll), so a stall is named before the smoke merely gets slow;
+# then two chaos stages (repro.distributed.smoke, which prints each
+# stage's wall clock):
 #   worker kill   broker + two worker subprocesses (one with a scripted
 #                 first-attempt kill in its fault plan) run the trimmed
 #                 figure1 study through DistributedBackend; the saved run
@@ -77,6 +81,8 @@ chaos:
 #                 completes byte-identical with an empty manifest, and the
 #                 retired run's journal file is garbage-collected.
 distributed:
+	PYTHONPATH=src $(PY) -m pytest tests/test_distributed.py -q \
+	  -k "TestTransport or TestWorkerWatch"
 	PYTHONPATH=src $(PY) -m repro.distributed.smoke
 
 # Fast end-to-end smoke of the scenario runner: one trimmed scenario per

@@ -61,6 +61,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.distributed.journal import SCHEMA_VERSION, JournalDir, RunJournal
 from repro.distributed.protocol import (
     FrameError,
+    accept,
     create_listener,
     listener_address,
     recv_frame,
@@ -794,7 +795,7 @@ class BrokerServer:
     def _accept_loop(self) -> None:
         while not self._shutdown.is_set():
             try:
-                conn, _ = self._listener.accept()
+                conn = accept(self._listener)
             except OSError:
                 return  # listener closed
             thread = threading.Thread(

@@ -6,7 +6,10 @@ reported failure that consumed one attempt), ``done``, ``failed``,
 under the journal directory (by default ``<runs>/journal`` next to the
 RunStore's ``objects/``).  Appends are flushed and fsynced, so after a
 ``kill -9`` the journal holds a *prefix* of the transitions the broker
-acknowledged.
+acknowledged.  The one exception is ``lease``: replay only counts those
+records (a leased-but-unsettled job is pending with or without the
+line), so they are buffered and reach the disk, in order, with the next
+durable record or ``close()`` — one fsync per job instead of two.
 
 Replay rebuilds queue state from that prefix:
 
@@ -65,13 +68,15 @@ class RunJournal:
             self.path, "a", encoding="utf-8")
 
     def append(self, record: Dict[str, object]) -> None:
-        """Durably append one record (write + flush + fsync)."""
+        """Append one record; durable (write + flush + fsync) unless it
+        is a ``lease``, which rides the next durable record's fsync."""
         if self._handle is None:
             raise ValueError(f"journal {self.path} is closed")
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._handle.write(line + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
+        if record.get("type") != "lease":
+            self._handle.flush()
+            os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:

@@ -17,6 +17,15 @@ Addresses come in two spellings:
 boundary → ``None``) from a *truncated* one (EOF mid-header or mid-body →
 :class:`FrameError`), which is what lets the broker tell "worker finished
 and left" from "worker died mid-message".
+
+Invariant: every TCP stream socket this package creates — the client end
+in :func:`connect`, the accepted end in :func:`accept` — has
+``TCP_NODELAY`` set.  The protocol is request/notify with frames far
+below one MSS, so coalescing buys nothing and costs a delayed-ACK timer:
+a worker's ``complete`` followed by its next ``lease`` are two small
+writes before a read, and with Nagle on the second waits ~40 ms for an
+ACK the broker has no reply to piggyback on.  Unix sockets have no such
+timer and are left alone.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ import os
 import select
 import socket
 import struct
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 #: Upper bound on one frame's payload; a length prefix past this is a
 #: protocol violation (corruption or a non-frame peer), not a big message.
@@ -96,22 +105,23 @@ def _recv_exact(sock: socket.socket, count: int,
     return b"".join(chunks)
 
 
-def wait_readable(sock: socket.socket, timeout: float) -> bool:
-    """Whether ``sock`` has data (or EOF) to read within ``timeout`` s.
+def wait_readable(socks: Sequence[socket.socket],
+                  timeout: float) -> List[socket.socket]:
+    """Those of ``socks`` with data (or EOF) to read within ``timeout`` s.
 
-    This is how a peer polls for incoming frames without committing to a
+    This is how a peer waits for incoming frames without committing to a
     blocking :func:`recv_frame` — e.g. a worker watching for
-    ``heartbeat-ack`` verdicts while its attempt thread runs.  Only
-    *call* recv_frame after a ``True``: a read timeout mid-frame would
-    lose the partial bytes, so the frame functions stay blocking.  A
-    closed or invalid socket reports ``True`` and lets the read surface
-    the error.
+    ``heartbeat-ack`` verdicts, and for its own wake-up descriptor, while
+    its attempt thread runs.  Only *call* recv_frame on a returned
+    socket: a read timeout mid-frame would lose the partial bytes, so
+    the frame functions stay blocking.  A closed or invalid socket
+    reports every socket readable and lets the read surface the error.
     """
     try:
-        readable, _, _ = select.select([sock], [], [], max(0.0, timeout))
+        readable, _, _ = select.select(socks, [], [], max(0.0, timeout))
     except (OSError, ValueError):
-        return True
-    return bool(readable)
+        return list(socks)
+    return readable
 
 
 def parse_address(text: str) -> Address:
@@ -142,6 +152,12 @@ def format_address(address: Address) -> str:
     return f"{host}:{port}"
 
 
+def _set_nodelay(sock: socket.socket) -> None:
+    """Disable Nagle on a TCP stream socket (see the module invariant)."""
+    if sock.family != socket.AF_UNIX:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+
+
 def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
     """Open a blocking client connection to a broker/service address."""
     kind, endpoint = parse_address(address)
@@ -153,6 +169,7 @@ def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
         sock.settimeout(timeout)
         sock.connect(endpoint)
         sock.settimeout(None)
+        _set_nodelay(sock)
     except BaseException:
         sock.close()
         raise
@@ -202,6 +219,16 @@ def create_listener(address: str, backlog: int = 64) -> socket.socket:
         sock.close()
         raise
     return sock
+
+
+def accept(listener: socket.socket) -> socket.socket:
+    """Accept one connection from a :func:`create_listener` socket."""
+    conn, _ = listener.accept()
+    try:
+        _set_nodelay(conn)
+    except OSError:
+        pass  # peer already reset the connection; the first read says so
+    return conn
 
 
 def listener_address(sock: socket.socket) -> str:

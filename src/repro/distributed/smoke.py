@@ -302,13 +302,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     if hasattr(signal, "alarm"):
         signal.alarm(WATCHDOG_S)
     try:
-        if args.stage in ("worker", "all"):
-            code = worker_kill_stage(args.runs_dir, args.save)
-            if code != 0:
-                return code
-        if args.stage in ("broker", "all"):
-            code = broker_kill_stage(args.runs_dir,
-                                     args.save + "-restart")
+        stages = {"worker": (worker_kill_stage, args.save),
+                  "broker": (broker_kill_stage, args.save + "-restart")}
+        for name, (stage, save) in stages.items():
+            if args.stage not in (name, "all"):
+                continue
+            started = time.monotonic()
+            code = stage(args.runs_dir, save)
+            # A re-introduced transport or poll stall shows up here first.
+            print(f"smoke: stage {name} took "
+                  f"{time.monotonic() - started:.2f} s", flush=True)
             if code != 0:
                 return code
         return 0

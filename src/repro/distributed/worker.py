@@ -18,8 +18,12 @@ twice across runs.  Fresh metrics are written back to the cache before
 they are reported, so the store is never behind the broker.
 
 While a job runs, a daemon thread heartbeats the lease every
-``lease_ttl / 3`` seconds and the main thread watches the connection for
-the broker's ``heartbeat-ack`` replies.  An ack with ``ok=false`` means
+``lease_ttl / 3`` seconds and the main thread waits, in one ``select``,
+on the connection (for the broker's ``heartbeat-ack`` replies) and on the
+worker's wake-up socketpair, to which the attempt thread writes one byte
+as it ends.  The watch is event-driven: a finished attempt is reported at
+once, not at the next tick of a poll — the select timeout is only a
+backstop.  An ack with ``ok=false`` means
 the lease was reaped (expired behind a stall, or its run was cancelled):
 the worker *abandons* the attempt — a :class:`LeaseRevoked` is injected
 into the attempt thread (best-effort; Python threads cannot be killed,
@@ -67,7 +71,8 @@ DEFAULT_POLL_S = 5.0
 #: Default seconds to keep retrying the initial broker connection.
 DEFAULT_CONNECT_TIMEOUT_S = 10.0
 
-#: Seconds between checks of the connection while an attempt runs.
+#: Backstop timeout of the select that watches a running attempt; both
+#: things it waits for (a broker frame, the attempt's end) wake it early.
 _ACK_POLL_S = 0.2
 
 
@@ -103,6 +108,12 @@ class Worker:
             max_jobs: Optional[int] = None,
             connect_timeout: float = DEFAULT_CONNECT_TIMEOUT_S) -> int:
         conn = self._connect(connect_timeout)
+        # Wake-up pair: an ending attempt writes a byte to wake_w, the
+        # watcher selects on wake_r.  Non-blocking write end: jobs that
+        # end before anyone watches leave their byte behind, and a full
+        # buffer must never hold an attempt thread.
+        wake_r, wake_w = socket.socketpair()
+        wake_w.setblocking(False)
         executed = 0
         try:
             self._send(conn, {"type": "hello", "role": "worker",
@@ -116,14 +127,15 @@ class Worker:
                     return executed
                 if reply.get("type") != "job":
                     continue  # idle poll; lease again
-                self._execute(conn, reply)
+                self._execute(conn, reply, wake_r, wake_w)
                 executed += 1
             return executed
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            for sock in (conn, wake_r, wake_w):
+                try:
+                    sock.close()
+                except OSError:
+                    pass
 
     # -- internals -----------------------------------------------------
     def _connect(self, timeout: float) -> socket.socket:
@@ -151,7 +163,8 @@ class Worker:
             if reply is None or reply.get("type") != "heartbeat-ack":
                 return reply
 
-    def _execute(self, conn: socket.socket, message: Dict[str, object]) -> None:
+    def _execute(self, conn: socket.socket, message: Dict[str, object],
+                 wake_r: socket.socket, wake_w: socket.socket) -> None:
         lease = str(message["lease"])
         key = str(message["key"])
         attempt = int(message.get("attempt", 1))  # type: ignore[arg-type]
@@ -168,7 +181,7 @@ class Worker:
         job = UnitJob(key=key,
                       spec=ScenarioSpec.from_dict(message["spec"]),  # type: ignore[arg-type]
                       seed=int(message["seed"]))  # type: ignore[arg-type]
-        done = threading.Event()
+        done = threading.Event()  # the attempt ended, or was abandoned
         outcome: Dict[str, object] = {}
 
         def _attempt() -> None:
@@ -182,6 +195,12 @@ class Worker:
                 outcome["timeout"] = error
             except Exception as error:  # noqa: BLE001 - reported, not fatal
                 outcome["error"] = error
+            finally:
+                done.set()
+                try:
+                    wake_w.send(b"\0")
+                except OSError:
+                    pass  # buffer full, or an abandoned attempt outlived run()
 
         runner = threading.Thread(target=_attempt, daemon=True,
                                   name=f"attempt-{lease}")
@@ -191,7 +210,7 @@ class Worker:
             name=f"heartbeat-{lease}", daemon=True)
         beat.start()
         try:
-            if self._watch_attempt(conn, lease, runner):
+            if self._watch_attempt(conn, lease, done, wake_r):
                 # Lease reaped: abandon the attempt, report nothing.
                 self.abandoned += 1
                 self._revoke(runner)
@@ -217,8 +236,9 @@ class Worker:
         self._send(conn, {"type": "complete", "lease": lease,
                           "metrics": metrics})
 
-    def _watch_attempt(self, conn: socket.socket, lease: str,
-                       runner: threading.Thread) -> bool:
+    @staticmethod
+    def _watch_attempt(conn: socket.socket, lease: str,
+                       done: threading.Event, wake: socket.socket) -> bool:
         """Wait out the attempt while reading broker frames.
 
         Returns ``True`` when a ``heartbeat-ack`` reports the lease
@@ -226,17 +246,21 @@ class Worker:
         attempt finished and its outcome should be reported.  A dead
         connection raises: there is no broker left to report to.
         """
-        while runner.is_alive():
-            if not wait_readable(conn, _ACK_POLL_S):
-                continue
-            frame = recv_frame(conn)
-            if frame is None:
-                raise FrameError("broker closed the connection mid-job")
-            if (frame.get("type") == "heartbeat-ack"
-                    and frame.get("lease") == lease
-                    and not frame.get("ok", True)):
-                return True
-            # ok-acks (and anything unexpected) are just liveness noise.
+        while not done.is_set():
+            readable = wait_readable((conn, wake), _ACK_POLL_S)
+            if conn in readable:
+                frame = recv_frame(conn)
+                if frame is None:
+                    raise FrameError("broker closed the connection mid-job")
+                if (frame.get("type") == "heartbeat-ack"
+                        and frame.get("lease") == lease
+                        and not frame.get("ok", True)):
+                    return True
+                # ok-acks (and anything unexpected) are just liveness noise.
+            if wake in readable:
+                # Drain: the byte may also be a stale one from an
+                # abandoned attempt, which is why `done` decides.
+                wake.recv(64)
         return False
 
     @staticmethod

@@ -383,7 +383,10 @@ class VecRoutingTable:
                                     np.maximum(count - 1, 0))
         rows = self.table[node_idx, bucket_idx]            # (sel, k) copy
         duplicate = (rows == candidate[:, None].astype(np.int32)).any(axis=1)
-        viable = (count > 0) & online[candidate] & ~duplicate
+        # An empty range may start one past the last node; clamp so the
+        # row (discarded by ``count > 0`` anyway) is never dereferenced.
+        live = online[np.minimum(candidate, len(online) - 1)]
+        viable = (count > 0) & live & ~duplicate
         self.table[node_idx[viable], bucket_idx[viable],
                    first_empty[node_idx[viable], bucket_idx[viable]]] = (
             candidate[viable].astype(np.int32))

@@ -32,7 +32,13 @@ from repro.distributed import (
     send_frame,
 )
 from repro.distributed.broker import policy_from_dict, policy_to_dict
-from repro.distributed.protocol import connect, format_address
+from repro.distributed.protocol import (
+    accept,
+    connect,
+    create_listener,
+    format_address,
+    listener_address,
+)
 from repro.distributed.service import ServiceServer
 from repro.scenarios import (
     FaultPlan,
@@ -40,6 +46,7 @@ from repro.scenarios import (
     JobExecutionError,
     JobPolicy,
     SerialBackend,
+    compile_scenario,
     compile_study,
     execute_plan,
 )
@@ -437,6 +444,197 @@ class TestEndToEnd:
         stop.set()
         serial = execute_plan(plan, backend=SerialBackend())
         assert result["results"].to_json() == serial.to_json()
+
+
+# ----------------------------------------------------------------------
+# The two timers: Nagle/delayed-ACK on TCP, the completion poll quantum
+# ----------------------------------------------------------------------
+def _timed(plan, address, run_id):
+    started = time.perf_counter()
+    results = execute_plan(
+        plan, backend=DistributedBackend(address, run_id=run_id))
+    return time.perf_counter() - started, results
+
+
+class TestTransport:
+    def test_tcp_sockets_are_nodelay_on_both_ends(self):
+        listener = create_listener("127.0.0.1:0")
+        with listener, connect(listener_address(listener), timeout=5.0) as client, \
+                accept(listener) as served:
+            for sock in (client, served):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+
+    def test_unix_sockets_are_left_alone(self, tmp_path):
+        listener = create_listener(f"unix:{tmp_path / 'plain.sock'}")
+        with listener, connect(listener_address(listener), timeout=5.0) as client, \
+                accept(listener) as served:
+            send_frame(client, {"type": "ping"})
+            assert recv_frame(served) == {"type": "ping"}
+
+    def test_tcp_costs_no_more_than_unix_in_the_same_run(self, tmp_path):
+        # The control is the identical deployment on a Unix socket, timed
+        # in the same process: with Nagle on, every job's complete+lease
+        # pair waits out a ~40 ms delayed ACK and TCP is 15-30x slower.
+        plan = compile_scenario("pos-slashing", {"architecture.rounds": 50},
+                                replicates=30)
+        servers = {"tcp": BrokerServer(listen="127.0.0.1:0"),
+                   "unix": BrokerServer(listen=f"unix:{tmp_path / 'b.sock'}")}
+        stops = []
+        walls = {name: [] for name in servers}
+        try:
+            for server in servers.values():
+                server.start()
+                stops.append(_start_workers(server, 1)[0])
+            for index in range(4):  # pass 0 warms both deployments up
+                for name, server in servers.items():
+                    wall, results = _timed(plan, server.address,
+                                           f"gate-{name}-{index}")
+                    assert not results.failures
+                    if index:
+                        walls[name].append(wall)
+        finally:
+            for stop in stops:
+                stop.set()
+            for server in servers.values():
+                server.stop()
+        assert min(walls["tcp"]) <= 3.0 * min(walls["unix"]), walls
+
+
+@pytest.fixture()
+def wake_pairs(monkeypatch):
+    """Every socketpair made while the test runs (the worker's wake-up)."""
+    pairs = []
+    original = socket.socketpair
+
+    def recording(*args, **kwargs):
+        pairs.append(original(*args, **kwargs))
+        return pairs[-1]
+
+    monkeypatch.setattr(socket, "socketpair", recording)
+    return pairs
+
+
+def _all_closed(pairs):
+    return len(pairs) == 1 and all(sock.fileno() == -1 for sock in pairs[0])
+
+
+def _quick_plan():
+    """One ~3 ms job (the trimmed figure1 bitcoin member)."""
+    return compile_study("figure1", member_overrides=FIGURE1_TRIMS,
+                         members=["bitcoin"])
+
+
+class _HandBroker:
+    """A listener the test body drives frame by frame against one Worker."""
+
+    def __init__(self):
+        self.listener = create_listener("127.0.0.1:0")
+        self.worker = Worker(listener_address(self.listener), poll_s=0.2)
+        self.outcome = {}
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+        self.conn = accept(self.listener)
+        assert self.expect("hello")["role"] == "worker"
+
+    def _run(self):
+        try:
+            self.outcome["executed"] = self.worker.run()
+        except (FrameError, OSError) as error:
+            self.outcome["error"] = error
+
+    def expect(self, kind):
+        frame = recv_frame(self.conn)
+        assert frame is not None and frame["type"] == kind, frame
+        return frame
+
+    def grant(self, job):
+        """Send the `job` frame a real queue would grant for ``job``."""
+        queue = BrokerQueue()
+        queue.submit("hand", [_job(job.key, job.seed, job.spec.name,
+                                   job.spec.to_dict())])
+        frame = queue.lease("hand")
+        self.lease = frame["lease"]
+        send_frame(self.conn, frame)
+
+    def ack(self, ok):
+        send_frame(self.conn, {"type": "heartbeat-ack", "lease": self.lease,
+                               "ok": ok})
+
+    def finish(self):
+        self.thread.join(timeout=10.0)
+        assert not self.thread.is_alive()
+        self.conn.close()
+        self.listener.close()
+
+
+class TestWorkerWatch:
+    def test_turnaround_is_not_quantised_by_the_poll(self, broker):
+        # ~40 ms jobs are still running at the watcher's first look; a
+        # watcher that only polls holds each one to the next 200 ms tick.
+        jobs = 5
+        plan = compile_scenario("pbft-consortium", {"duration": 3.0},
+                                replicates=jobs)
+        started = time.perf_counter()
+        serial = execute_plan(plan, backend=SerialBackend())
+        serial_wall = time.perf_counter() - started
+        stop, _ = _start_workers(broker, 1)
+        try:
+            wall, distributed = _timed(plan, broker.address, "turnaround")
+        finally:
+            stop.set()
+        assert distributed.to_json() == serial.to_json()
+        assert wall <= serial_wall + jobs * 0.1, (wall, serial_wall)
+
+    def test_ok_acks_racing_the_finish_lose_no_frame(self, wake_pairs):
+        plan = _quick_plan()
+        (job,) = plan.jobs
+        hand = _HandBroker()
+        hand.expect("lease")
+        hand.grant(job)
+        for _ in range(3):  # land before, during and after the ~3 ms attempt
+            hand.ack(True)
+        complete = hand.expect("complete")
+        assert complete["lease"] == hand.lease
+        assert complete["metrics"] == SerialBackend().execute(plan)[job.key]
+        hand.expect("lease")
+        hand.ack(True)  # a late ack ahead of the lease reply
+        send_frame(hand.conn, {"type": "idle"})
+        hand.expect("lease")
+        send_frame(hand.conn, {"type": "stop"})
+        hand.finish()
+        assert hand.outcome == {"executed": 1}
+        assert hand.worker.abandoned == 0
+        assert _all_closed(wake_pairs)
+
+    def test_nack_mid_attempt_abandons_without_a_report(self, wake_pairs):
+        (job,) = _quick_plan().jobs
+        hold = FaultPlan([FaultSpec(match=job.key, action="hang",
+                                    seconds=1.0, attempts=(1,))])
+        with hold.installed():
+            hand = _HandBroker()
+            hand.expect("lease")
+            hand.grant(job)
+            hand.ack(False)
+            # No complete/fail for L1: the next frame is a fresh lease.
+            hand.expect("lease")
+        send_frame(hand.conn, {"type": "stop"})
+        hand.finish()
+        assert hand.worker.abandoned == 1
+        assert _all_closed(wake_pairs)
+
+    def test_broker_vanishing_mid_job_still_closes_the_wake_pair(
+            self, wake_pairs):
+        (job,) = _quick_plan().jobs
+        hold = FaultPlan([FaultSpec(match=job.key, action="hang",
+                                    seconds=0.5, attempts=(1,))])
+        with hold.installed():
+            hand = _HandBroker()
+            hand.expect("lease")
+            hand.grant(job)
+            hand.conn.close()
+            hand.finish()
+        assert isinstance(hand.outcome.get("error"), FrameError)
+        assert _all_closed(wake_pairs)
 
 
 # ----------------------------------------------------------------------

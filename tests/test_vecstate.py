@@ -355,6 +355,17 @@ class TestScenarioIntegration:
         assert result.metrics["lookups"] == 100.0
         assert result.metrics["median_latency_s"] > 0.0
 
+    @pytest.mark.parametrize("seed", [11, 12, 14, 15, 16, 18])
+    def test_refresh_survives_an_empty_range_past_the_last_node(self, seed):
+        # At these seeds some (node, bucket) has an empty subtree range
+        # whose start is n itself; refresh used to index online[n].
+        from repro.scenarios.runner import run_sweep
+
+        (result,) = run_sweep("kademlia-churn-100k", seed=seed,
+                              overrides={"topology.size": 2000,
+                                         "workload.lookups": 100})
+        assert result.metrics["lookups"] == 100.0
+
     def test_metrics_knob_only_appears_when_non_default(self):
         from repro.scenarios.registry import get_scenario
 
