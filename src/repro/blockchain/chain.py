@@ -9,12 +9,28 @@ ephemeral forks quickly disappear, reaching a (delayed) consensus."
 branches), selects the canonical head by height (ties broken by
 first-received, as Bitcoin Core does), and reports the fork/stale statistics
 that Experiments E8 and A1 tabulate.
+
+Complexity invariants
+---------------------
+Every block records its height, so the tree never needs a materialised
+genesis-to-tip list to answer a question about two blocks:
+
+* **A head switch costs its reorg depth.**  A block that extends the head
+  switches it for free; otherwise :meth:`BlockTree.add` walks the old and
+  the new head back by height to their common ancestor, ``O(reorg depth)``
+  — never ``O(chain length)``.
+* **A depth query costs the depth.**  :meth:`BlockTree.confirmations` walks
+  from the head down to the block's height.
+
+Only the whole-chain reports (:meth:`BlockTree.main_chain`,
+:meth:`BlockTree.stale_blocks`, :meth:`BlockTree.stats`) are linear in the
+chain, and they run once per result, not once per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 from repro.blockchain.primitives import Block
 
@@ -75,20 +91,28 @@ class BlockTree:
 
     def _maybe_switch_head(self, candidate: Block) -> bool:
         if candidate.height > self.head.height:
-            reorg_depth = self._reorg_depth(self.head, candidate)
-            self.max_reorg_depth = max(self.max_reorg_depth, reorg_depth)
+            if candidate.parent_hash != self.head.hash:
+                # Extending the head abandons nothing; anything else is a reorg.
+                reorg_depth = self._reorg_depth(self.head, candidate)
+                self.max_reorg_depth = max(self.max_reorg_depth, reorg_depth)
             self.head = candidate
             return True
         return False
 
+    def _ancestor_at(self, block: Block, height: int) -> Block:
+        """The ancestor of ``block`` at ``height`` (``block`` itself if not above it)."""
+        while block.height > height:
+            block = self.blocks[block.parent_hash]
+        return block
+
     def _reorg_depth(self, old_head: Block, new_head: Block) -> int:
-        """Number of blocks abandoned when switching from ``old_head`` to ``new_head``."""
-        old_chain = set(self.chain_hashes(old_head))
-        cursor = new_head
-        while cursor.hash not in old_chain:
-            cursor = self.blocks[cursor.parent_hash]
-        fork_point_height = cursor.height
-        return old_head.height - fork_point_height
+        """Number of blocks abandoned when switching from ``old_head`` to the higher ``new_head``."""
+        old = old_head
+        new = self._ancestor_at(new_head, old.height)
+        while old.hash != new.hash:
+            old = self.blocks[old.parent_hash]
+            new = self.blocks[new.parent_hash]
+        return old_head.height - old.height
 
     # ------------------------------------------------------------------
     # Queries
@@ -115,11 +139,10 @@ class BlockTree:
 
     def confirmations(self, block_hash: str) -> int:
         """Depth of a block under the head (0 if not on the main chain)."""
-        main = self.chain_hashes()
-        if block_hash not in main:
+        block = self.blocks.get(block_hash)
+        if block is None or self._ancestor_at(self.head, block.height).hash != block_hash:
             return 0
-        index = main.index(block_hash)
-        return len(main) - index
+        return self.head.height - block.height + 1
 
     def confirmed_transactions(self, min_confirmations: int = 1) -> List:
         """Transactions on the main chain with at least ``min_confirmations``."""

@@ -13,6 +13,21 @@ rather than as per-transaction objects: each block confirms up to its
 capacity in transactions, drawn FIFO from the backlog, which yields both
 throughput and confirmation-latency distributions without creating millions
 of Python objects.
+
+Complexity invariants
+---------------------
+A run costs ``O(blocks x miners)``: the only engine events are a block being
+found and, per other miner, its delivery and its acceptance once validated.
+
+* **A head switch costs its reorg depth** (see :mod:`repro.blockchain.chain`),
+  in every miner's tree and in the global observer's.
+* **A new head costs the finality window.**  Confirmation accounting walks
+  back from the head only to the first block already accounted as final;
+  every ancestor of such a block is final too.
+* **The backlog is a function of time, not an event.**  Arrival cohorts are
+  materialised when a block draws on the backlog and once when the run
+  ends, by the same ``t += interval`` recurrence a periodic timer would
+  follow.
 """
 
 from __future__ import annotations
@@ -162,7 +177,8 @@ class _MinerNode(Node):
         self.spec = spec
         self.powsim = powsim
         self.tree = BlockTree(powsim.genesis)
-        self.orphans: Dict[str, Block] = {}
+        # Blocks waiting for an unknown parent, by parent hash, in arrival order.
+        self.orphans: Dict[str, List[Block]] = {}
 
     # -- message handling ------------------------------------------------
     def on_block(self, message) -> None:
@@ -177,18 +193,20 @@ class _MinerNode(Node):
         if self.tree.contains(block.hash):
             return
         if not self.tree.contains(block.parent_hash):
-            self.orphans[block.parent_hash] = block
+            self.orphans.setdefault(block.parent_hash, []).append(block)
             return
         self.tree.add(block)
-        self._attach_orphans(block)
+        if self.orphans:
+            self._attach_orphans(block)
 
     def _attach_orphans(self, parent: Block) -> None:
-        cursor = parent
-        while cursor.hash in self.orphans:
-            child = self.orphans.pop(cursor.hash)
-            if not self.tree.contains(child.hash):
-                self.tree.add(child)
-            cursor = child
+        """Add every waiting descendant of ``parent``, siblings in arrival order."""
+        attached = [parent]
+        for block in attached:
+            for child in self.orphans.pop(block.hash, ()):
+                if not self.tree.contains(child.hash):
+                    self.tree.add(child)
+                    attached.append(child)
 
     # -- mining ----------------------------------------------------------
     def mine_block(self) -> Block:
@@ -235,9 +253,12 @@ class PoWNetwork:
                 self._on_block_found,
             )
 
-        # Fluid transaction backlog: FIFO cohorts of (arrival time, remaining count).
+        # Fluid transaction backlog: FIFO cohorts of [arrival time, remaining
+        # count], one per arrival interval from the start of the run on.
         self.backlog: Deque[List[float]] = deque()
         self.backlog_total = 0.0
+        self._arrival_interval = max(1.0, protocol.target_block_interval / 10.0)
+        self._next_arrival: Optional[float] = None   # set when the run starts
         self.confirmation_latencies = Sample("confirmation_latency")
         self.finality_latencies = Sample("finality_latency")
         self._confirmed_transactions = 0.0
@@ -248,12 +269,27 @@ class PoWNetwork:
     # ------------------------------------------------------------------
     # Transaction workload (fluid)
     # ------------------------------------------------------------------
-    def _transaction_tick(self, interval: float) -> None:
+    def _materialise_arrivals(self) -> None:
+        """Append the cohorts that have arrived by ``sim.now``, one per interval.
+
+        Arrival times advance by repeated addition, as a periodic timer's
+        would: they feed the latency sums, which the goldens pin bit for bit.
+        """
+        tick = self._next_arrival
+        if tick is None:
+            return
+        now = self.sim.now
+        interval = self._arrival_interval
         arrivals = self.config.tx_arrival_rate * interval
-        if arrivals > 0:
-            self.backlog.append([self.sim.now, arrivals])
-            self.backlog_total += arrivals
-        self.sim.schedule(interval, self._transaction_tick, interval)
+        backlog = self.backlog
+        total = self.backlog_total
+        while tick <= now:
+            if arrivals > 0:
+                backlog.append([tick, arrivals])
+                total += arrivals
+            tick = tick + interval
+        self.backlog_total = total
+        self._next_arrival = tick
 
     def _take_transactions(self, count: int) -> Tuple[float, List[Tuple[float, float]]]:
         """Draw up to ``count`` transactions FIFO from the backlog.
@@ -262,6 +298,7 @@ class PoWNetwork:
         cohorts consumed, so confirmation latency can be recorded when the
         containing block is buried deep enough.
         """
+        self._materialise_arrivals()
         taken = 0.0
         cohorts: List[Tuple[float, float]] = []
         while self.backlog and taken < count:
@@ -298,7 +335,7 @@ class PoWNetwork:
         return block
 
     def _block_size(self, block: Block) -> int:
-        return block.header_bytes + getattr(block, "fluid_bytes", 0)
+        return block.header_bytes + block.fluid_bytes
 
     def _on_block_found(self, miner: MinerSpec) -> None:
         node = self.nodes[miner.name]
@@ -336,25 +373,31 @@ class PoWNetwork:
     def _account_confirmations(self) -> None:
         """Record confirmation/finality latencies for newly-buried blocks."""
         finality_depth = self.config.protocol.confirmations_for_finality
-        main = self.global_tree.main_chain()
-        head_height = self.global_tree.head.height
-        for block in main:
-            if getattr(block, "fluid_final_accounted", False):
-                continue
-            depth = head_height - block.height + 1
-            if depth < 1:
-                continue
-            cohorts = getattr(block, "fluid_cohorts", [])
-            if not getattr(block, "fluid_conf_accounted", False):
+        blocks = self.global_tree.blocks
+        head = self.global_tree.head
+        head_height = head.height
+        head_timestamp = head.timestamp
+        # The main-chain blocks not yet accounted as final are a suffix: a
+        # block turns final only after (in this genesis-first order) all its
+        # ancestors did.
+        unsettled: List[Block] = []
+        cursor: Optional[Block] = head
+        while cursor is not None and not cursor.fluid_final_accounted:
+            unsettled.append(cursor)
+            cursor = blocks.get(cursor.parent_hash)
+        for block in reversed(unsettled):
+            cohorts = block.fluid_cohorts
+            if not block.fluid_conf_accounted:
+                timestamp = block.timestamp
                 for arrival, count in cohorts:
-                    latency = block.timestamp - arrival
+                    latency = timestamp - arrival
                     if latency >= 0:
                         self.confirmation_latencies.observe(latency)
                         self._confirmed_transactions += count
                 block.fluid_conf_accounted = True
-            if depth >= finality_depth:
+            if head_height - block.height + 1 >= finality_depth:
                 for arrival, count in cohorts:
-                    finality_time = self.global_tree.head.timestamp - arrival
+                    finality_time = head_timestamp - arrival
                     if finality_time >= 0:
                         self.finality_latencies.observe(finality_time)
                 block.fluid_final_accounted = True
@@ -370,22 +413,24 @@ class PoWNetwork:
         """Run until ``duration_blocks`` main-chain blocks exist (or time out)."""
         if not self._started:
             self._started = True
-            tick = max(1.0, self.config.protocol.target_block_interval / 10.0)
-            self.sim.schedule(0.0, self._transaction_tick, tick)
+            self._next_arrival = self.sim.now
             for process in self.mining.values():
                 process.start()
-        horizon = max_sim_time or (
+        horizon = (
             self.config.duration_blocks * self.config.protocol.target_block_interval * 4.0
+            if max_sim_time is None
+            else max_sim_time
         )
         self.sim.run(until=horizon)
+        self._materialise_arrivals()
         return self.result()
 
     def result(self) -> PoWNetworkResult:
         """Aggregate the run into a :class:`PoWNetworkResult`."""
         stats = self.global_tree.stats()
-        duration = self._finished_at or self.sim.now
+        duration = self.sim.now if self._finished_at is None else self._finished_at
         main = self.global_tree.main_chain()
-        confirmed = sum(getattr(block, "fluid_tx_count", 0.0) for block in main)
+        confirmed = sum(block.fluid_tx_count for block in main)
         blocks_by_miner: Dict[str, int] = {}
         for block in main[1:]:
             blocks_by_miner[block.miner] = blocks_by_miner.get(block.miner, 0) + 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,15 @@ class Block:
     header: BlockHeader
     transactions: List[Transaction] = field(default_factory=list)
     header_bytes: int = 80
+    # Fluid payload attached by ``PoWNetwork.create_block`` and its
+    # confirmation accounting.  Not part of the header, so never hashed.
+    fluid_tx_count: float = field(default=0.0, init=False, repr=False, compare=False)
+    fluid_cohorts: List[Tuple[float, float]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    fluid_bytes: int = field(default=0, init=False, repr=False, compare=False)
+    fluid_conf_accounted: bool = field(default=False, init=False, repr=False, compare=False)
+    fluid_final_accounted: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.hash = block_hash(self.header)

@@ -122,6 +122,88 @@ class TestBlockTree:
         tree = self.build_chain(4)
         assert tree.stats().mean_interblock_time == pytest.approx(1.0)
 
+    def test_confirmations_off_the_main_chain(self):
+        tree = BlockTree()
+        a1 = Block.create(tree.genesis, miner="a", timestamp=1.0)
+        b1 = Block.create(tree.genesis, miner="b", timestamp=1.1)
+        a2 = Block.create(a1, miner="a", timestamp=2.0)
+        for block in (a1, b1, a2):
+            tree.add(block)
+        assert tree.confirmations(b1.hash) == 0      # stale sibling
+        assert tree.confirmations(a1.hash) == 2
+        assert tree.confirmations(tree.genesis.hash) == 3
+
+
+class _DefinitionTree(BlockTree):
+    """The definitions the walks must agree with: whole-chain sets and lists."""
+
+    def _maybe_switch_head(self, candidate):
+        if candidate.height > self.head.height:
+            reorg_depth = self._reorg_depth(self.head, candidate)
+            self.max_reorg_depth = max(self.max_reorg_depth, reorg_depth)
+            self.head = candidate
+            return True
+        return False
+
+    def _reorg_depth(self, old_head, new_head):
+        old_chain = set(self.chain_hashes(old_head))
+        cursor = new_head
+        while cursor.hash not in old_chain:
+            cursor = self.blocks[cursor.parent_hash]
+        return old_head.height - cursor.height
+
+    def confirmations(self, block_hash):
+        main = self.chain_hashes()
+        if block_hash not in main:
+            return 0
+        return len(main) - main.index(block_hash)
+
+
+class TestBlockTreeMatchesDefinition:
+    # Each drawn pair places one block: (extend near the newest block?, pick).
+    # Near-tip parents grow long competing branches (deep reorgs once the
+    # arrival order delivers a branch late); uniform parents give wide trees
+    # with many height ties.
+    @given(
+        st.lists(st.tuples(st.booleans(), st.integers(0, 10**6)), min_size=1, max_size=40),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_trees_in_random_arrival_order(self, picks, random):
+        genesis = Block.genesis()
+        created = [genesis]
+        for index, (near_tip, pick) in enumerate(picks):
+            known = len(created)
+            parent = created[known - 1 - pick % min(known, 3)] if near_tip else created[pick % known]
+            created.append(Block.create(parent, miner=f"m{index}", timestamp=float(index + 1)))
+
+        tree, reference = BlockTree(genesis), _DefinitionTree(genesis)
+        waiting = created[1:]
+        random.shuffle(waiting)
+        while waiting:
+            # The first block, in the shuffled order, whose parent has arrived.
+            block = next(b for b in waiting if tree.contains(b.parent_hash))
+            waiting.remove(block)
+            assert tree.add(block) == reference.add(block)
+            assert tree.head is reference.head
+            assert tree.forks_observed == reference.forks_observed
+            assert tree.max_reorg_depth == reference.max_reorg_depth
+        for block in created:
+            assert tree.confirmations(block.hash) == reference.confirmations(block.hash)
+
+    def test_deep_reorg_counts_every_abandoned_block(self):
+        tree = BlockTree()
+        branch_a, branch_b = [tree.genesis], [tree.genesis]
+        for height in range(1, 6):
+            branch_a.append(Block.create(branch_a[-1], miner="a", timestamp=float(height)))
+        for height in range(1, 8):
+            branch_b.append(Block.create(branch_b[-1], miner="b", timestamp=height + 0.5))
+        for block in branch_a[1:] + branch_b[1:]:
+            tree.add(block)
+        assert tree.head is branch_b[-1]
+        assert tree.max_reorg_depth == 5             # all of branch a, at b's sixth block
+        assert tree.forks_observed == 1
+
 
 class TestMempool:
     def test_add_and_duplicate(self):

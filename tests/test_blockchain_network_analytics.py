@@ -1,5 +1,7 @@
 """Tests for the PoW network simulator and the blockchain analytical models."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from repro.blockchain.network import (
     PoWNetworkConfig,
 )
 from repro.blockchain.pools import PoolFormationConfig, PoolFormationModel
+from repro.blockchain.primitives import Block
 from repro.blockchain.proof_of_stake import (
     NothingAtStakeModel,
     ProofOfStakeParams,
@@ -82,6 +85,147 @@ class TestPoWNetwork:
 
     def test_confirmation_latency_positive(self, bitcoin_run):
         assert bitcoin_run.mean_confirmation_latency > 0
+
+    def test_zero_time_budget_returns_immediately(self):
+        net = PoWNetwork(PoWNetworkConfig(miner_count=4, duration_blocks=50, seed=1))
+        result = net.run(max_sim_time=0.0)
+        assert net.sim.now == 0.0 and net.sim.processed == 0
+        assert result.duration == 0.0
+        assert result.chain.total_blocks == 1          # genesis only
+        assert result.throughput_tps == 0.0
+
+    def test_run_that_hits_the_horizon_reports_the_horizon(self):
+        net = PoWNetwork(PoWNetworkConfig(miner_count=4, duration_blocks=1000, seed=2))
+        result = net.run(max_sim_time=6000.0)
+        assert 1 <= result.chain.main_chain_length - 1 < 1000
+        assert result.duration == 6000.0
+        assert net.backlog[-1][0] == 6000.0            # a cohort arrives at the horizon
+
+
+class TestFluidBacklog:
+    """The backlog is a function of time: it must equal the eager recurrence."""
+
+    @pytest.mark.parametrize("rate", [0.0, 10.0])
+    def test_cohorts_and_total_equal_the_eager_recurrence(self, rate):
+        config = PoWNetworkConfig(
+            protocol=BITCOIN_PROTOCOL, miner_count=6, tx_arrival_rate=rate,
+            duration_blocks=40, seed=5,
+        )
+        net = PoWNetwork(config)
+        result = net.run()
+        interval = BITCOIN_PROTOCOL.target_block_interval / 10.0
+        arrivals = rate * interval
+        # Blocks of the observer's tree in creation order (stale ones took
+        # their share of the backlog too).
+        blocks = sorted(net.global_tree.blocks.values(), key=lambda b: b.timestamp)[1:]
+        assert len(blocks) >= 40
+
+        # A timer firing every `interval` from t = 0 to the horizon, each
+        # block drawing on the backlog at its own timestamp.
+        tick, ticks, total = 0.0, [], 0.0
+        for block in blocks:
+            while tick <= block.timestamp:
+                ticks.append(tick)
+                total += arrivals
+                tick += interval
+            total -= block.fluid_tx_count
+        while tick <= net.sim.now:
+            ticks.append(tick)
+            total += arrivals
+            tick += interval
+
+        assert net.sim.now == 40 * BITCOIN_PROTOCOL.target_block_interval * 4.0
+        assert result.backlog_transactions == net.backlog_total == total
+        seen = {cohort[0] for cohort in net.backlog}
+        for block in blocks:
+            seen.update(arrival for arrival, _ in block.fluid_cohorts)
+        if rate:
+            assert sorted(seen) == ticks
+            assert total > 0
+        else:
+            assert not seen and total == 0.0 and result.throughput_tps == 0.0
+
+
+def _chain_of(parent, length, miner):
+    blocks = []
+    for index in range(length):
+        parent = Block.create(parent, miner=miner, timestamp=float(index + 1))
+        blocks.append(parent)
+    return blocks
+
+
+class TestOrphans:
+    @pytest.fixture()
+    def node(self):
+        net = PoWNetwork(PoWNetworkConfig(miner_count=2, seed=0))
+        return net.nodes["miner-0"]
+
+    def test_sibling_orphans_both_attach_when_the_parent_arrives(self, node):
+        (parent,) = _chain_of(node.tree.genesis, 1, "p")
+        first = Block.create(parent, miner="a", timestamp=2.0)
+        second = Block.create(parent, miner="b", timestamp=2.1)
+        node._accept_block(first)
+        node._accept_block(second)
+        assert not node.tree.contains(first.hash) and len(node.tree.blocks) == 1
+        node._accept_block(parent)
+        assert node.tree.contains(first.hash) and node.tree.contains(second.hash)
+        assert node.tree.head is first                 # first received wins the tie
+        assert node.tree.forks_observed == 1
+        assert node.orphans == {}
+
+    def test_orphan_chain_delivered_in_reverse(self, node):
+        chain = _chain_of(node.tree.genesis, 3, "c")
+        for block in reversed(chain):
+            assert len(node.tree.blocks) == 1
+            node._accept_block(block)
+        assert node.tree.head is chain[-1]
+        assert node.tree.chain_hashes()[1:] == [block.hash for block in chain]
+        assert node.orphans == {}
+
+    def test_orphan_subtree_attaches_whole(self, node):
+        # parent <- a <- a2 and parent <- b, everything before the parent.
+        (parent,) = _chain_of(node.tree.genesis, 1, "p")
+        a, a2 = _chain_of(parent, 2, "a")
+        b = Block.create(parent, miner="b", timestamp=9.0)
+        for block in (a2, b, a, a, parent):            # `a` delivered twice
+            node._accept_block(block)
+        assert len(node.tree.blocks) == 5
+        assert node.tree.head is a2
+        assert node.orphans == {}
+
+
+class TestPoWScaling:
+    """A run costs O(blocks x miners): gates against a quadratic coming back."""
+
+    MINERS = 8
+
+    def _run(self, duration_blocks):
+        net = PoWNetwork(PoWNetworkConfig(
+            protocol=BITCOIN_PROTOCOL, miner_count=self.MINERS,
+            duration_blocks=duration_blocks, seed=1,
+        ))
+        started = time.perf_counter()
+        result = net.run()
+        return net, result, time.perf_counter() - started
+
+    def test_engine_events_are_block_found_and_block_delivered_only(self):
+        per_block = {}
+        for duration_blocks in (100, 400):
+            net, result, _ = self._run(duration_blocks)
+            # One found + (miners - 1) x (delivery + validated accept) per
+            # block; a periodic timer of any kind breaks this bound.
+            assert net.sim.processed <= result.chain.total_blocks * 2 * self.MINERS
+            per_block[duration_blocks] = net.sim.processed / (result.chain.main_chain_length - 1)
+        assert per_block[400] == pytest.approx(per_block[100], rel=0.10)
+
+    def test_per_block_wall_does_not_grow_with_chain_length(self):
+        # Same-run control: the short chain.  With a whole-chain walk per
+        # head switch the long run costs 2.4-3.2x as much per block.
+        per_block = {}
+        for duration_blocks in (150, 600):
+            walls = [self._run(duration_blocks)[2] for _ in range(3)]
+            per_block[duration_blocks] = min(walls) / duration_blocks
+        assert per_block[600] <= 2.0 * per_block[150], per_block
 
 
 class TestSelfishMining:
