@@ -9,8 +9,8 @@ so the assembled output is byte-identical to :class:`SerialBackend` at
 any worker count and any completion order — the same merge-by-key
 argument the process-pool backend makes, stretched across hosts.
 
-Failure semantics mirror the in-process supervised backends: retries and
-backoff happen broker-side with the same deterministic schedule, a job
+Failure semantics are the in-process backends' (the broker drives the same
+attempt ledger): retries and backoff happen broker-side, a job
 that exhausts its budget arrives as a ``job-failed`` event carrying the
 :class:`~repro.scenarios.execution.JobFailure`, and ``keep_going``
 selects between collecting it into the caller's failure manifest and

@@ -4,18 +4,18 @@ The broker holds submitted runs — each an ordered list of seed-pinned
 unit jobs plus a :class:`~repro.scenarios.execution.JobPolicy` — and
 dispatches them to workers under *leases*: a leased job belongs to one
 worker until it reports ``complete``/``fail`` or its lease expires
-(missed heartbeats, dropped connection).  The accounting mirrors the
-in-process supervised backends exactly:
+(missed heartbeats, dropped connection).  Each run's attempts are booked
+in an :class:`~repro.scenarios.attempts.AttemptLedger`, the very object
+the in-process backends drive, so the accounting is theirs by construction:
 
 - a **reported failure** charges one attempt; below the policy's budget
-  the job is requeued after the policy's deterministic
-  :meth:`~repro.scenarios.execution.JobPolicy.backoff_delay`, past it the
-  job becomes a :class:`~repro.scenarios.execution.JobFailure` in the
-  run's manifest;
+  the ledger's verdict is the time the retry is due (the policy's
+  deterministic backoff), at the budget it is the
+  :class:`~repro.scenarios.execution.JobFailure` for the run's manifest;
 - a **lost lease** (worker disconnect or expiry) requeues the job
   *uncharged* at the same attempt number — infrastructure failures never
-  eat into a job's retry budget, matching how the pool backend requeues
-  innocents after a hung-worker kill;
+  eat into a job's retry budget, just as the pool backend requeues
+  bystanders after a hung-worker kill;
 - a **duplicate completion** for an already-settled lease is dropped
   (first report wins), so a worker that was presumed dead but limps back
   cannot double-report.
@@ -67,7 +67,7 @@ from repro.distributed.protocol import (
     recv_frame,
     send_frame,
 )
-from repro.scenarios.execution import JobFailure, JobPolicy
+from repro.scenarios.attempts import AttemptLedger, JobFailure, JobPolicy
 
 #: Seconds a lease lives without a heartbeat before the job is requeued.
 DEFAULT_LEASE_TTL_S = 15.0
@@ -98,16 +98,15 @@ class _Job:
     scenario: str
     priority: int
     state: str = "pending"  # pending | leased | done | failed
-    failed_attempts: int = 0
-    first_dispatch: Optional[float] = None
 
 
 @dataclass
 class _Run:
-    """One submitted run: its jobs, policy, event stream and lifecycle."""
+    """One submitted run: its jobs, attempt ledger (which carries the
+    policy), event stream and lifecycle."""
 
     run_id: str
-    policy: JobPolicy
+    ledger: AttemptLedger
     order: int = 0
     jobs: Dict[str, _Job] = field(default_factory=dict)
     events: "Queue[Dict[str, object]]" = field(default_factory=Queue)
@@ -193,8 +192,8 @@ class BrokerQueue:
             if run_id in self._runs:
                 raise ValueError(f"run {run_id!r} already submitted")
             order = next(self._run_seq)
-            run = _Run(run_id=run_id, policy=policy or JobPolicy(),
-                       order=order)
+            run = _Run(run_id=run_id, order=order, ledger=AttemptLedger(
+                policy or JobPolicy(), time.monotonic))
             self._runs[run_id] = run
             self._run_order[run_id] = order
             for index, entry in enumerate(jobs):
@@ -212,7 +211,7 @@ class BrokerQueue:
             self._journal_open(run)
             self._journal_append(run, {
                 "v": SCHEMA_VERSION, "type": "submit", "run": run_id,
-                "order": order, "policy": policy_to_dict(run.policy),
+                "order": order, "policy": policy_to_dict(run.ledger.policy),
                 "jobs": [{"key": job.key, "spec": job.spec,
                           "seed": job.seed, "scenario": job.scenario}
                          for job in run.jobs.values()],
@@ -335,6 +334,7 @@ class BrokerQueue:
                 return False  # expired/duplicate: the first report won
             run = self._runs[lease.run_id]
             job = run.jobs[lease.key]
+            run.ledger.succeeded(job.key)
             job.state = "done"
             run.open_jobs -= 1
             run.completed += 1
@@ -366,32 +366,24 @@ class BrokerQueue:
                 return False
             run = self._runs[lease.run_id]
             job = run.jobs[lease.key]
-            job.failed_attempts += 1
-            policy = run.policy
-            if job.failed_attempts < policy.attempts and not run.cancelled:
+            verdict = run.ledger.failed(job.key, kind, error,
+                                        scenario=job.scenario, seed=job.seed)
+            if not isinstance(verdict, JobFailure):  # the retry's due time
                 job.state = "pending"
                 self._journal_append(run, {"type": "charge", "key": job.key,
-                                           "attempts": job.failed_attempts})
-                delay = policy.backoff_delay(job.key, job.failed_attempts)
-                self._push(run.run_id, job,
-                           ready_at=time.monotonic() + delay)
+                                           "attempts": lease.attempt})
+                self._push(run.run_id, job, ready_at=verdict)
                 self._ready.notify_all()
                 return True
             job.state = "failed"
             run.open_jobs -= 1
             run.failed += 1
-            started = job.first_dispatch or time.monotonic()
-            failure = JobFailure(
-                key=job.key, scenario=job.scenario, seed=job.seed,
-                kind=kind, error=error, attempts=job.failed_attempts,
-                elapsed_s=time.monotonic() - started,
-            )
-            run.failures[job.key] = failure.to_dict()
+            run.failures[job.key] = verdict.to_dict()
             self._journal_append(run, {"type": "failed", "key": job.key,
-                                       "failure": failure.to_dict()})
+                                       "failure": verdict.to_dict()})
             if not run.cancelled:
                 run.events.put({"type": "job-failed", "key": job.key,
-                                "failure": failure.to_dict()})
+                                "failure": verdict.to_dict()})
             if run.open_jobs == 0:
                 self._finish_run(run)
             return True
@@ -492,7 +484,9 @@ class BrokerQueue:
                     self._journal.discard(state.run_id)
                     continue
                 run = _Run(run_id=state.run_id, order=state.order,
-                           policy=policy_from_dict(state.policy))
+                           ledger=AttemptLedger(
+                               policy_from_dict(state.policy),
+                               time.monotonic, charges=state.charges))
                 for index, entry in enumerate(state.jobs):
                     key = str(entry.get("key", ""))
                     if not key or key in run.jobs:
@@ -503,7 +497,6 @@ class BrokerQueue:
                         seed=int(entry.get("seed", 0)),  # type: ignore[arg-type]
                         scenario=str(entry.get("scenario", "")),
                         priority=index,
-                        failed_attempts=state.charges.get(key, 0),
                     )
                     if key in state.results:
                         job.state = "done"
@@ -630,12 +623,10 @@ class BrokerQueue:
         run = self._runs[run_id]
         job = run.jobs[key]
         job.state = "leased"
-        if job.first_dispatch is None:
-            job.first_dispatch = now
         lease = _Lease(
             lease_id=f"L{next(self._lease_seq)}",
             run_id=run_id, key=key, worker=worker,
-            attempt=job.failed_attempts + 1,
+            attempt=run.ledger.dispatched(key),
             deadline=now + self.lease_ttl,
         )
         self._leases[lease.lease_id] = lease
@@ -650,7 +641,7 @@ class BrokerQueue:
             "seed": job.seed,
             "scenario": job.scenario,
             "attempt": lease.attempt,
-            "timeout_s": run.policy.timeout_s,
+            "timeout_s": run.ledger.policy.timeout_s,
             "lease_ttl": self.lease_ttl,
         }
 
@@ -664,6 +655,7 @@ class BrokerQueue:
         if run.cancelled:
             self._drop_locked(run, job)
             return
+        run.ledger.lost(job.key)
         job.state = "pending"
         self._push(lease.run_id, job, ready_at=0.0)
 
@@ -676,6 +668,7 @@ class BrokerQueue:
 
     def _drop_locked(self, run: _Run, job: _Job) -> None:
         """Drop one job of a cancelled run with full accounting."""
+        run.ledger.cancelled(job.key)
         job.state = "failed"
         run.open_jobs -= 1
         run.failed += 1

@@ -3,11 +3,13 @@
 A worker is a thin shell around the existing in-process execution path:
 it leases a seed-pinned unit job, rebuilds the
 :class:`~repro.scenarios.spec.ScenarioSpec` from the wire, and runs it
-through :func:`~repro.scenarios.execution._run_unit_attempt` — the same
-code the serial and pool backends use, fault-injection hooks and
-wall-clock budget included.  Metrics go back keyed by the job's
-content-addressed key, which is all the submitting client needs to merge
-byte-identically with a serial run.
+through :func:`~repro.scenarios.execution._run_unit_attempt` — the
+attempt the serial backend runs, fault-injection hooks and wall-clock
+budget included.  The worker only reports how the attempt ended; what a
+failure costs is decided broker-side, in the run's
+:class:`~repro.scenarios.attempts.AttemptLedger`.  Metrics go back keyed
+by the job's content-addressed key, which is all the submitting client
+needs to merge byte-identically with a serial run.
 
 Before executing, the worker consults a shared
 :class:`~repro.analysis.runstore.RunStore` unit cache when one is
@@ -57,9 +59,9 @@ from repro.distributed.protocol import (
     wait_readable,
 )
 from repro.scenarios.execution import (
-    JobTimeoutError,
     UnitJob,
     _describe_error,
+    _failure_kind,
     _run_unit_attempt,
 )
 from repro.scenarios.faults import WORKER_PROCESS_ENV
@@ -191,8 +193,6 @@ class Worker:
                     float(timeout_s) if timeout_s else None)  # type: ignore[arg-type]
             except LeaseRevoked:
                 pass  # abandoned: the broker already requeued the job
-            except JobTimeoutError as error:
-                outcome["timeout"] = error
             except Exception as error:  # noqa: BLE001 - reported, not fatal
                 outcome["error"] = error
             finally:
@@ -218,15 +218,11 @@ class Worker:
                 return
         finally:
             done.set()
-        if "timeout" in outcome:
+        error = outcome.get("error")
+        if isinstance(error, Exception):
             self._send(conn, {"type": "fail", "lease": lease,
-                              "kind": "timeout",
-                              "error": _describe_error(outcome["timeout"])})
-            return
-        if "error" in outcome:
-            self._send(conn, {"type": "fail", "lease": lease,
-                              "kind": "exception",
-                              "error": _describe_error(outcome["error"])})
+                              "kind": _failure_kind(error),
+                              "error": _describe_error(error)})
             return
         metrics = outcome.get("metrics")
         if metrics is None:

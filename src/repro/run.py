@@ -288,14 +288,8 @@ def _backend_from_args(args):
     return args.jobs
 
 
-def _policy_from_args(args) -> Optional[JobPolicy]:
-    """A JobPolicy when any supervision flag is set, else None.
-
-    ``None`` keeps the historical zero-overhead execution path: no retry
-    bookkeeping, failures abort with their original traceback.
-    """
-    if not (args.retries or args.job_timeout is not None or args.keep_going):
-        return None
+def _policy_from_args(args) -> JobPolicy:
+    """The run's JobPolicy from ``--retries/--job-timeout/--keep-going``."""
     if args.retries < 0:
         raise SystemExit(f"--retries expects a non-negative count, "
                          f"got {args.retries}")

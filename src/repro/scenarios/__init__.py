@@ -66,13 +66,15 @@ byte-identical to the serial run::
     print(len(plan.jobs), "unit jobs")
     results = execute_plan(plan, backend=ProcessPoolBackend(4))
 
-Execution is also *supervised* on request: a :class:`JobPolicy` adds
-per-job retries with deterministic backoff, wall-clock timeouts and
-graceful degradation (``keep_going`` collects jobs that exhaust their
-budget into the ResultSet's ``failures`` manifest instead of aborting),
-and :class:`ProcessPoolBackend` detects crashed or hung workers, respawns
-the pool and requeues only the lost jobs — retried jobs re-run the same
-seed-pinned unit, so output stays byte-identical at any retry count::
+Execution is always supervised, by one mechanism: every backend books its
+attempts in an :class:`~repro.scenarios.attempts.AttemptLedger` under a
+:class:`JobPolicy` (default: no retries, fail fast).  A policy adds per-job
+retries with deterministic backoff, wall-clock timeouts and graceful
+degradation (``keep_going`` collects jobs that exhaust their budget into
+the ResultSet's ``failures`` manifest instead of aborting), and
+:class:`ProcessPoolBackend` always detects crashed or hung workers,
+respawns the pool and requeues only the lost jobs — retried jobs re-run the
+same seed-pinned unit, so output stays byte-identical at any retry count::
 
     results = run_study("figure1", backend=4,
                         policy=JobPolicy(max_retries=2, timeout_s=120.0,

@@ -10,8 +10,8 @@ to an :class:`ExecutionBackend`:
 
 * :class:`SerialBackend` (the default) runs jobs in plan order in-process
   and is byte-identical to the historical single-process runner;
-* :class:`ProcessPoolBackend` fans jobs out over a ``multiprocessing``
-  pool (``repro-run --jobs N``) and merges by job key, so its output is
+* :class:`ProcessPoolBackend` fans jobs out over worker processes
+  (``repro-run --jobs N``) and merges by job key, so its output is
   byte-identical to the serial backend no matter which worker finishes
   first.
 
@@ -32,30 +32,33 @@ a unit job computes the same metrics in any process, on any backend.
 
 Fault tolerance
 ---------------
-Execution is supervised when a :class:`JobPolicy` is passed (the default
-``None`` keeps the historical zero-overhead fast path): a failed, hung or
-crashed unit job is retried up to ``max_retries`` times with exponential
-backoff (jitter is derived deterministically from the job key and attempt
-number, never from wall clock), each attempt is bounded by an optional
-per-job wall-clock ``timeout_s``, and :class:`ProcessPoolBackend` detects
-dead workers (``BrokenProcessPool``) and hung workers (timeout watchdog),
-respawns the pool and requeues only the lost job keys.  Because a unit job
-is a pure function of ``(spec, seed)``, a retried job recomputes the exact
-same metrics, so success output is byte-identical at any retry count.
+Every backend runs every job under a :class:`JobPolicy` (``None`` means
+the default one: no retries, no timeout, fail fast) and books each attempt
+in an :class:`~repro.scenarios.attempts.AttemptLedger`, the same object
+the distributed broker drives: there is no unsupervised path.
+A failed, hung or crashed unit job is retried up to ``max_retries`` times
+with exponential backoff (jitter is derived deterministically from the
+job key and attempt number, never from wall clock), each attempt is
+bounded by an optional per-job wall-clock ``timeout_s``, and
+:class:`ProcessPoolBackend` detects dead workers (``BrokenProcessPool``)
+and hung workers (timeout deadline), respawns the pool and requeues only
+the lost job keys.  Because a unit job is a pure function of
+``(spec, seed)``, a retried job recomputes the exact same metrics, so
+success output is byte-identical at any retry count.
 
-A job that exhausts its retries either aborts the run
-(:class:`JobExecutionError`, the ``keep_going=False`` default) or — under
-``keep_going=True`` — degrades gracefully: the job is recorded as a
-:class:`JobFailure` and :meth:`ExecutionPlan.assemble` emits a *partial*
-:class:`~repro.analysis.resultset.ResultSet` whose ``failures`` manifest
-names every failed job (key, error, kind, attempts, elapsed); result slots
-touched by a failure are omitted entirely rather than aggregated over a
-silently shrunken replicate sample.
+A job that is given up on either aborts the run (the ``keep_going=False``
+default) or — under ``keep_going=True`` — degrades gracefully: the job is
+recorded as a :class:`JobFailure` and :meth:`ExecutionPlan.assemble` emits
+a *partial* :class:`~repro.analysis.resultset.ResultSet` whose
+``failures`` manifest names every failed job (key, error, kind, attempts,
+elapsed); result slots touched by a failure are omitted entirely rather
+than aggregated over a silently shrunken replicate sample.  A run aborted
+without a retry budget ends with the job's own exception; a give-up after
+retries, a timeout or a worker crash with :class:`JobExecutionError`.
 """
 
 from __future__ import annotations
 
-import hashlib
 import os
 import sys
 import threading
@@ -64,7 +67,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Iterable,
     List,
@@ -76,6 +78,7 @@ from typing import (
 
 from repro.analysis.resultset import ResultSet
 from repro.scenarios.adapters import adapter_for
+from repro.scenarios.attempts import AttemptLedger, JobFailure, JobPolicy
 from repro.scenarios.result import ReplicateResult, ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
 
@@ -92,110 +95,6 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 # ----------------------------------------------------------------------
 # Supervision: policies, failures, errors
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class JobPolicy:
-    """How the backends supervise unit jobs.
-
-    ``max_retries`` extra attempts are allowed per job (so a job runs at
-    most ``max_retries + 1`` times).  Between attempts the backend waits
-    an exponential backoff ``backoff_base_s * backoff_factor**(attempt-1)``
-    capped at ``backoff_max_s``, stretched by up to ``backoff_jitter``
-    fractional jitter that is derived *deterministically* from the job key
-    and attempt number — two runs of the same plan back off identically.
-    ``timeout_s`` bounds each attempt's wall clock (a job past it counts
-    as failed and consumes retry budget).  ``keep_going`` selects graceful
-    degradation over fail-fast once retries are exhausted: the job becomes
-    a :class:`JobFailure` in the plan's failure manifest instead of
-    aborting the run.
-    """
-
-    max_retries: int = 0
-    timeout_s: Optional[float] = None
-    keep_going: bool = False
-    backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max_s: float = 5.0
-    backoff_jitter: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1.0")
-        if self.backoff_base_s < 0 or self.backoff_max_s < 0 \
-                or self.backoff_jitter < 0:
-            raise ValueError("backoff parameters cannot be negative")
-
-    @property
-    def active(self) -> bool:
-        """Whether this policy changes anything over the bare fast path."""
-        return bool(self.max_retries or self.timeout_s or self.keep_going)
-
-    @property
-    def attempts(self) -> int:
-        """Total attempts allowed per job."""
-        return self.max_retries + 1
-
-    def backoff_delay(self, key: str, attempt: int) -> float:
-        """Seconds to wait after a failed ``attempt`` (1-based) of ``key``.
-
-        Deterministic: the jitter fraction comes from a sha256 of
-        ``(key, attempt)``, not from wall clock or a shared RNG, so the
-        schedule is reproducible across processes and runs.
-        """
-        base = min(self.backoff_max_s,
-                   self.backoff_base_s * self.backoff_factor ** (attempt - 1))
-        if base <= 0.0 or self.backoff_jitter <= 0.0:
-            return max(base, 0.0)
-        digest = hashlib.sha256(f"{key}:{attempt}".encode("utf-8")).digest()
-        unit = int.from_bytes(digest[:8], "big") / 2.0 ** 64
-        return base * (1.0 + self.backoff_jitter * unit)
-
-
-@dataclass
-class JobFailure:
-    """One unit job that exhausted its retry budget.
-
-    ``kind`` is ``exception`` (the adapter raised), ``timeout`` (an attempt
-    exceeded the policy's wall-clock budget) or ``worker-crash`` (the pool
-    worker running it died).  ``attempts`` counts every attempt made and
-    ``elapsed_s`` the wall clock spent on this job across all of them.
-    """
-
-    key: str
-    scenario: str
-    seed: int
-    kind: str
-    error: str
-    attempts: int
-    elapsed_s: float
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "key": self.key,
-            "scenario": self.scenario,
-            "seed": self.seed,
-            "kind": self.kind,
-            "error": self.error,
-            "attempts": self.attempts,
-            "elapsed_s": round(self.elapsed_s, 3),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, object]) -> "JobFailure":
-        return cls(
-            key=str(data["key"]),
-            scenario=str(data.get("scenario", "")),
-            seed=int(data.get("seed", 0)),
-            kind=str(data.get("kind", "exception")),
-            error=str(data.get("error", "")),
-            attempts=int(data.get("attempts", 1)),
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-        )
-
-
 class JobTimeoutError(RuntimeError):
     """A unit-job attempt exceeded the policy's wall-clock budget."""
 
@@ -227,6 +126,11 @@ class IncompletePlanError(KeyError):
     def __init__(self, missing: Iterable[str]) -> None:
         self.missing = list(missing)
         super().__init__(f"plan is missing metrics for unit jobs {self.missing}")
+
+
+def _failure_kind(error: BaseException) -> str:
+    """The :class:`JobFailure` kind of an exception an attempt ended with."""
+    return "timeout" if isinstance(error, JobTimeoutError) else "exception"
 
 
 def _describe_error(error: BaseException) -> str:
@@ -404,6 +308,13 @@ def _pool_execute(
     return key, execute_unit(UnitJob(key=key, spec=spec, seed=seed), attempt)
 
 
+def _timed_out(job: UnitJob, attempt: int,
+               timeout_s: float) -> JobTimeoutError:
+    return JobTimeoutError(
+        f"unit job {job.key} exceeded its {timeout_s:g}s wall-clock "
+        f"budget (attempt {attempt})")
+
+
 def _run_unit_attempt(job: UnitJob, attempt: int,
                       timeout_s: Optional[float]) -> Dict[str, float]:
     """One in-process attempt, optionally bounded by a wall-clock budget.
@@ -411,8 +322,7 @@ def _run_unit_attempt(job: UnitJob, attempt: int,
     The timeout is enforced with a daemon watchdog thread: past the budget
     the attempt counts as failed (:class:`JobTimeoutError`) and its thread
     is abandoned — best-effort detection, unlike the pool backend which
-    actually kills the hung worker.  Without a timeout the job runs inline
-    at zero overhead.
+    actually kills the hung worker.  Without a timeout the job runs inline.
     """
     if not timeout_s:
         return execute_unit(job, attempt)
@@ -429,10 +339,7 @@ def _run_unit_attempt(job: UnitJob, attempt: int,
     thread.start()
     thread.join(timeout_s)
     if thread.is_alive():
-        raise JobTimeoutError(
-            f"unit job {job.key} exceeded its {timeout_s:g}s wall-clock "
-            f"budget (attempt {attempt})"
-        )
+        raise _timed_out(job, attempt, timeout_s)
     if "error" in outcome:
         raise outcome["error"]  # type: ignore[misc]
     return outcome["metrics"]  # type: ignore[return-value]
@@ -441,6 +348,53 @@ def _run_unit_attempt(job: UnitJob, attempt: int,
 # ----------------------------------------------------------------------
 # Backends
 # ----------------------------------------------------------------------
+@dataclass
+class _Supervisor:
+    """What one in-process ``execute`` call books: the attempt ledger plus
+    the results, failures and progress it settles jobs into."""
+
+    policy: JobPolicy
+    total: int
+    done: int
+    progress: Optional[ProgressCallback]
+    on_result: Optional[Callable[[str, Dict[str, float]], None]]
+    failures: Optional[Dict[str, JobFailure]]
+    fresh: Dict[str, Dict[str, float]] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.ledger = AttemptLedger(self.policy, time.monotonic)
+
+    def succeeded(self, job: UnitJob, metrics: Dict[str, float]) -> None:
+        self.ledger.succeeded(job.key)
+        self.fresh[job.key] = metrics
+        if self.on_result is not None:
+            self.on_result(job.key, metrics)
+        self._tick(job)
+
+    def failed(self, job: UnitJob, kind: str,
+               error: BaseException) -> Optional[float]:
+        """Charge a failed attempt; the ``time.monotonic()`` its retry is
+        due at, or ``None`` once the job is given up on under
+        ``keep_going``.  This is where a fail-fast run ends."""
+        verdict = self.ledger.failed(job.key, kind, _describe_error(error),
+                                     scenario=job.spec.name, seed=job.seed)
+        if not isinstance(verdict, JobFailure):
+            return verdict
+        if self.failures is not None:
+            self.failures[job.key] = verdict
+        if not self.policy.keep_going:
+            if kind == "exception" and not self.policy.max_retries:
+                raise error  # nothing was retried: the job's own exception
+            raise JobExecutionError(verdict) from error
+        self._tick(job)
+        return None
+
+    def _tick(self, job: UnitJob) -> None:
+        self.done += 1
+        if self.progress is not None:
+            self.progress(self.done, self.total, job)
+
+
 class ExecutionBackend:
     """Executes the jobs of a plan into a ``{job key: metrics}`` mapping.
 
@@ -452,13 +406,12 @@ class ExecutionBackend:
     :func:`execute_plan` persists units incrementally, so an interrupted
     run keeps everything completed so far.
 
-    ``policy`` is an optional :class:`JobPolicy`; when it is ``None`` (or
-    inactive) backends take their historical fast path with no
-    supervision overhead.  Under an active policy a job that exhausts its
-    retries is recorded into the caller-supplied ``failures`` mapping
-    (``keep_going``) or raised as :class:`JobExecutionError` (fail-fast);
-    jobs with a recorded failure count as done for progress purposes and
-    are *not* part of the returned metrics.
+    ``policy`` is the run's :class:`JobPolicy`; ``None`` means the default
+    one.  A job that is given up on is recorded into the caller-supplied
+    ``failures`` mapping and, unless the policy says ``keep_going``, ends
+    the run (see the module docstring for which exception); jobs with a
+    recorded failure count as done for progress purposes and are *not*
+    part of the returned metrics.
     """
 
     def execute(
@@ -470,6 +423,19 @@ class ExecutionBackend:
         policy: Optional[JobPolicy] = None,
         failures: Optional[Dict[str, JobFailure]] = None,
     ) -> Dict[str, Dict[str, float]]:
+        pending = self.pending_jobs(plan, completed)
+        total = len(plan.jobs)
+        run = _Supervisor(policy or JobPolicy(), total, total - len(pending),
+                          progress, on_result, failures)
+        if pending:
+            self._drive(pending, run)
+        return run.fresh
+
+    def _drive(self, pending: List[UnitJob], run: _Supervisor) -> None:
+        """Attempt every pending job until ``run`` has settled it.  The
+        in-process backends implement this; a backend that is supervised
+        elsewhere (the broker, for the distributed one) overrides
+        :meth:`execute` instead."""
         raise NotImplementedError
 
     @staticmethod
@@ -485,99 +451,41 @@ class ExecutionBackend:
 class SerialBackend(ExecutionBackend):
     """Run every job in plan order in the current process (the default)."""
 
-    def execute(
-        self,
-        plan: ExecutionPlan,
-        completed: Optional[Mapping[str, Dict[str, float]]] = None,
-        progress: Optional[ProgressCallback] = None,
-        on_result: Optional[Callable[[str, Dict[str, float]], None]] = None,
-        policy: Optional[JobPolicy] = None,
-        failures: Optional[Dict[str, JobFailure]] = None,
-    ) -> Dict[str, Dict[str, float]]:
-        pending = self.pending_jobs(plan, completed)
-        total = len(plan.jobs)
-        done = total - len(pending)
-        if policy is not None and policy.active:
-            return self._execute_supervised(pending, total, done, policy,
-                                            progress, on_result, failures)
-        fresh: Dict[str, Dict[str, float]] = {}
+    def _drive(self, pending: List[UnitJob], run: _Supervisor) -> None:
+        timeout_s = run.policy.timeout_s
         for job in pending:
-            fresh[job.key] = execute_unit(job)
-            if on_result is not None:
-                on_result(job.key, fresh[job.key])
-            done += 1
-            if progress is not None:
-                progress(done, total, job)
-        return fresh
-
-    @staticmethod
-    def _execute_supervised(
-        pending: List[UnitJob],
-        total: int,
-        done: int,
-        policy: JobPolicy,
-        progress: Optional[ProgressCallback],
-        on_result: Optional[Callable[[str, Dict[str, float]], None]],
-        failures: Optional[Dict[str, JobFailure]],
-    ) -> Dict[str, Dict[str, float]]:
-        """The retry/timeout loop; only entered under an active policy."""
-        fresh: Dict[str, Dict[str, float]] = {}
-        for job in pending:
-            metrics = None
-            started = time.monotonic()
-            for attempt in range(1, policy.attempts + 1):
+            while True:
+                attempt = run.ledger.dispatched(job.key)
                 try:
-                    metrics = _run_unit_attempt(job, attempt, policy.timeout_s)
-                    break
+                    metrics = _run_unit_attempt(job, attempt, timeout_s)
                 except Exception as error:  # noqa: BLE001 - supervised
-                    kind = ("timeout" if isinstance(error, JobTimeoutError)
-                            else "exception")
-                    if attempt < policy.attempts:
-                        delay = policy.backoff_delay(job.key, attempt)
-                        if delay:
-                            time.sleep(delay)
-                        continue
-                    failure = JobFailure(
-                        key=job.key, scenario=job.spec.name, seed=job.seed,
-                        kind=kind, error=_describe_error(error),
-                        attempts=attempt,
-                        elapsed_s=time.monotonic() - started,
-                    )
-                    if failures is not None:
-                        failures[job.key] = failure
-                    if not policy.keep_going:
-                        raise JobExecutionError(failure) from error
-            if metrics is not None:
-                fresh[job.key] = metrics
-                if on_result is not None:
-                    on_result(job.key, metrics)
-            done += 1
-            if progress is not None:
-                progress(done, total, job)
-        return fresh
+                    retry_at = run.failed(job, _failure_kind(error), error)
+                    if retry_at is None:
+                        break
+                    time.sleep(max(0.0, retry_at - time.monotonic()))
+                else:
+                    run.succeeded(job, metrics)
+                    break
 
 
 class ProcessPoolBackend(ExecutionBackend):
-    """Fan unit jobs out over a multiprocessing pool.
+    """Fan unit jobs out over a pool of worker processes.
 
-    Jobs are dispatched in plan order with chunk size 1 (long and short
-    points interleave freely) and merged by job key, so the assembled
-    output is byte-identical to :class:`SerialBackend` regardless of
-    completion order.  ``jobs`` defaults to the host's CPU count.
+    Jobs are dispatched in plan order, one per task (long and short points
+    interleave freely), and merged by job key, so the assembled output is
+    byte-identical to :class:`SerialBackend` regardless of completion
+    order.  ``jobs`` defaults to the host's CPU count.
 
-    Under an active :class:`JobPolicy` the pool is *supervised*: a dead
-    worker (``BrokenProcessPool``) or a job past the wall-clock budget
-    kills and respawns the pool, requeueing only the job keys that were
-    lost with it — finished results are never recomputed, and because
-    retried jobs re-run the same seed-pinned unit spec the merged output
-    stays byte-identical to the fault-free serial run.  A pool break
-    charges one attempt to *every* in-flight job (the culprit is not
-    observable from the parent); innocents simply recompute their
-    deterministic unit on the respawned pool.
+    The pool is supervised: a dead worker (``BrokenProcessPool``) or a job
+    past the wall-clock budget kills and respawns the pool, requeueing only
+    the job keys that were lost with it — finished results are never
+    recomputed, and because retried jobs re-run the same seed-pinned unit
+    spec the merged output stays byte-identical to the fault-free serial
+    run.  A pool break charges one attempt to *every* in-flight job (the
+    culprit is not observable from the parent); innocents simply recompute
+    their deterministic unit on the respawned pool.  A hung worker's kill
+    charges only the job past its budget.
     """
-
-    #: Supervised-loop watchdog granularity (seconds).
-    POLL_S = 0.05
 
     def __init__(self, jobs: Optional[int] = None) -> None:
         self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
@@ -595,56 +503,8 @@ class ProcessPoolBackend(ExecutionBackend):
         return multiprocessing.get_context(
             "fork" if "fork" in methods else "spawn")
 
-    def execute(
-        self,
-        plan: ExecutionPlan,
-        completed: Optional[Mapping[str, Dict[str, float]]] = None,
-        progress: Optional[ProgressCallback] = None,
-        on_result: Optional[Callable[[str, Dict[str, float]], None]] = None,
-        policy: Optional[JobPolicy] = None,
-        failures: Optional[Dict[str, JobFailure]] = None,
-    ) -> Dict[str, Dict[str, float]]:
-        pending = self.pending_jobs(plan, completed)
-        if not pending:
-            return {}
-        total = len(plan.jobs)
-        done = total - len(pending)
-        if policy is not None and policy.active:
-            return self._execute_supervised(pending, total, done, policy,
-                                            progress, on_result, failures)
-        jobs_by_key = {job.key: job for job in pending}
-        payloads = [(job.key, job.spec.to_dict(), job.seed, 1)
-                    for job in pending]
-        workers = min(self.jobs, len(pending))
-        fresh: Dict[str, Dict[str, float]] = {}
-        with self._context().Pool(processes=workers) as pool:
-            for key, metrics in pool.imap_unordered(
-                    _pool_execute, payloads, chunksize=1):
-                fresh[key] = metrics
-                if on_result is not None:
-                    on_result(key, metrics)
-                done += 1
-                if progress is not None:
-                    progress(done, total, jobs_by_key[key])
-        return fresh
-
-    def _execute_supervised(
-        self,
-        pending: List[UnitJob],
-        total: int,
-        done: int,
-        policy: JobPolicy,
-        progress: Optional[ProgressCallback],
-        on_result: Optional[Callable[[str, Dict[str, float]], None]],
-        failures: Optional[Dict[str, JobFailure]],
-    ) -> Dict[str, Dict[str, float]]:
-        """Crash/hang-tolerant pool loop (see the class docstring).
-
-        At most ``workers`` jobs are in flight at a time, dispatched in
-        plan/retry order, so a dispatched job is genuinely *running* and
-        its wall-clock budget starts at dispatch.
-        """
-        from collections import deque
+    def _drive(self, pending: List[UnitJob], run: _Supervisor) -> None:
+        import heapq
         from concurrent.futures import (
             FIRST_COMPLETED,
             ProcessPoolExecutor,
@@ -652,162 +512,130 @@ class ProcessPoolBackend(ExecutionBackend):
         )
         from concurrent.futures.process import BrokenProcessPool
 
-        context = self._context()
+        timeout_s = run.policy.timeout_s
         workers = min(self.jobs, len(pending))
-        #: (job, attempt, not-before) — backoff keeps retries out of the
-        #: pool until their deterministic delay has elapsed.
-        queue = deque((job, 1, 0.0) for job in pending)
+        # A wall-clock budget starts at dispatch, so under one a dispatched
+        # job must be genuinely running: one per worker.  Without one, a
+        # second job per worker waits in the pool's own queue.
+        depth = workers if timeout_s else 2 * workers
+        #: Heap of (not-before, plan rank, job): plan order among the ready,
+        #: and backoff keeps a retry out of the pool until it is due.
+        rank = {job.key: index for index, job in enumerate(pending)}
+        queue = [(0.0, rank[job.key], job) for job in pending]
+        #: future -> (job, attempt, dispatch time)
         inflight: Dict[Any, Tuple[UnitJob, int, float]] = {}
-        fresh: Dict[str, Dict[str, float]] = {}
         executor: Optional[Any] = None
-        aborted: Optional[Tuple[JobFailure, BaseException]] = None
 
-        def finish(job: UnitJob, metrics: Dict[str, float]) -> None:
-            nonlocal done
-            fresh[job.key] = metrics
-            if on_result is not None:
-                on_result(job.key, metrics)
-            done += 1
-            if progress is not None:
-                progress(done, total, job)
+        def enqueue(job: UnitJob, ready_at: float = 0.0) -> None:
+            heapq.heappush(queue, (ready_at, rank[job.key], job))
 
-        def fail(job: UnitJob, attempt: int, kind: str,
-                 error: BaseException, started: float) -> None:
-            nonlocal done, aborted
-            if attempt < policy.attempts:
-                ready = time.monotonic() + policy.backoff_delay(job.key, attempt)
-                queue.append((job, attempt + 1, ready))
-                return
-            failure = JobFailure(
-                key=job.key, scenario=job.spec.name, seed=job.seed,
-                kind=kind, error=_describe_error(error), attempts=attempt,
-                elapsed_s=time.monotonic() - started,
-            )
-            if failures is not None:
-                failures[job.key] = failure
-            if not policy.keep_going:
-                if aborted is None:
-                    aborted = (failure, error)
-                return
-            done += 1
-            if progress is not None:
-                progress(done, total, job)
-
-        def reap_pool(error: BaseException) -> None:
-            """Drain a broken pool: salvage done results, requeue the rest."""
+        def dispatch() -> Optional[BaseException]:
+            """Move due queue entries into free pool slots; returns the
+            error when ``submit`` finds the pool already broken."""
             nonlocal executor
-            for future, (job, attempt, started) in list(inflight.items()):
+            now = time.monotonic()
+            while queue and len(inflight) < depth and queue[0][0] <= now:
+                job = heapq.heappop(queue)[2]
+                if executor is None:
+                    executor = ProcessPoolExecutor(
+                        max_workers=workers, mp_context=self._context())
+                attempt = run.ledger.dispatched(job.key)
                 try:
-                    _, metrics = future.result(timeout=0)
-                except Exception as lost:  # noqa: BLE001 - lost with the pool
-                    fail(job, attempt, "worker-crash",
-                         lost if isinstance(lost, BrokenProcessPool) else error,
-                         started)
-                else:
-                    finish(job, metrics)
+                    future = executor.submit(
+                        _pool_execute,
+                        (job.key, job.spec.to_dict(), job.seed, attempt))
+                except BrokenProcessPool as error:
+                    run.ledger.lost(job.key)  # never reached a worker
+                    enqueue(job)
+                    return error
+                inflight[future] = (job, attempt, time.monotonic())
+            return None
+
+        def wait() -> Iterable[Any]:
+            """Block until a completion, the next retry that has a free
+            slot to go to, or the next wall-clock deadline."""
+            wake = [queue[0][0]] if queue and len(inflight) < depth else []
+            if timeout_s:
+                wake += [started + timeout_s
+                         for _, _, started in inflight.values()]
+            pause = (max(0.0, min(wake) - time.monotonic())
+                     if wake else None)
+            if not inflight:  # everything is backing off
+                time.sleep(pause or 0.0)
+                return ()
+            return wait_futures(set(inflight), timeout=pause,
+                                return_when=FIRST_COMPLETED).done
+
+        def failed(job: UnitJob, kind: str, error: BaseException) -> None:
+            retry_at = run.failed(job, kind, error)
+            if retry_at is not None:
+                enqueue(job, retry_at)
+
+        def settle(future: Any, broken: Optional[BaseException] = None,
+                   ) -> Optional[BaseException]:
+            """Book one future; returns the pool's error if that is what
+            ended it.  ``broken`` is passed while draining a broken pool,
+            where a future not marked yet is lost all the same."""
+            job, _, _ = inflight.pop(future)
+            error = future.exception() if future.done() else broken
+            if error is None:
+                run.succeeded(job, future.result()[1])
+                return None
+            if isinstance(error, BrokenProcessPool) or error is broken:
+                failed(job, "worker-crash", error)
+                return error
+            failed(job, "exception", error)
+            return None
+
+        def kill_pool() -> None:
+            """Kill the workers; whatever is still in flight is requeued
+            uncharged, at the same attempt and ahead of any retry."""
+            nonlocal executor
+            for job, _, _ in inflight.values():
+                run.ledger.lost(job.key)
+                enqueue(job)
             inflight.clear()
             _shutdown_pool(executor, kill=True)
             executor = None
 
         try:
-            while (queue or inflight) and aborted is None:
-                now = time.monotonic()
-                # Dispatch every ready queue entry into a free pool slot.
-                waiting: Deque[Tuple[UnitJob, int, float]] = deque()
-                while queue and len(inflight) < workers:
-                    job, attempt, ready_at = queue.popleft()
-                    if ready_at > now:
-                        waiting.append((job, attempt, ready_at))
-                        continue
-                    if executor is None:
-                        executor = ProcessPoolExecutor(
-                            max_workers=workers, mp_context=context)
-                    try:
-                        future = executor.submit(
-                            _pool_execute,
-                            (job.key, job.spec.to_dict(), job.seed, attempt))
-                    except BrokenProcessPool as error:
-                        waiting.append((job, attempt, ready_at))
-                        reap_pool(error)
-                        continue
-                    inflight[future] = (job, attempt, time.monotonic())
-                queue.extendleft(reversed(waiting))
-
-                if not inflight:
-                    if queue:  # everything is backing off; sleep it out
-                        wake = min(entry[2] for entry in queue)
-                        time.sleep(max(0.0, wake - time.monotonic()))
-                    continue
-
-                finished, _ = wait_futures(
-                    set(inflight), timeout=self._poll_interval(policy, queue),
-                    return_when=FIRST_COMPLETED)
-                broken_error = None
-                for future in finished:
-                    job, attempt, started = inflight.pop(future)
-                    try:
-                        _, metrics = future.result()
-                    except BrokenProcessPool as error:
-                        broken_error = error
-                        fail(job, attempt, "worker-crash", error, started)
-                    except Exception as error:  # noqa: BLE001 - supervised
-                        fail(job, attempt, "exception", error, started)
-                    else:
-                        finish(job, metrics)
-                if broken_error is not None:
-                    reap_pool(broken_error)
-                    continue
-
-                if policy.timeout_s:
+            while queue or inflight:
+                broken = dispatch()
+                if broken is None:
+                    for future in wait():
+                        broken = settle(future) or broken
+                if broken is not None:
+                    # A broken pool fails every future it still holds.
+                    for future in list(inflight):
+                        settle(future, broken)
+                    kill_pool()
+                elif timeout_s:
                     now = time.monotonic()
                     hung = [future for future, (_, _, started)
-                            in inflight.items()
-                            if now - started > policy.timeout_s]
+                            in inflight.items() if now - started >= timeout_s]
+                    for future in hung:
+                        job, attempt, _ = inflight.pop(future)
+                        failed(job, "timeout",
+                               _timed_out(job, attempt, timeout_s))
                     if hung:
-                        for future in hung:
-                            job, attempt, started = inflight.pop(future)
-                            fail(job, attempt, "timeout", JobTimeoutError(
-                                f"unit job {job.key} exceeded its "
-                                f"{policy.timeout_s:g}s wall-clock budget "
-                                f"(attempt {attempt})"), started)
                         # A hung worker is only reclaimable by killing the
-                        # pool; the innocent in-flight jobs are requeued at
-                        # the same attempt (no budget charge — the culprit
-                        # is known here, unlike a pool break).
-                        for job, attempt, _ in inflight.values():
-                            queue.appendleft((job, attempt, 0.0))
-                        inflight.clear()
-                        _shutdown_pool(executor, kill=True)
-                        executor = None
-        finally:
-            if executor is not None:
-                _shutdown_pool(executor,
-                               kill=bool(queue or inflight or aborted))
-        if aborted is not None:
-            failure, error = aborted
-            raise JobExecutionError(failure) from error
-        return fresh
-
-    def _poll_interval(
-        self,
-        policy: JobPolicy,
-        queue: Deque[Tuple[UnitJob, int, float]],
-    ) -> Optional[float]:
-        """How long the supervisor may block waiting for a completion."""
-        if policy.timeout_s:
-            return max(0.005, min(self.POLL_S, policy.timeout_s / 5.0))
-        if queue:  # backoff entries are waiting to become ready
-            return self.POLL_S
-        return None
+                        # pool; the culprit is known here, unlike a break.
+                        kill_pool()
+        except BaseException:
+            _shutdown_pool(executor, kill=True)
+            raise
+        _shutdown_pool(executor)
 
 
-def _shutdown_pool(executor: Any, kill: bool = False) -> None:
+def _shutdown_pool(executor: Optional[Any], kill: bool = False) -> None:
     """Shut a ProcessPoolExecutor down, killing its workers when asked.
 
     ``kill`` reaches into the executor's worker table because there is no
     public way to reclaim a hung worker; the processes are killed first so
     ``shutdown`` cannot block on them.
     """
+    if executor is None:
+        return
     if kill:
         for process in list((getattr(executor, "_processes", None) or {})
                             .values()):
@@ -850,11 +678,12 @@ def execute_plan(
     (the CLI's ``--no-resume``) bypasses the cache *read*: every job
     re-executes, and the fresh metrics overwrite whatever was cached.
     ``progress`` is a callback (or ``True`` for a stderr line per job).
-    ``policy`` is a :class:`JobPolicy`; with an active one, failed jobs
-    are retried/timed out per the policy and — under ``keep_going`` —
-    collected into the assembled ResultSet's failure manifest instead of
-    aborting the run.  Failed jobs never reach the store's unit cache,
-    so a rerun against the same store executes only the failed units.
+    ``policy`` is the run's :class:`JobPolicy` (``None`` means the default
+    one): failed jobs are retried/timed out per the policy and — under
+    ``keep_going`` — collected into the assembled ResultSet's failure
+    manifest instead of aborting the run.  Failed jobs never reach the
+    store's unit cache, so a rerun against the same store executes only
+    the failed units.
     """
     if not isinstance(backend, ExecutionBackend):
         backend = backend_for(backend)

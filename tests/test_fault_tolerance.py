@@ -56,12 +56,6 @@ def _no_ambient_fault_plan(monkeypatch):
 
 
 class TestJobPolicy:
-    def test_defaults_are_inactive(self):
-        assert not JobPolicy().active
-        assert JobPolicy(max_retries=1).active
-        assert JobPolicy(timeout_s=5.0).active
-        assert JobPolicy(keep_going=True).active
-
     def test_validation(self):
         with pytest.raises(ValueError):
             JobPolicy(max_retries=-1)

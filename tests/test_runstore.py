@@ -106,11 +106,11 @@ class TestUnitCache:
         real = execution_module.execute_unit
         calls = []
 
-        def fail_after_first(job):
+        def fail_after_first(job, attempt=1):
             if calls:
                 raise RuntimeError("simulated crash mid-grid")
             calls.append(job.key)
-            return real(job)
+            return real(job, attempt)
 
         monkeypatch.setattr(execution_module, "execute_unit", fail_after_first)
         with pytest.raises(RuntimeError, match="mid-grid"):
