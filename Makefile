@@ -86,7 +86,8 @@ distributed:
 	PYTHONPATH=src $(PY) -m repro.distributed.smoke
 
 # Fast end-to-end smoke of the scenario runner: one trimmed scenario per
-# architecture family plus the trimmed figure1 cross-family study — once
+# architecture family (and superpeer-search, the experiment added by
+# registration alone), plus the trimmed figure1 cross-family study — once
 # serially and once on the --jobs 2 process-pool backend (the two JSON
 # documents are byte-identical by construction; CI sees both paths).
 smoke:
@@ -95,6 +96,7 @@ smoke:
 	PYTHONPATH=src $(PY) -m repro.run fabric-consortium --set duration=1.0 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run kad-lookup --set workload.lookups=20 --set topology.size=150 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run kademlia-churn-100k --set topology.size=5000 --set workload.lookups=200 --quiet --json -
+	PYTHONPATH=src $(PY) -m repro.run superpeer-search --set topology.size=500 --set architecture.superpeers=20 --set workload.lookups=50 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run edge-placement --set workload.requests=200 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run study figure1 --quiet --json - \
 	  --set bitcoin.architecture.duration_blocks=20 \

@@ -5,7 +5,7 @@ relies on:
 
 * data structures — transactions, blocks, the block tree with the
   longest-chain rule (:mod:`~repro.blockchain.primitives`,
-  :mod:`~repro.blockchain.chain`, :mod:`~repro.blockchain.mempool`);
+  :mod:`~repro.blockchain.chain`);
 * the proof-of-work network — Poisson mining, difficulty retargeting,
   gossip block propagation, forks and stale blocks, transaction throughput
   and confirmation latency (:mod:`~repro.blockchain.mining`,
@@ -21,7 +21,6 @@ relies on:
 
 from repro.blockchain.primitives import Block, BlockHeader, Transaction, block_hash
 from repro.blockchain.chain import BlockTree, ChainStats
-from repro.blockchain.mempool import Mempool
 from repro.blockchain.mining import DifficultyAdjuster, MiningProcess, MinerSpec
 from repro.blockchain.network import (
     BITCOIN_PROTOCOL,
@@ -62,7 +61,6 @@ __all__ = [
     "block_hash",
     "BlockTree",
     "ChainStats",
-    "Mempool",
     "DifficultyAdjuster",
     "MiningProcess",
     "MinerSpec",

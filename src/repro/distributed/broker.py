@@ -174,7 +174,6 @@ class BrokerQueue:
         self._heap: List[tuple] = []
         self._leases: Dict[str, _Lease] = {}
         self._run_seq = itertools.count()
-        self._run_order: Dict[str, int] = {}
         self._seq = itertools.count()
         self._lease_seq = itertools.count(1)
         self._stopping = False
@@ -195,7 +194,6 @@ class BrokerQueue:
             run = _Run(run_id=run_id, order=order, ledger=AttemptLedger(
                 policy or JobPolicy(), time.monotonic))
             self._runs[run_id] = run
-            self._run_order[run_id] = order
             for index, entry in enumerate(jobs):
                 key = str(entry["key"])
                 if key in run.jobs:
@@ -217,7 +215,7 @@ class BrokerQueue:
                          for job in run.jobs.values()],
             })
             for job in run.jobs.values():
-                self._push(run_id, job, ready_at=0.0)
+                self._push(run, job, ready_at=0.0)
             if run.open_jobs == 0:
                 self._finish_run(run)
             self._ready.notify_all()
@@ -372,7 +370,7 @@ class BrokerQueue:
                 job.state = "pending"
                 self._journal_append(run, {"type": "charge", "key": job.key,
                                            "attempts": lease.attempt})
-                self._push(run.run_id, job, ready_at=verdict)
+                self._push(run, job, ready_at=verdict)
                 self._ready.notify_all()
                 return True
             job.state = "failed"
@@ -413,7 +411,7 @@ class BrokerQueue:
     def retire(self, run_id: str) -> bool:
         """Drop a settled run once its ``run-done`` has been delivered.
 
-        Removes the run from ``_runs``/``_run_order`` and deletes its
+        Removes the run from ``_runs`` and deletes its
         journal file.  ``False`` when the run is unknown or still open —
         retiring is only legal after ``run-done``.
         """
@@ -513,12 +511,11 @@ class BrokerQueue:
                 run.attached = False
                 run.detached_at = time.monotonic()
                 self._runs[run.run_id] = run
-                self._run_order[run.run_id] = run.order
                 self._journal_open(run)
                 for job in sorted(run.jobs.values(),
                                   key=lambda j: j.priority):
                     if job.state == "pending":
-                        self._push(run.run_id, job, ready_at=0.0)
+                        self._push(run, job, ready_at=0.0)
                 if run.open_jobs == 0:
                     # run-done is primed into the stream on re-attach.
                     run.done = True
@@ -593,10 +590,10 @@ class BrokerQueue:
             print(f"broker: journal write failed for run {run.run_id!r}: "
                   f"{error}; continuing without one", file=sys.stderr)
 
-    def _push(self, run_id: str, job: _Job, ready_at: float) -> None:
-        heapq.heappush(self._heap, (ready_at, self._run_order[run_id],
+    def _push(self, run: _Run, job: _Job, ready_at: float) -> None:
+        heapq.heappush(self._heap, (ready_at, run.order,
                                     job.priority, next(self._seq),
-                                    run_id, job.key))
+                                    run.run_id, job.key))
 
     def _pop_ready(self, now: float) -> Optional[tuple]:
         """The first heap entry whose job is still pending and ready."""
@@ -657,7 +654,7 @@ class BrokerQueue:
             return
         run.ledger.lost(job.key)
         job.state = "pending"
-        self._push(lease.run_id, job, ready_at=0.0)
+        self._push(run, job, ready_at=0.0)
 
     def _expire_locked(self, now: float) -> int:
         expired = [lease for lease in self._leases.values()
@@ -710,7 +707,6 @@ class BrokerQueue:
 
     def _retire_locked(self, run: _Run) -> None:
         self._runs.pop(run.run_id, None)
-        self._run_order.pop(run.run_id, None)
         if run.journal is not None:
             run.journal.close()
             run.journal = None

@@ -179,24 +179,3 @@ def _insert_sybil_identities(
         for honest in closest_honest:
             dht.nodes[honest].observe(sybil)
     return sybil_ids
-
-
-def sweep_identity_counts(
-    identities_per_machine_values: List[int],
-    base_config: Optional[SybilAttackConfig] = None,
-) -> List[SybilAttackResult]:
-    """Run the attack for several identity counts (Experiment E3's sweep)."""
-    base_config = base_config or SybilAttackConfig()
-    results = []
-    for identities in identities_per_machine_values:
-        config = SybilAttackConfig(
-            honest_nodes=base_config.honest_nodes,
-            attacker_machines=base_config.attacker_machines,
-            identities_per_machine=identities,
-            lookups=base_config.lookups,
-            targeted_key=base_config.targeted_key,
-            kademlia=base_config.kademlia,
-            seed=base_config.seed,
-        )
-        results.append(run_sybil_attack(config))
-    return results

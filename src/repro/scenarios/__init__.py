@@ -4,10 +4,11 @@ The paper's argument is comparative: the same workload pushed through a
 centralized cloud, a permissionless blockchain, a permissioned ledger, an
 open P2P overlay and an edge federation.  This package makes that the
 default shape of every experiment: a :class:`ScenarioSpec` says *what* to
-run as plain data, an :class:`ArchitectureAdapter` per family knows *how*
-to run it, and every run is reduced to the same
-:class:`ScenarioResult` (throughput, latency percentiles, message/energy
-counters, per-seed replicates).
+run as plain data, the :class:`Experiment` registered for its
+``(family, mode)`` (:data:`EXPERIMENTS`, resolved by
+:func:`experiment_for`) knows *how* to run it, and every run is reduced to
+the same :class:`ScenarioResult` (throughput, latency percentiles,
+message/energy counters, per-seed replicates).
 
 Usage::
 
@@ -146,13 +147,11 @@ from repro.scenarios.faults import (
 )
 from repro.scenarios.adapters import (
     ADAPTERS,
+    EXPERIMENTS,
     ArchitectureAdapter,
-    ConsensusAdapter,
-    EdgeAdapter,
-    OverlayAdapter,
-    PermissionedAdapter,
-    PermissionlessAdapter,
+    Experiment,
     adapter_for,
+    experiment_for,
 )
 from repro.scenarios.registry import SCENARIOS, get_scenario, register, scenario_names
 from repro.scenarios.result import ReplicateResult, ScenarioResult, results_to_json
@@ -179,10 +178,10 @@ from repro.scenarios.study import (
 __all__ = [
     "ADAPTERS",
     "ArchitectureAdapter",
-    "ConsensusAdapter",
-    "EdgeAdapter",
+    "EXPERIMENTS",
     "ExecutionBackend",
     "ExecutionPlan",
+    "Experiment",
     "FAMILIES",
     "FaultInjectingBackend",
     "FaultPlan",
@@ -193,9 +192,6 @@ __all__ = [
     "JobFailure",
     "JobPolicy",
     "JobTimeoutError",
-    "OverlayAdapter",
-    "PermissionedAdapter",
-    "PermissionlessAdapter",
     "ProcessPoolBackend",
     "ReplicateResult",
     "ResultSet",
@@ -217,6 +213,7 @@ __all__ = [
     "compile_study",
     "compile_sweep",
     "execute_plan",
+    "experiment_for",
     "get_scenario",
     "get_study",
     "register",

@@ -76,6 +76,8 @@ SCENARIO_TRIMS: Dict[str, Dict[str, object]] = {
                               "sweeps": {"topology.size": [1000, 2000]}},
     "kademlia-churn-100k": {"topology.size": 5000, "workload.lookups": 200},
     "gnutella-search": {"topology.size": 250, "workload.lookups": 40},
+    "superpeer-search": {"topology.size": 500, "architecture.superpeers": 20,
+                         "workload.lookups": 50},
     # edge
     "edge-placement": {"workload.requests": 300},
     "edge-federation": {"duration": 1.0},

@@ -398,6 +398,17 @@ register(ScenarioSpec(
     seed=3,
 ))
 
+register(ScenarioSpec(
+    name="superpeer-search",
+    family="overlay",
+    description="Superpeer (Kazaa/eDonkey-style) two-tier search: cheap queries, re-centralized index",
+    architecture={"overlay": "superpeer", "superpeers": 40,
+                  "leaves_per_superpeer": 100},
+    topology={"size": 2000},
+    workload={"kind": "lookup", "lookups": 300},
+    seed=3,
+))
+
 # ----------------------------------------------------------------------
 # Edge-centric computing
 # ----------------------------------------------------------------------

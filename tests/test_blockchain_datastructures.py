@@ -1,11 +1,10 @@
-"""Tests for transactions, blocks, the block tree, mempool and mining primitives."""
+"""Tests for transactions, blocks, the block tree and mining primitives."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blockchain.chain import BlockTree
-from repro.blockchain.mempool import Mempool
 from repro.blockchain.mining import DifficultyAdjuster, MinerSpec, MiningProcess
 from repro.blockchain.primitives import Block, Transaction, block_hash
 from repro.sim.engine import Simulator
@@ -203,64 +202,6 @@ class TestBlockTreeMatchesDefinition:
         assert tree.head is branch_b[-1]
         assert tree.max_reorg_depth == 5             # all of branch a, at b's sixth block
         assert tree.forks_observed == 1
-
-
-class TestMempool:
-    def test_add_and_duplicate(self):
-        pool = Mempool()
-        tx = make_tx(1)
-        assert pool.add(tx)
-        assert not pool.add(tx)
-        assert len(pool) == 1
-        assert "tx-1" in pool
-
-    def test_selection_prefers_fee_rate(self):
-        pool = Mempool()
-        cheap = make_tx(1, fee=0.1, size=400)
-        rich = make_tx(2, fee=2.0, size=400)
-        pool.add_many([cheap, rich])
-        selected = pool.select_for_block(max_block_bytes=400)
-        assert selected == [rich]
-
-    def test_selection_respects_block_size(self):
-        pool = Mempool()
-        pool.add_many([make_tx(i, size=400) for i in range(10)])
-        selected = pool.select_for_block(max_block_bytes=1200)
-        assert len(selected) == 3
-
-    def test_selection_respects_exclusion(self):
-        pool = Mempool()
-        pool.add_many([make_tx(i) for i in range(3)])
-        selected = pool.select_for_block(4000, exclude={"tx-0", "tx-1"})
-        assert [tx.tx_id for tx in selected] == ["tx-2"]
-
-    def test_remove_confirmed(self):
-        pool = Mempool()
-        pool.add_many([make_tx(i) for i in range(3)])
-        pool.remove(["tx-0", "tx-2"])
-        assert len(pool) == 1
-
-    def test_eviction_when_full(self):
-        pool = Mempool(max_size=2)
-        pool.add(make_tx(1, fee=0.1))
-        pool.add(make_tx(2, fee=0.2))
-        assert pool.add(make_tx(3, fee=5.0))          # evicts the cheapest
-        assert not pool.add(make_tx(4, fee=0.01))     # too cheap to enter
-        assert len(pool) == 2
-        assert "tx-1" not in pool
-
-    def test_total_bytes(self):
-        pool = Mempool()
-        pool.add_many([make_tx(i, size=100) for i in range(5)])
-        assert pool.total_bytes() == 500
-
-    @given(st.lists(st.floats(min_value=0.01, max_value=10.0), min_size=1, max_size=30))
-    @settings(max_examples=40, deadline=None)
-    def test_selection_never_exceeds_block_size(self, fees):
-        pool = Mempool()
-        pool.add_many([make_tx(i, fee=fee, size=250) for i, fee in enumerate(fees)])
-        selected = pool.select_for_block(max_block_bytes=1000)
-        assert sum(tx.size_bytes for tx in selected) <= 1000
 
 
 class TestDifficultyAdjustment:

@@ -1,0 +1,155 @@
+"""Every module under ``src/repro`` is reached by something registered.
+
+The roots are what a user can actually run: the registered experiments
+(plus the scenario and study registries that select them), the claim
+benchmarks (``benchmarks/test_[ea]*.py``), the ``setup.py`` console
+scripts and ``python -m`` entry points, and ``examples/``.  From there an
+AST import graph is followed — function-level imports included, because
+the experiments import their models lazily.  A package ``__init__`` is
+*not* a licence: ``from repro.p2p import X`` reaches only the module
+``X`` is defined in, never everything the ``__init__`` happens to
+re-export, so a module kept alive by nothing but its package's re-export
+(and its own unit test) shows up here as unreached.
+"""
+
+import ast
+import re
+from pathlib import Path
+from typing import Dict, Iterable, Iterator, List, Optional, Set
+
+from repro.analysis.lint.framework import iter_python_files, module_name
+
+REPO = Path(__file__).resolve().parents[1]
+
+#: Modules allowed to be unreached.  Empty on purpose: register an
+#: experiment (or claim, or entry point) that reaches the module, or
+#: delete it.
+ALLOWED_UNREACHED: Set[str] = set()
+
+
+class _Graph:
+    def __init__(self, src: Path) -> None:
+        #: Dotted name -> file for every module under ``src/repro``.
+        self.files: Dict[str, Path] = {
+            module_name(path, src): path
+            for path in iter_python_files([src / "repro"])}
+        self._trees: Dict[str, ast.Module] = {}
+
+    def tree(self, module: str) -> ast.Module:
+        if module not in self._trees:
+            self._trees[module] = ast.parse(
+                self.files[module].read_text(encoding="utf-8"))
+        return self._trees[module]
+
+    def _is_package(self, module: str) -> bool:
+        return self.files[module].name == "__init__.py"
+
+    def imports(self, tree: ast.Module, module: Optional[str]) -> Iterator[str]:
+        """Modules under ``repro`` that ``tree`` imports, at any depth.
+
+        ``module`` is the importing module's own dotted name (``None``
+        for a file outside the package), needed for relative imports.
+        """
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name in self.files:
+                        yield alias.name
+            elif isinstance(node, ast.ImportFrom):
+                base = node.module or ""
+                if node.level:
+                    assert module is not None
+                    package = module.split(".")
+                    if not self._is_package(module):
+                        package.pop()
+                    package = package[:len(package) - (node.level - 1)]
+                    base = ".".join(package + ([base] if base else []))
+                if base not in self.files:
+                    continue
+                for alias in node.names:
+                    yield from self.resolve(base, alias.name)
+
+    def resolve(self, module: str, name: str) -> Iterator[str]:
+        """Where ``from module import name`` really lands.
+
+        A submodule is itself; a name a package ``__init__`` re-exports is
+        followed to the module that defines it; anything else is defined
+        in ``module``.
+        """
+        if f"{module}.{name}" in self.files:
+            yield f"{module}.{name}"
+            return
+        if self._is_package(module):
+            for node in self.tree(module).body:
+                if not isinstance(node, ast.ImportFrom) or node.level:
+                    continue
+                for alias in node.names:
+                    if (alias.asname or alias.name) == name \
+                            and node.module in self.files:
+                        yield from self.resolve(node.module, alias.name)
+                        return
+        yield module
+
+    def reached_from(self, roots: Iterable[str]) -> Set[str]:
+        reached: Set[str] = set()
+        queue: List[str] = list(roots)
+        while queue:
+            module = queue.pop()
+            if module in reached:
+                continue
+            reached.add(module)
+            # Importing a.b.c runs a/__init__ and a.b/__init__ too — they
+            # are reached, but their re-exports are not followed.
+            parent = module.rpartition(".")[0]
+            while parent:
+                reached.add(parent)
+                parent = parent.rpartition(".")[0]
+            if not self._is_package(module):
+                queue.extend(self.imports(self.tree(module), module))
+        return reached
+
+
+def _roots(repo: Path, graph: _Graph) -> Set[str]:
+    from repro.scenarios.adapters import EXPERIMENTS
+
+    roots = {type(registered).__module__ for registered in EXPERIMENTS.values()}
+    roots |= {"repro.scenarios.registry", "repro.scenarios.study"}
+    # Console scripts (``name = module:function``) and ``python -m`` targets.
+    roots |= set(re.findall(r'"[\w-]+ = ([\w.]+):\w+"',
+                            (repo / "setup.py").read_text(encoding="utf-8")))
+    for module, path in graph.files.items():
+        if path.name == "__main__.py" or any(
+                isinstance(node, ast.If) and "__main__" in ast.dump(node.test)
+                for node in graph.tree(module).body):
+            roots.add(module)
+    outside = sorted((repo / "benchmarks").glob("test_[ea]*.py"))
+    outside += sorted((repo / "examples").glob("*.py"))
+    for path in outside:
+        roots.update(graph.imports(
+            ast.parse(path.read_text(encoding="utf-8")), None))
+    return roots
+
+
+def unreached_modules(repo: Path) -> List[str]:
+    graph = _Graph(repo / "src")
+    reached = graph.reached_from(_roots(repo, graph))
+    return sorted(set(graph.files) - reached)
+
+
+def test_every_module_is_reached_by_something_registered():
+    unreached = set(unreached_modules(REPO))
+    assert unreached - ALLOWED_UNREACHED == set(), (
+        "modules nothing registered reaches (register an experiment, claim "
+        "or entry point that uses them, or delete them)")
+    assert ALLOWED_UNREACHED <= unreached, "stale allowlist entries"
+
+
+def test_relative_and_reexported_imports_resolve():
+    graph = _Graph(REPO / "src")
+    # A package re-export is followed to the defining module only.
+    assert list(graph.resolve("repro.scenarios", "run_scenario")) == [
+        "repro.scenarios.runner"]
+    assert list(graph.resolve("repro", "scenarios")) == ["repro.scenarios"]
+    assert "repro.scenarios.adapters" in set(graph.imports(
+        ast.parse("from .adapters import adapter_for"),
+        "repro.scenarios.execution"))

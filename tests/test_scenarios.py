@@ -92,6 +92,30 @@ class TestRegistry:
         for family in FAMILIES:
             assert adapter_for(family).family == family
 
+    def test_registered_points_and_experiments_cover_each_other(self):
+        # Every point of every registered scenario and study resolves to a
+        # registered experiment, and no experiment is registered that no
+        # registered point selects (it would have no golden).
+        from repro.scenarios import (
+            EXPERIMENTS,
+            compile_study,
+            compile_sweep,
+            experiment_for,
+            study_names,
+        )
+        from repro.scenarios.adapters import mode_of
+
+        plans = [compile_sweep(name) for name in scenario_names()]
+        plans += [compile_study(name) for name in study_names()]
+        selected = set()
+        for plan in plans:
+            for job in plan.jobs:
+                key = (job.spec.family, mode_of(job.spec))
+                assert experiment_for(job.spec) is EXPERIMENTS[key]
+                selected.add(key)
+        assert selected == set(EXPERIMENTS)
+        assert {family for family, _ in EXPERIMENTS} == set(FAMILIES)
+
 
 class TestRunner:
     def test_overlay_scenario_deterministic_json(self):
@@ -168,6 +192,27 @@ class TestRunner:
             assert by_framework[key] == pytest.approx(value, abs=1e-12), key
 
 
+class TestConfigDefaults:
+    """Model config dataclasses are the one home of their defaults."""
+
+    def test_unset_keys_keep_the_dataclass_default(self):
+        from repro.blockchain.proof_of_stake import ProofOfStakeParams
+
+        bare = ScenarioSpec(name="bare-pos", family="permissionless",
+                            architecture={"consensus": "pos"})
+        context = adapter_for("permissionless").setup(bare, seed=7)
+        assert context["model"].params == ProofOfStakeParams(seed=7)
+
+    def test_set_keys_are_coerced_to_the_field_type(self):
+        spec = ScenarioSpec(name="json-pos", family="permissionless",
+                            architecture={"consensus": "pos", "slashing": 1,
+                                          "fork_probability": 1, "seed": 99})
+        params = adapter_for("permissionless").setup(spec, seed=7)["model"].params
+        assert params.slashing_enabled is True
+        assert isinstance(params.fork_probability, float)
+        assert params.seed == 7  # the replicate seed owns its key
+
+
 class TestNewScenarioModes:
     """The adapter modes behind the E1/E4/E6/E9 registry entries."""
 
@@ -228,11 +273,6 @@ class TestNewScenarioModes:
         assert eclipse.label.startswith("eclipse")
         assert eclipse.metric("hijack_rate") >= spread.metric("hijack_rate")
 
-    def test_unknown_overlay_attack_rejected(self):
-        with pytest.raises(ValueError, match="unknown overlay attack"):
-            run_scenario("sybil-attack",
-                         overrides={"architecture.attack": "teleport"})
-
     def test_selfish_mining_pays_above_threshold(self):
         trims = {"architecture.blocks": 30_000}
         at_045 = run_scenario("selfish-mining",
@@ -251,10 +291,22 @@ class TestNewScenarioModes:
         assert successes == sorted(successes, reverse=True)
         assert successes[-1] < 0.1
 
-    def test_unknown_permissionless_attack_rejected(self):
-        with pytest.raises(ValueError, match="unknown permissionless attack"):
-            run_scenario("double-spend",
-                         overrides={"architecture.attack": "time-warp"})
+    @pytest.mark.parametrize("scenario, key, typo", [
+        # A consensus typo once fell through every branch and silently
+        # reported a Bitcoin PoW network's numbers.
+        ("pos-slashing", "architecture.consensus", "poss"),
+        ("double-spend", "architecture.attack", "time-warp"),
+        ("sybil-attack", "architecture.attack", "teleport"),
+        ("kad-lookup", "architecture.overlay", "pastry"),
+        ("edge-placement", "architecture.mode", "fog"),
+    ])
+    def test_unknown_mode_rejected_naming_the_registered_ones(
+            self, scenario, key, typo):
+        family = SCENARIOS[scenario].family
+        with pytest.raises(
+                ValueError,
+                match=f"unknown {family} experiment '{typo}'.*registered: "):
+            run_scenario(scenario, overrides={key: typo})
 
     def test_overlay_scaling_hops_grow_with_size(self):
         points = run_sweep("overlay-scaling",
