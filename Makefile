@@ -66,24 +66,27 @@ chaos:
 	  --set ethereum.architecture.duration_blocks=45 \
 	  --set pbft.duration=1.0 --set fabric.duration=1.0 --set edge.duration=1.0
 
-# Distributed-execution gate.  First the two timer gates (TCP within 3x
-# of the same run on a Unix socket; ~40 ms jobs not held to the worker's
-# 200 ms poll), so a stall is named before the smoke merely gets slow;
-# then two chaos stages (repro.distributed.smoke, which prints each
-# stage's wall clock):
-#   worker kill   broker + two worker subprocesses (one with a scripted
-#                 first-attempt kill in its fault plan) run the trimmed
-#                 figure1 study through DistributedBackend; the saved run
-#                 must have an empty failure manifest and be byte-identical
-#                 to the committed study golden despite the mid-run death.
-#   broker kill   a journaled broker is SIGKILLed mid-run and restarted on
-#                 the same journal; the client re-attaches, the run
-#                 completes byte-identical with an empty manifest, and the
-#                 retired run's journal file is garbage-collected.
+# Distributed-execution gate: the protocol/broker/worker/journal/recovery
+# suites in one pytest run.  They hold the two timer gates (TestTransport:
+# TCP within 3x of the same run on a Unix socket; TestWorkerWatch: ~40 ms
+# jobs not held to the worker's 200 ms poll) and the two chaos properties,
+# each on a real subprocess:
+#   worker kill   TestEndToEnd::test_worker_process_killed_mid_lease_is_invisible
+#                 a repro-worker with a scripted first-attempt kill in its
+#                 fault plan dies (exit 17) holding the first lease of the
+#                 trimmed figure1 study; the saved run must have an empty
+#                 failure manifest and be byte-identical to the committed
+#                 study golden despite the mid-run death.
+#   broker kill   TestBrokerKillRestart::test_sigkill_restart_is_byte_identical_to_the_golden
+#                 a journaled repro-broker is SIGKILLed mid-run and
+#                 restarted on the same journal; the client re-attaches,
+#                 the run completes byte-identical with an empty manifest,
+#                 and the retired run's journal file is garbage-collected.
+# The durations table is where a re-introduced transport or poll stall
+# shows first: every test here runs in ~2.5 s or less.
 distributed:
-	PYTHONPATH=src $(PY) -m pytest tests/test_distributed.py -q \
-	  -k "TestTransport or TestWorkerWatch"
-	PYTHONPATH=src $(PY) -m repro.distributed.smoke
+	PYTHONPATH=src $(PY) -m pytest tests/test_distributed.py \
+	  tests/test_journal.py tests/test_broker_recovery.py -q --durations=10
 
 # Fast end-to-end smoke of the scenario runner: one trimmed scenario per
 # architecture family (and superpeer-search, the experiment added by

@@ -41,7 +41,6 @@ setup(
             "repro-lint = repro.analysis.lint.cli:main",
             "repro-broker = repro.distributed.broker:main",
             "repro-worker = repro.distributed.worker:main",
-            "repro-serve = repro.distributed.service:main",
         ],
     },
 )

@@ -38,29 +38,4 @@ Quickstart::
     print(run_scenario("pow-baseline").metric("throughput_tps"))
 """
 
-from repro.core import (
-    ArchitectureComparison,
-    ArchitectureProfile,
-    CLAIMS,
-    Claim,
-    DecisionInput,
-    Recommendation,
-    claims_by_id,
-    compare_architectures,
-    recommend_architecture,
-)
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "ArchitectureComparison",
-    "ArchitectureProfile",
-    "CLAIMS",
-    "Claim",
-    "DecisionInput",
-    "Recommendation",
-    "claims_by_id",
-    "compare_architectures",
-    "recommend_architecture",
-    "__version__",
-]

@@ -33,7 +33,6 @@ from repro.blockchain.network import (
 from repro.blockchain.throughput import (
     REFERENCE_SYSTEMS,
     ThroughputModel,
-    throughput_comparison,
 )
 from repro.blockchain.pools import PoolFormationConfig, PoolFormationModel, PoolSnapshot
 from repro.blockchain.selfish import (
@@ -72,7 +71,6 @@ __all__ = [
     "ProtocolParams",
     "REFERENCE_SYSTEMS",
     "ThroughputModel",
-    "throughput_comparison",
     "PoolFormationConfig",
     "PoolFormationModel",
     "PoolSnapshot",

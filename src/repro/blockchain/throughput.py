@@ -117,9 +117,3 @@ class ThroughputModel:
             }
         )
         return rows
-
-
-def throughput_comparison(visa_partitions: int = 16) -> Dict[str, Dict[str, float]]:
-    """Convenience wrapper returning the comparison keyed by system name."""
-    model = ThroughputModel()
-    return {row["system"]: row for row in model.comparison_rows(visa_partitions)}

@@ -18,9 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.blockchain.energy import EnergyModel
-from repro.blockchain.network import BITCOIN_PROTOCOL, ETHEREUM_PROTOCOL
-
 
 @dataclass
 class ArchitectureProfile:
@@ -64,6 +61,10 @@ class ArchitectureComparison:
 
 
 def _cloud_profile() -> ArchitectureProfile:
+    # Imported where used: the claim registry's readers import repro.core
+    # and should not pay for the blockchain models.
+    from repro.blockchain.energy import EnergyModel
+
     energy = EnergyModel()
     return ArchitectureProfile(
         name="centralized-cloud",
@@ -137,6 +138,8 @@ def figure1_overrides(
     parametrization (PoW at twice its protocol capacity, the consortium at
     ``fabric_rate``).
     """
+    from repro.blockchain.network import BITCOIN_PROTOCOL, ETHEREUM_PROTOCOL
+
     return {
         "bitcoin": {
             "architecture.duration_blocks": pow_blocks,

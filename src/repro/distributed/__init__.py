@@ -27,9 +27,6 @@ frames on TCP or Unix sockets:
   :class:`ExecutionBackend` that submits a plan to a broker and merges
   streamed completions; byte-identical to ``SerialBackend`` at any
   worker count.
-- :mod:`repro.distributed.service` — ``repro-serve``: the first service
-  increment; accepts whole study submissions over the same protocol,
-  streams progress events, and serves finished ResultSets by name.
 - :mod:`repro.distributed.journal` — the broker's write-ahead journal:
   per-run JSONL transition logs under the RunStore directory, replayed
   on start so a ``kill -9`` mid-run resumes (in-flight leases requeued

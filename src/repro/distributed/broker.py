@@ -56,7 +56,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from queue import Empty, Queue
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.distributed.journal import SCHEMA_VERSION, JournalDir, RunJournal
 from repro.distributed.protocol import (
@@ -160,11 +160,6 @@ class BrokerQueue:
         self.lease_ttl = float(lease_ttl)
         self.orphan_ttl = (float(orphan_ttl) if orphan_ttl is not None
                            else max(60.0, 4.0 * self.lease_ttl))
-        #: Optional hook called with (key, metrics) on every non-cached
-        #: completion; the service points this at its RunStore so worker
-        #: results stay durable even if the submitting client is gone.
-        self.on_complete: Optional[
-            Callable[[str, Dict[str, float]], None]] = None
         self._journal = journal
         self._lock = threading.Lock()
         self._ready = threading.Condition(self._lock)
@@ -333,26 +328,14 @@ class BrokerQueue:
             run = self._runs[lease.run_id]
             job = run.jobs[lease.key]
             run.ledger.succeeded(job.key)
-            job.state = "done"
-            run.open_jobs -= 1
-            run.completed += 1
             run.results[job.key] = (dict(metrics), bool(cached))
-            self._journal_append(run, {"type": "done", "key": job.key,
-                                       "metrics": dict(metrics),
-                                       "cached": bool(cached)})
-            if self.on_complete is not None and not cached:
-                try:
-                    self.on_complete(job.key, dict(metrics))
-                except Exception:  # noqa: BLE001 - a sick store must not
-                    pass  # take the broker down; the journal still has it
-            if not run.cancelled:
-                run.events.put({
-                    "type": "job-done", "key": job.key,
-                    "metrics": dict(metrics), "worker": lease.worker,
-                    "cached": bool(cached),
-                })
-            if run.open_jobs == 0:
-                self._finish_run(run)
+            self._settle_locked(
+                run, job, "done",
+                record={"type": "done", "key": job.key,
+                        "metrics": dict(metrics), "cached": bool(cached)},
+                event={"type": "job-done", "key": job.key,
+                       "metrics": dict(metrics), "worker": lease.worker,
+                       "cached": bool(cached)})
             return True
 
     def fail(self, lease_id: str, kind: str, error: str) -> bool:
@@ -373,17 +356,13 @@ class BrokerQueue:
                 self._push(run, job, ready_at=verdict)
                 self._ready.notify_all()
                 return True
-            job.state = "failed"
-            run.open_jobs -= 1
-            run.failed += 1
             run.failures[job.key] = verdict.to_dict()
-            self._journal_append(run, {"type": "failed", "key": job.key,
-                                       "failure": verdict.to_dict()})
-            if not run.cancelled:
-                run.events.put({"type": "job-failed", "key": job.key,
-                                "failure": verdict.to_dict()})
-            if run.open_jobs == 0:
-                self._finish_run(run)
+            self._settle_locked(
+                run, job, "failed",
+                record={"type": "failed", "key": job.key,
+                        "failure": verdict.to_dict()},
+                event={"type": "job-failed", "key": job.key,
+                       "failure": verdict.to_dict()})
             return True
 
     # -- lease loss (uncharged requeue) --------------------------------
@@ -543,15 +522,6 @@ class BrokerQueue:
             run = self._runs.get(run_id)
             return run.attach_seq if run is not None else -1
 
-    def run_results(self, run_id: str) -> Dict[str, Dict[str, float]]:
-        """Settled metrics of a live run (key -> metrics), a copy."""
-        with self._lock:
-            run = self._runs.get(run_id)
-            if run is None:
-                return {}
-            return {key: dict(metrics)
-                    for key, (metrics, _) in run.results.items()}
-
     def stats(self) -> Dict[str, object]:
         with self._lock:
             runs = {
@@ -663,14 +633,33 @@ class BrokerQueue:
             self._requeue_locked(lease)
         return len(expired)
 
+    def _settle_locked(self, run: _Run, job: _Job, state: str,
+                       record: Optional[Dict[str, object]] = None,
+                       event: Optional[Dict[str, object]] = None) -> None:
+        """The one place a job leaves the open set.
+
+        ``state`` is ``"done"`` or ``"failed"``; ``record`` is journaled
+        before ``event`` reaches the client, so a crash between the two
+        replays the event instead of losing it.  A cancelled run has no
+        listener: its events are dropped, its accounting is not.
+        """
+        job.state = state
+        run.open_jobs -= 1
+        if state == "done":
+            run.completed += 1
+        else:
+            run.failed += 1
+        if record is not None:
+            self._journal_append(run, record)
+        if event is not None and not run.cancelled:
+            run.events.put(event)
+        if run.open_jobs == 0:
+            self._finish_run(run)
+
     def _drop_locked(self, run: _Run, job: _Job) -> None:
         """Drop one job of a cancelled run with full accounting."""
         run.ledger.cancelled(job.key)
-        job.state = "failed"
-        run.open_jobs -= 1
-        run.failed += 1
-        if run.open_jobs == 0:
-            self._finish_run(run)
+        self._settle_locked(run, job, "failed")
 
     def _cancel_locked(self, run: _Run) -> None:
         if run.cancelled:
@@ -730,8 +719,6 @@ class BrokerServer:
     #: Seconds between keep-alive ticks on an idle submit stream.
     TICK_S = 5.0
 
-    PROG = "repro-broker"
-
     def __init__(self, listen: str = "127.0.0.1:0",
                  lease_ttl: float = DEFAULT_LEASE_TTL_S,
                  queue: Optional[BrokerQueue] = None,
@@ -756,17 +743,13 @@ class BrokerServer:
         self._started = True
         self.recovered = self.queue.recover()
         if self.recovered:
-            print(f"{self.PROG}: recovered {len(self.recovered)} run(s) "
+            print(f"repro-broker: recovered {len(self.recovered)} run(s) "
                   f"from the journal", flush=True)
-        self._after_recover(self.recovered)
         for target, name in ((self._accept_loop, "broker-accept"),
                              (self._reaper_loop, "broker-reaper")):
             thread = threading.Thread(target=target, name=name, daemon=True)
             thread.start()
             self._threads.append(thread)
-
-    def _after_recover(self, run_ids: List[str]) -> None:
-        """Hook for subclasses (the service flushes replayed results)."""
 
     def stop(self) -> None:
         self._shutdown.set()
@@ -838,7 +821,7 @@ class BrokerServer:
                     send_frame(conn, {"type": "bye"})
                     self.stop()
                     return
-                elif not self._handle_extra(conn, kind, message):
+                else:
                     send_frame(conn, {"type": "error",
                                       "error": f"unknown message type {kind!r}"})
         except (FrameError, OSError, ValueError):
@@ -850,10 +833,6 @@ class BrokerServer:
                 conn.close()
             except OSError:
                 pass
-
-    def _handle_extra(self, conn, kind: str, message: Dict[str, object]) -> bool:
-        """Hook for subclasses (the service) to add message types."""
-        return False
 
     def _handle_submit(self, conn, message: Dict[str, object]) -> None:
         run_id = str(message.get("run", ""))

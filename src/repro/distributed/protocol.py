@@ -1,4 +1,4 @@
-"""The wire format shared by broker, workers, backend and service.
+"""The wire format shared by broker, workers and backend.
 
 One frame is a 4-byte big-endian length prefix followed by that many
 bytes of UTF-8 JSON encoding a single object (dict).  The framing is
@@ -159,7 +159,7 @@ def _set_nodelay(sock: socket.socket) -> None:
 
 
 def connect(address: str, timeout: Optional[float] = None) -> socket.socket:
-    """Open a blocking client connection to a broker/service address."""
+    """Open a blocking client connection to a broker address."""
     kind, endpoint = parse_address(address)
     if kind == "unix":
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)

@@ -166,10 +166,6 @@ distributed execution (see repro.distributed):
                                                  kill -9 + restart by
                                                  re-attaching to the run
                                                  (--no-journal fails fast)
-  repro-serve --listen 127.0.0.1:7480 --runs-dir runs    always-on service:
-                                                 accepts study submissions,
-                                                 serves finished runs by name,
-                                                 journals + recovers its queue
 """
 
 

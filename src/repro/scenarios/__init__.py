@@ -161,7 +161,6 @@ from repro.scenarios.runner import (
     resolve_spec,
     run_scenario,
     run_sweep,
-    sweep_metrics,
 )
 from repro.scenarios.spec import FAMILIES, ScenarioSpec
 from repro.scenarios.study import (
@@ -225,5 +224,4 @@ __all__ = [
     "run_sweep",
     "scenario_names",
     "study_names",
-    "sweep_metrics",
 ]

@@ -17,7 +17,7 @@ integer (``None``/0/1 → serial, byte-identical to the historical runner);
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from repro.analysis.resultset import ResultSet
 from repro.scenarios.execution import (
@@ -141,10 +141,3 @@ def run_sweep(
     plan = compile_sweep(scenario, overrides, seed, replicates)
     return execute_plan(plan, backend=backend, store=store,
                         progress=progress, resume=resume, policy=policy)
-
-
-def sweep_metrics(results: Union[ResultSet, List[ScenarioResult]]) -> List[Dict[str, float]]:
-    """The aggregated metric dict of each sweep point, labelled."""
-    if not isinstance(results, ResultSet):
-        results = ResultSet(results)
-    return [{"label": result.label, **result.metrics} for result in results]

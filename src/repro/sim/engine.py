@@ -521,8 +521,3 @@ class Simulator:
         for event in events:
             event.add_callback(_on_trigger)
         return combined
-
-
-def _attach_callback(sim: Simulator, event: Event, callback: Callable[[Any], None]) -> None:
-    """Attach a plain callback to an event (kept for back-compat)."""
-    event.add_callback(callback)

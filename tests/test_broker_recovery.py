@@ -17,7 +17,7 @@ Three layers, mirroring the rest of the distributed suite:
   mid-run and restarted on the same journal; the client rides it out and
   the assembled study is byte-identical to the committed figure1 golden,
   with the retired run's journal garbage-collected.  A soak loop pushes
-  twenty studies through ``repro-serve`` and checks nothing leaks.
+  twenty runs through one journaled broker and checks nothing leaks.
 """
 
 import os
@@ -31,6 +31,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.analysis.runstore import RunStore
 from repro.distributed import (
     BrokerQueue,
     BrokerServer,
@@ -41,7 +42,6 @@ from repro.distributed import (
 )
 from repro.distributed.broker import policy_to_dict
 from repro.distributed.protocol import connect, recv_frame, send_frame
-from repro.distributed.service import ServiceServer
 from repro.scenarios import FaultPlan, FaultSpec, JobPolicy, compile_study
 from repro.scenarios.goldens import STUDY_TRIMS
 
@@ -322,71 +322,65 @@ class TestServerStreams:
 
 
 # ----------------------------------------------------------------------
-# Service recovery and the soak loop
+# Server-level journal recovery and the soak loop
 # ----------------------------------------------------------------------
-class TestServiceRecovery:
-    def test_restart_flushes_recovered_results_into_the_store(
+class TestServerRecovery:
+    def test_journaled_completion_is_replayed_not_re_executed(
             self, tmp_path):
-        runs = tmp_path / "runs"
+        journal_dir = JournalDir(tmp_path / "journal")
+        store = RunStore(tmp_path / "runs")
         plan = compile_study("figure1", member_overrides=FIGURE1_TRIMS)
-        crashed = ServiceServer(listen="127.0.0.1:0", runs_dir=runs)
-        restarted = None
-        try:
-            # Isolate the journal path: the live on_complete hook would
-            # write the unit cache before the "crash" ever happens.
-            crashed.queue.on_complete = None
-            crashed.queue.submit(
-                "crashed", [_wire(job) for job in plan.jobs[:2]],
-                JobPolicy())
-            grant = crashed.queue.lease("w")
-            crashed.queue.complete(grant["lease"], {"m": 2.0})
-            assert crashed.store.get_unit(grant["key"]) is None
+        crashed = BrokerQueue(journal=journal_dir)
+        crashed.submit("crashed", [_wire(job) for job in plan.jobs],
+                       JobPolicy())
+        grant = crashed.lease("w")
+        # No execution produces this value: only the journal can.
+        crashed.complete(grant["lease"], {"m": 2.0})
 
-            restarted = ServiceServer(listen="127.0.0.1:0", runs_dir=runs)
-            restarted.start()
-            assert restarted.recovered == ["crashed"]
-            # The journaled completion became a durable unit-cache hit.
-            assert restarted.store.get_unit(grant["key"]) == {"m": 2.0}
-        finally:
-            crashed.stop()
-            if restarted is not None:
-                restarted.stop()
-
-    def test_soak_twenty_studies_leave_no_queue_state(self, tmp_path):
-        service = ServiceServer(listen="127.0.0.1:0",
-                                runs_dir=tmp_path / "runs", lease_ttl=5.0)
-        service.start()
-        assert service.queue.stats()["journal"] is True
+        restarted = BrokerServer(listen="127.0.0.1:0", lease_ttl=5.0,
+                                 journal=journal_dir)
+        restarted.start()
         stop = threading.Event()
-        worker = Worker(service.address, name="soak", poll_s=0.2)
-        threading.Thread(target=worker.run, kwargs={"stop_event": stop},
-                         daemon=True).start()
+        try:
+            assert restarted.recovered == ["crashed"]
+            _start_worker_threads(restarted.address, stop, ["after"])
+            fresh = DistributedBackend(
+                restarted.address, run_id="crashed").execute(
+                    plan, on_result=store.put_unit)
+            assert sorted(fresh) == sorted(plan.job_keys())
+            # The journaled completion reached the client's store as a
+            # durable unit-cache hit, byte for byte what was recorded.
+            assert fresh[grant["key"]] == {"m": 2.0}
+            assert store.get_unit(grant["key"]) == {"m": 2.0}
+        finally:
+            stop.set()
+            restarted.stop()
+
+    def test_soak_twenty_runs_leave_no_queue_state(self, tmp_path):
+        journal_dir = tmp_path / "journal"
+        server = BrokerServer(listen="127.0.0.1:0", lease_ttl=5.0,
+                              journal=JournalDir(journal_dir))
+        server.start()
+        assert server.queue.stats()["journal"] is True
+        plan = compile_study("figure1", member_overrides=FIGURE1_TRIMS)
+        stop = threading.Event()
+        _start_worker_threads(server.address, stop, ["soak"])
         try:
             for index in range(20):
-                conn = connect(service.address, timeout=5.0)
-                try:
-                    send_frame(conn, {"type": "submit-study",
-                                      "study": "figure1",
-                                      "member_overrides": FIGURE1_TRIMS,
-                                      "save": f"soak-{index}"})
-                    accepted = recv_frame(conn)
-                    assert accepted["type"] == "accepted", accepted
-                    while True:
-                        event = recv_frame(conn)
-                        assert event is not None
-                        if event["type"] == "study-done":
-                            assert event["failures"] == 0
-                            break
-                finally:
-                    conn.close()
-            # Twenty runs through an always-on service: every run was
+                failures = {}
+                fresh = DistributedBackend(
+                    server.address, run_id=f"soak-{index}").execute(
+                        plan, policy=JobPolicy(keep_going=True),
+                        failures=failures)
+                assert len(fresh) == len(plan.jobs) and not failures
+            # Twenty runs through an always-on broker: every run was
             # retired (no _Run leak) and every journal file collected.
-            assert service.queue.stats()["runs"] == {}
-            journal_dir = service.store.root / "journal"
+            # Retirement races the client's run-done receipt; poll.
+            assert _wait_for(lambda: server.queue.stats()["runs"] == {})
             assert not list(journal_dir.glob("*.jsonl"))
         finally:
             stop.set()
-            service.stop()
+            server.stop()
 
 
 # ----------------------------------------------------------------------

@@ -12,13 +12,17 @@ the socket level, and the whole stack end-to-end with an in-process
 """
 
 import json
+import os
 import socket
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.analysis.runstore import RunStore
 from repro.distributed import (
     BrokerQueue,
@@ -39,7 +43,6 @@ from repro.distributed.protocol import (
     format_address,
     listener_address,
 )
-from repro.distributed.service import ServiceServer
 from repro.scenarios import (
     FaultPlan,
     FaultSpec,
@@ -445,6 +448,70 @@ class TestEndToEnd:
         serial = execute_plan(plan, backend=SerialBackend())
         assert result["results"].to_json() == serial.to_json()
 
+    def test_worker_process_killed_mid_lease_is_invisible(
+            self, broker, tmp_path):
+        from repro.scenarios.goldens import STUDY_TRIMS
+
+        plan = compile_study("figure1",
+                             member_overrides=STUDY_TRIMS["figure1"])
+        store = RunStore(tmp_path)
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        # The OOM-killer stand-in: a real repro-worker process whose fault
+        # plan hard-exits it on the first attempt of whatever it leases.
+        env["REPRO_FAULT_PLAN"] = FaultPlan(
+            [FaultSpec(match="", action="kill", attempts=(1,))]).to_json()
+        doomed = subprocess.Popen(
+            [sys.executable, "-m", "repro.distributed.worker",
+             "--broker", broker.address, "--name", "doomed",
+             "--runs-dir", str(tmp_path)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        outcome = {}
+
+        def _drive():
+            outcome["results"] = execute_plan(
+                plan,
+                backend=DistributedBackend(broker.address,
+                                           run_id="worker-kill"),
+                store=store,
+                policy=JobPolicy(max_retries=1, keep_going=True))
+
+        driver = threading.Thread(target=_drive, daemon=True)
+        try:
+            driver.start()
+            # Until it dies the doomed process is the only worker, so the
+            # first lease is certainly its own.
+            assert doomed.wait(timeout=60.0) == 17
+            stop, threads = _start_workers(broker, 1, store=store)
+            driver.join(timeout=120.0)
+            stop.set()
+            assert not driver.is_alive(), "run never completed"
+        finally:
+            if doomed.poll() is None:
+                doomed.kill()
+                doomed.wait(timeout=10)
+        # The lost lease was requeued uncharged and re-run: no manifest
+        # entry, and the same bytes as the serial golden.
+        results = outcome["results"]
+        assert results.failures == []
+        assert store.save(results, "worker-kill").failures == 0
+        golden = GOLDEN_FIGURE1.read_text(encoding="utf-8")
+        assert results.to_json() + "\n" == golden
+
+    def test_unknown_verb_costs_a_peer_only_the_reply(self, broker):
+        verb = "submit-study"  # no such message type
+        conn = connect(broker.address, timeout=5.0)
+        try:
+            send_frame(conn, {"type": verb, "study": "figure1"})
+            reply = recv_frame(conn)
+            assert reply["type"] == "error"
+            assert verb in reply["error"]
+            send_frame(conn, {"type": "ping"})
+            assert recv_frame(conn) == {"type": "pong"}
+        finally:
+            conn.close()
+
 
 # ----------------------------------------------------------------------
 # The two timers: Nagle/delayed-ACK on TCP, the completion poll quantum
@@ -635,102 +702,6 @@ class TestWorkerWatch:
             hand.finish()
         assert isinstance(hand.outcome.get("error"), FrameError)
         assert _all_closed(wake_pairs)
-
-
-# ----------------------------------------------------------------------
-# The always-on service (repro-serve)
-# ----------------------------------------------------------------------
-@pytest.fixture()
-def service(tmp_path):
-    server = ServiceServer(listen="127.0.0.1:0", runs_dir=tmp_path / "runs",
-                           lease_ttl=5.0)
-    server.start()
-    yield server
-    server.stop()
-
-
-class TestService:
-    def test_submit_study_stream_and_fetch(self, service):
-        stop, threads = _start_workers(service, 2)
-        conn = connect(service.address, timeout=5.0)
-        send_frame(conn, {"type": "submit-study", "study": "figure1",
-                          "member_overrides": FIGURE1_TRIMS,
-                          "save": "svc-fig1"})
-        accepted = recv_frame(conn)
-        assert accepted["type"] == "accepted"
-        assert accepted["jobs"] == 5
-
-        progress = []
-        while True:
-            event = recv_frame(conn)
-            assert event is not None
-            if event["type"] == "progress":
-                progress.append(event)
-            elif event["type"] == "study-done":
-                done = event
-                break
-        assert len(progress) == 5
-        assert progress[-1]["done"] == 5
-        assert done["failures"] == 0
-        assert done["record"]["name"] == "svc-fig1"
-        conn.close()
-
-        # The saved run matches what the submission returned, and the
-        # service serves it back by name.
-        expected = execute_plan(
-            compile_study("figure1", member_overrides=FIGURE1_TRIMS),
-            backend=SerialBackend())
-        assert service.store.load("svc-fig1").to_json() == expected.to_json()
-
-        conn = connect(service.address, timeout=5.0)
-        send_frame(conn, {"type": "fetch-run", "name": "svc-fig1"})
-        fetched = recv_frame(conn)
-        assert fetched["type"] == "run"
-        assert fetched["results"] == json.loads(expected.to_json())
-        send_frame(conn, {"type": "list-runs"})
-        runs = recv_frame(conn)
-        assert [record["name"] for record in runs["runs"]] == ["svc-fig1"]
-        conn.close()
-        stop.set()
-
-    def test_submitted_units_land_in_service_cache(self, service):
-        stop, threads = _start_workers(service, 1)
-        conn = connect(service.address, timeout=5.0)
-        send_frame(conn, {"type": "submit-study", "study": "figure1",
-                          "member_overrides": FIGURE1_TRIMS,
-                          "save": "first"})
-        while True:
-            event = recv_frame(conn)
-            if event["type"] == "study-done":
-                break
-        conn.close()
-
-        # Resubmission resumes entirely from the service's unit cache.
-        conn = connect(service.address, timeout=5.0)
-        send_frame(conn, {"type": "submit-study", "study": "figure1",
-                          "member_overrides": FIGURE1_TRIMS,
-                          "save": "second"})
-        accepted = recv_frame(conn)
-        assert accepted["cached"] == accepted["jobs"] == 5
-        while True:
-            event = recv_frame(conn)
-            if event["type"] == "study-done":
-                break
-        conn.close()
-        assert (service.store.load("first").to_json()
-                == service.store.load("second").to_json())
-        stop.set()
-
-    def test_unknown_study_is_an_error_frame(self, service):
-        conn = connect(service.address, timeout=5.0)
-        send_frame(conn, {"type": "submit-study", "study": "nope"})
-        reply = recv_frame(conn)
-        assert reply["type"] == "error"
-        assert "nope" in reply["error"]
-        send_frame(conn, {"type": "fetch-run", "name": "missing"})
-        reply = recv_frame(conn)
-        assert reply["type"] == "error"
-        conn.close()
 
 
 # ----------------------------------------------------------------------

@@ -13,7 +13,10 @@ re-export, so a module kept alive by nothing but its package's re-export
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
@@ -153,3 +156,19 @@ def test_relative_and_reexported_imports_resolve():
     assert "repro.scenarios.adapters" in set(graph.imports(
         ast.parse("from .adapters import adapter_for"),
         "repro.scenarios.execution"))
+
+
+def test_import_repro_imports_only_repro():
+    # Every CLI, broker and worker start pays for what the package root
+    # imports, so it imports nothing: a fresh interpreter after
+    # ``import repro`` holds exactly one ``repro*`` module.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get(
+        "PYTHONPATH", "")
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import repro, sys; "
+         "print(*sorted(m for m in sys.modules "
+         "if m.split('.')[0] == 'repro'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    assert loaded.stdout.split() == ["repro"]
