@@ -8,7 +8,8 @@ PY := python
 #   make typecheck  mypy targeted-strict over the determinism-critical core
 #                   (skips with a notice when mypy is not installed)
 #   make test       full tier-1 suite including the golden corpus
-#   make chaos      fault-injection suite + figure1 under worker kills
+#   make chaos      fault-injection + hostile-segment suites, figure1 under
+#                   worker kills
 
 # Tier-1 gate.  Includes the golden-corpus test (tests/test_goldens.py):
 # every registered scenario and study re-runs trimmed at its fixed seed and
@@ -52,13 +53,16 @@ experiments:
 goldens:
 	PYTHONPATH=src $(PY) -m repro.scenarios.goldens
 
-# Fault-tolerance gate: the scripted crash/retry/degrade suite, then the
+# Fault-tolerance gate: the scripted crash/retry/degrade suite and the
+# unit-cache segments under hostile conditions (cut and damaged at every
+# byte, two writer processes, a writer SIGKILLed mid-grid), then the
 # trimmed figure1 study on the --jobs 2 pool with every unit job's worker
 # killed on its first attempt — supervision must retry, complete, and save
 # a run whose failure manifest is empty (byte-identical to the fault-free
 # golden by construction; asserted by the CI chaos job).
 chaos:
-	PYTHONPATH=src $(PY) -m pytest tests/test_fault_tolerance.py -q
+	PYTHONPATH=src $(PY) -m pytest tests/test_fault_tolerance.py \
+	  tests/test_segment_hostile.py -q
 	REPRO_FAULT_PLAN='{"faults": [{"match": "", "attempts": [1], "action": "kill"}]}' \
 	PYTHONPATH=src $(PY) -m repro.run study figure1 --quiet --jobs 2 \
 	  --retries 2 --keep-going --save chaos-fig1 \

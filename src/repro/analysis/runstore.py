@@ -9,15 +9,35 @@ overridable with ``--runs-dir`` or ``$REPRO_RUNS_DIR``)::
     runs/
       objects/<sha256 of payload>.json   # ResultSet JSON, content-addressed
       named/<name>.json                  # name -> object pointer + metadata
-      units/<job key>.json               # finished unit-job metrics (resume)
+      units/<time>-<pid>-<nonce>.seg     # finished unit-job metrics (resume):
+                                         #   one "<crc32> <compact JSON>" line
+                                         #   per unit, append-only
 
-``save`` writes the ResultSet object once per distinct content (re-saving
-identical results under a new name just adds a pointer) and ``load``
-verifies the content hash on the way back in, so a corrupted object fails
-loudly instead of feeding a comparison silently.  The ``units/`` tier is
-the resume cache of the execution layer: every finished
+``save`` stores one object per distinct content (re-saving identical
+results under a new name just adds a pointer; both files are written
+through a temp file + rename, so a kill mid-save leaves the old state or
+the new, never a torn object) and ``load`` verifies the content hash on
+the way back in, so a corrupted object fails loudly instead of feeding a
+comparison silently.  The ``units/`` tier is the resume cache of the
+execution layer: every finished
 :class:`~repro.scenarios.execution.UnitJob` is recorded under its
 spec-hash key, and re-running a plan skips the jobs already present.
+
+Every ``RunStore`` instance that writes units owns one segment, created
+exclusively on its first ``put_unit`` and appended to by nobody else, so
+any number of processes share a ``--runs-dir`` without locking.  A unit
+is one checksummed line handed to the kernel in a single unbuffered
+``write`` before ``put_unit`` returns — not fsynced: a finished unit
+survives the death of the process, not a power loss.  Reads go through an
+in-memory ``key -> metrics`` index (memory is O(live units)) that every
+``get_unit``/``completed_units`` refreshes incrementally — one
+``listdir``, one ``stat`` per segment, and a parse of only the bytes
+appended since the last look — so two workers dedupe through each other's
+segments as they grow.  A later record for a key supersedes an earlier
+one (``--no-resume``).  A line that is torn, fails its checksum or does
+not parse is a miss for that record only: never an error, never a wrong
+hit.  Per-file ``units/<key>.json`` entries of the earlier layout are
+ignored (the cache simply misses) and collected by ``gc``.
 
 Usage::
 
@@ -35,7 +55,8 @@ Lifecycle: because objects are content-addressed and units are cached for
 every executed plan (saved or not), a long-lived store accumulates garbage.
 ``gc`` drops every object and unit not reachable from ``named/`` (an
 object is reachable when a named record points at it; a unit is reachable
-when a reachable ResultSet contains the (spec, seed) the unit caches) and
+when a reachable ResultSet contains the (spec, seed) the unit caches),
+compacting the surviving units into one segment, and
 ``verify`` re-hashes every stored object and sanity-checks every named
 record and cached unit, reporting corruption instead of letting it feed a
 comparison.
@@ -48,14 +69,16 @@ The same store drives the CLI: ``repro-run study figure1 --save demo``,
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import re
 import time
+import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from repro.analysis.resultset import ResultSet
 
@@ -68,9 +91,8 @@ RUNS_DIR_ENV = "REPRO_RUNS_DIR"
 #: Run names become file names; keep them portable.
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 
-#: gc only sweeps ``.tmp`` files older than this (seconds), so it cannot
-#: race the write-then-rename window of a concurrently running grid.
-TMP_SWEEP_AGE_S = 3600.0
+#: Suffix of the append-only unit-cache segments under ``units/``.
+SEGMENT_SUFFIX = ".seg"
 
 
 def default_runs_dir() -> Path:
@@ -86,6 +108,49 @@ def is_run_name(text: str) -> bool:
 
 def _sha256(payload: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a temp file + rename: a kill mid-write
+    leaves the old state or the complete new file, never a torn one."""
+    temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    temp.write_bytes(data)
+    os.replace(temp, path)
+
+
+def _encode_unit(key: str, metrics: Dict[str, float]) -> bytes:
+    """One segment record: a newline, ``<crc32 of the JSON> <compact
+    JSON>``, a newline.
+
+    The leading newline makes a record self-synchronising: whatever
+    precedes it (a torn tail, a damaged terminator) ends there, so one bad
+    byte costs the record it sits in and no other.
+    """
+    body = json.dumps({"key": key, "metrics": metrics}, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+    return b"\n%08x %s\n" % (zlib.crc32(body), body)
+
+
+def _decode_unit(line: bytes) -> Optional[Tuple[str, Dict[str, float]]]:
+    """``(key, metrics)`` of one segment line; ``None`` when the line is
+    torn, fails its checksum or does not parse."""
+    body = line[9:]
+    if line[:9] != b"%08x " % zlib.crc32(body):
+        return None
+    try:
+        data = json.loads(body)
+        return str(data["key"]), {name: float(value) for name, value
+                                  in data["metrics"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError):
+        return None
+
+
+def _records(data: bytes) -> Iterator[
+        Tuple[int, Optional[Tuple[str, Dict[str, float]]]]]:
+    """``(line number, decoded record or None)`` per non-blank line."""
+    for number, line in enumerate(data.split(b"\n"), start=1):
+        if line:
+            yield number, _decode_unit(line)
 
 
 @dataclass
@@ -152,7 +217,7 @@ class StoreProblem:
     """One integrity problem found by :meth:`RunStore.verify`."""
 
     kind: str  # corrupt-object | missing-object | unreadable-record |
-    #            unreadable-unit | unit-key-mismatch
+    #            unreadable-unit
     path: str
     detail: str
 
@@ -165,10 +230,18 @@ class RunStore:
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
         self.root = Path(root) if root is not None else default_runs_dir()
-        # A crashed run can strand the temp half of an atomic unit write;
-        # sweeping stale ones on open keeps the cache clean without
-        # waiting for an explicit gc.
-        self.sweep_tmp()
+        #: The segment this instance appends to (created by its first
+        #: ``put_unit``).  A file object, so it is released on collection.
+        self._segment: Optional[io.FileIO] = None
+        #: ``key -> metrics`` over every record read so far, and how many
+        #: bytes of each segment those records took.
+        self._index: Dict[str, Dict[str, float]] = {}
+        self._consumed: Dict[str, int] = {}
+
+    def __del__(self) -> None:
+        # There is no close(): a dropped store gives its segment back here.
+        if getattr(self, "_segment", None) is not None:
+            self._segment.close()
 
     # -- layout --------------------------------------------------------
     @property
@@ -201,9 +274,10 @@ class RunStore:
         payload = results.to_json()
         object_hash = _sha256(payload)
         self.objects_dir.mkdir(parents=True, exist_ok=True)
-        object_path = self.objects_dir / f"{object_hash}.json"
-        if not object_path.exists():
-            object_path.write_text(payload + "\n", encoding="utf-8")
+        # Rewritten even when present: a torn or damaged object of this
+        # hash would otherwise outlive every deterministic re-run.
+        _write_atomic(self.objects_dir / f"{object_hash}.json",
+                      (payload + "\n").encode("utf-8"))
         record = RunRecord(
             name=name,
             object_hash=object_hash,
@@ -214,10 +288,8 @@ class RunStore:
             failures=len(getattr(results, "failures", None) or ()),
         )
         self.named_dir.mkdir(parents=True, exist_ok=True)
-        path.write_text(
-            json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_atomic(path, (json.dumps(record.to_dict(), indent=2,
+                                        sort_keys=True) + "\n").encode("utf-8"))
         return record
 
     def record(self, name: str) -> RunRecord:
@@ -267,69 +339,72 @@ class RunStore:
     def get_unit(self, key: str) -> Optional[Dict[str, float]]:
         """The cached metrics of a finished unit job, if present.
 
-        An unreadable or torn cache file (interrupted write, full disk) is
-        treated as a miss — the job is simply recomputed — never an error.
+        A torn or damaged record (interrupted write, full disk, bit rot)
+        is a miss — the job is simply recomputed — never an error.
         """
-        path = self.units_dir / f"{key}.json"
-        if not path.exists():
-            return None
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-            return {name: float(value) for name, value in data["metrics"].items()}
-        except (ValueError, KeyError, TypeError, AttributeError, OSError):
-            return None
+        self._refresh()
+        metrics = self._index.get(key)
+        return None if metrics is None else dict(metrics)
 
     def put_unit(self, key: str, metrics: Dict[str, float]) -> None:
         """Record one finished unit job for future resume.
 
-        Written via a temp file + atomic rename so a kill mid-write leaves
-        either the old state or the complete new file, never a torn one.
+        The record is with the kernel, in one ``write``, when this
+        returns: a kill from then on cannot lose or tear it.
         """
-        self.units_dir.mkdir(parents=True, exist_ok=True)
-        payload = {"key": key, "metrics": dict(sorted(metrics.items()))}
-        path = self.units_dir / f"{key}.json"
-        temp = path.with_suffix(".json.tmp")
-        temp.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        os.replace(temp, path)
+        if self._segment is None:
+            os.makedirs(self.units_dir, exist_ok=True)
+            name = (f"{time.time_ns():016x}-{os.getpid()}-"
+                    f"{os.urandom(4).hex()}{SEGMENT_SUFFIX}")
+            # Exclusive create, unbuffered: this instance is the segment's
+            # only writer, and there is no user-space buffer to lose.
+            self._segment = open(  # noqa: SIM115 - lives with the instance
+                os.path.join(self.units_dir, name), "xb", buffering=0)
+        record = _encode_unit(key, metrics)
+        if self._segment.write(record) != len(record):
+            raise OSError(f"short write to {self._segment.name} (disk full?)")
 
     def completed_units(self, keys: Iterable[str]) -> Dict[str, Dict[str, float]]:
         """The subset of ``keys`` already cached, with their metrics."""
-        completed: Dict[str, Dict[str, float]] = {}
-        for key in keys:
-            metrics = self.get_unit(key)
-            if metrics is not None:
-                completed[key] = metrics
-        return completed
+        self._refresh()
+        index = self._index
+        return {key: dict(index[key]) for key in keys if key in index}
 
-    def sweep_tmp(self, older_than_s: float = TMP_SWEEP_AGE_S,
-                  dry_run: bool = False) -> List[str]:
-        """Remove orphaned ``.tmp`` halves of interrupted unit writes.
-
-        Only files older than ``older_than_s`` are touched — a younger
-        one may be the in-flight half of a *concurrent* run's atomic
-        write.  Runs on store open and during :meth:`gc`; returns the
-        file names removed (or that would be, under ``dry_run``).
-        """
-        if not self.units_dir.is_dir():
+    def _segments(self) -> List[str]:
+        """Paths of the segments under ``units/``, oldest name first."""
+        units = str(self.units_dir)
+        try:
+            names = os.listdir(units)
+        except FileNotFoundError:
             return []
-        removed: List[str] = []
-        cutoff = time.time() - older_than_s
-        for path in sorted(self.units_dir.glob("*.tmp")):
+        return [os.path.join(units, name) for name in sorted(names)
+                if name.endswith(SEGMENT_SUFFIX)]
+
+    def _refresh(self) -> None:
+        """Fold what any writer appended since the last look into the index.
+
+        One ``listdir``, a ``stat`` per segment, and a read of only the
+        bytes past what was already consumed.  Segment names start with
+        their creation time, so of two records for one key the one in the
+        later segment (``--no-resume``) wins.
+        """
+        for path in self._segments():
+            consumed = self._consumed.get(path, 0)
             try:
-                if path.stat().st_mtime > cutoff:
+                if os.stat(path).st_size <= consumed:
                     continue
-            except OSError:  # renamed/removed underneath us: not ours
+                with open(path, "rb") as handle:
+                    handle.seek(consumed)
+                    data = handle.read()
+            except OSError:  # collected under us by a gc: its units miss
                 continue
-            removed.append(path.name)
-            if not dry_run:
-                try:
-                    path.unlink()
-                except OSError:
-                    removed.pop()
-        return removed
+            # A tail without its newline may still be in flight: left for
+            # the next look rather than judged torn now.
+            end = data.rfind(b"\n") + 1
+            for _, record in _records(data[:end]):
+                if record is not None:
+                    self._index[record[0]] = record[1]
+            self._consumed[path] = consumed + end
 
     # -- lifecycle: reachability, gc, verify ---------------------------
     def reachable(self) -> Tuple[Set[str], Set[str]]:
@@ -339,8 +414,7 @@ class RunStore:
         reachable when a reachable ResultSet contains the exact (spec,
         seed) the unit caches.  Unit keys are *recomputed* from the stored
         result specs (via the same :class:`~repro.scenarios.execution.
-        UnitJob` derivation the execution layer uses), so reachability
-        survives renames of the cache files themselves.  Unreadable
+        UnitJob` derivation the execution layer uses).  Unreadable
         objects contribute no unit keys — run :meth:`verify` first if the
         store may be corrupt.
         """
@@ -364,18 +438,20 @@ class RunStore:
                     spec = ScenarioSpec.from_dict(result.spec)
                 except (ValueError, KeyError, TypeError):
                     continue
-                for replicate in result.replicates:
-                    unit_keys.add(UnitJob.for_spec(spec, replicate.seed).key)
+                unit_keys.update(job.key for job in UnitJob.for_seeds(
+                    spec, [replicate.seed for replicate in result.replicates]))
         return object_hashes, unit_keys
 
     def gc(self, dry_run: bool = False) -> GcReport:
         """Drop objects and units unreachable from ``named/``.
 
         With ``dry_run`` nothing is deleted; the returned
-        :class:`GcReport` lists what a real pass would remove.  Leftover
-        ``.tmp`` files from interrupted unit writes are swept too, but
-        only once older than :data:`TMP_SWEEP_AGE_S` — a younger one may
-        be the in-flight half of a concurrent run's atomic write.
+        :class:`GcReport` lists what a real pass would remove.  The
+        reachable units are compacted into one new segment (temp file +
+        rename) and everything else under ``units/`` — the other
+        segments, per-file entries of the earlier layout — is unlinked.
+        A writer whose segment is collected under it keeps running; what
+        it appends from then on is lost to the cache, never wrong.
         """
         reachable_objects, reachable_units = self.reachable()
         report = GcReport(dry_run=dry_run)
@@ -387,15 +463,29 @@ class RunStore:
                     report.objects_removed.append(path.stem)
                     if not dry_run:
                         path.unlink()
-        if self.units_dir.is_dir():
-            for path in sorted(self.units_dir.glob("*.json")):
-                if path.stem in reachable_units:
-                    report.units_kept += 1
-                else:
-                    report.units_removed.append(path.stem)
-                    if not dry_run:
-                        path.unlink()
-            report.units_removed.extend(self.sweep_tmp(dry_run=dry_run))
+        if not self.units_dir.is_dir():
+            return report
+        self._index, self._consumed = {}, {}
+        self._refresh()  # exactly what is on disk now
+        kept = {key: self._index[key] for key in sorted(self._index)
+                if key in reachable_units}
+        files = sorted(os.listdir(self.units_dir))
+        report.units_kept = len(kept)
+        report.units_removed = sorted(set(self._index) - set(kept)) + [
+            name[:-len(".json")] if name.endswith(".json") else name
+            for name in files if not name.endswith(SEGMENT_SUFFIX)]
+        if dry_run or not (report.units_removed or len(files) > 1):
+            return report
+        if kept:
+            _write_atomic(
+                self.units_dir / (f"{time.time_ns():016x}-{os.getpid()}-gc"
+                                  f"{SEGMENT_SUFFIX}"),
+                b"".join(_encode_unit(key, metrics)
+                         for key, metrics in kept.items()))
+        for name in files:
+            os.unlink(self.units_dir / name)
+        # This instance's own segment went with the rest.
+        self._segment, self._index, self._consumed = None, {}, {}
         return report
 
     def verify(self) -> List[StoreProblem]:
@@ -403,8 +493,9 @@ class RunStore:
 
         Every object is re-hashed against its file name (the content
         address), every named record must parse and point at an existing
-        object, and every cached unit must parse with a ``key`` matching
-        its file name.
+        object, and every line of every unit segment must carry its
+        checksum and parse (``segment:line`` names each one that is torn,
+        damaged or unparsable).
         """
         problems: List[StoreProblem] = []
         if self.objects_dir.is_dir():
@@ -429,20 +520,12 @@ class RunStore:
                     problems.append(StoreProblem(
                         "missing-object", str(path),
                         f"points at missing object {record.object_hash}"))
-        if self.units_dir.is_dir():
-            for path in sorted(self.units_dir.glob("*.json")):
-                try:
-                    data = json.loads(path.read_text(encoding="utf-8"))
-                    key = str(data["key"])
-                    for value in data["metrics"].values():
-                        float(value)
-                except (ValueError, KeyError, TypeError, AttributeError):
-                    problems.append(StoreProblem(
-                        "unreadable-unit", str(path),
-                        "unit cache entry does not parse"))
-                    continue
-                if key != path.stem:
-                    problems.append(StoreProblem(
-                        "unit-key-mismatch", str(path),
-                        f"entry key {key!r} does not match its file name"))
+        for path in self._segments():
+            with open(path, "rb") as handle:
+                data = handle.read()
+            problems.extend(
+                StoreProblem("unreadable-unit", f"{path}:{number}",
+                             "unit record is torn, fails its checksum or "
+                             "does not parse")
+                for number, record in _records(data) if record is None)
         return problems

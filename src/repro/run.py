@@ -50,7 +50,9 @@ spec difference) with ``--tol`` entries layered on top.
 CI-overlap failures of replicated runs warn by default and fail only
 under ``--strict-ci``.  ``gc`` drops store objects and cached
 units unreachable from any saved name (``--dry-run`` lists them without
-deleting), ``verify`` re-hashes every stored object and flags corruption,
+deleting) and compacts the units it keeps into one segment, ``verify``
+re-hashes every stored object, checks every cached unit's checksum and
+flags corruption,
 and ``--no-resume`` forces every unit job to re-execute, overwriting the
 cache, instead of resuming from it.
 

@@ -86,7 +86,9 @@ same seed-pinned unit, so output stays byte-identical at any retry count::
 :mod:`repro.scenarios.faults` scripts deterministic failures (raise,
 hang, worker kill, torn cache write) against chosen job keys and
 attempts — :class:`FaultInjectingBackend` and the ``REPRO_FAULT_PLAN``
-environment hook — so the supervision layer is itself testable.
+environment hook, plus :class:`TornWriteStore`, which leaves the torn
+tail of a killed writer on its unit-cache segment — so the supervision
+layer is itself testable.
 
 ResultSets persist in a :class:`~repro.analysis.runstore.RunStore`
 (named, content-addressed, under ``runs/``), which also caches finished

@@ -59,11 +59,12 @@ retries, a timeout or a worker crash with :class:`JobExecutionError`.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -170,8 +171,29 @@ class UnitJob:
 
     @classmethod
     def for_spec(cls, spec: ScenarioSpec, seed: int) -> "UnitJob":
-        unit = unit_spec(spec, seed)
-        return cls(key=f"{unit.spec_hash()}-s{seed}", spec=unit, seed=seed)
+        return cls.for_seeds(spec, [seed])[0]
+
+    @classmethod
+    def for_seeds(cls, spec: ScenarioSpec,
+                  seeds: Iterable[int]) -> List["UnitJob"]:
+        """The unit jobs of one point, one per seed.
+
+        Unit specs of one point differ only in their seed, so the point is
+        copied once (the jobs' specs share its nested sections — nothing
+        that runs a job may write into them) and its canonical JSON is
+        hashed once up to the seed; each job finishes a copy of that hash.
+        Keys equal ``unit_spec(spec, seed).spec_hash()`` byte for byte.
+        """
+        template = unit_spec(spec, spec.seed)
+        head, tail = template.canonical_around_seed()
+        hashed = hashlib.sha256(head.encode("utf-8"))
+        jobs: List[UnitJob] = []
+        for seed in seeds:
+            digest = hashed.copy()
+            digest.update(f"{seed}{tail}".encode("utf-8"))
+            jobs.append(cls(key=f"{digest.hexdigest()[:16]}-s{seed}",
+                            spec=replace(template, seed=seed), seed=seed))
+        return jobs
 
 
 @dataclass
@@ -192,8 +214,8 @@ class ResultSlot:
             family=spec.family,
             label=label,
             spec=spec,
-            jobs=[UnitJob.for_spec(spec, spec.seed + index)
-                  for index in range(spec.replicates)],
+            jobs=UnitJob.for_seeds(
+                spec, [spec.seed + index for index in range(spec.replicates)]),
         )
 
     def assemble(self, metrics_by_key: Mapping[str, Dict[str, float]]) -> ScenarioResult:

@@ -13,8 +13,8 @@ same way every run.  This module provides that harness:
 - :class:`FaultInjectingBackend` — wraps any :class:`ExecutionBackend`
   and installs a plan for the duration of one ``execute`` call.
 - :class:`TornWriteStore` — a :class:`~repro.analysis.runstore.RunStore`
-  whose unit-cache writes are killed mid-write for matching keys, for
-  exercising the atomic temp-file+rename path and the ``.tmp`` sweep.
+  whose unit-cache writes are killed mid-write for matching keys, leaving
+  the torn tail a dead writer leaves on its segment.
 
 Injection is keyed on ``(job key, attempt)``, both of which are fully
 deterministic, so a scripted scenario like "kill the worker running seed
@@ -202,10 +202,11 @@ class FaultInjectingBackend(ExecutionBackend):
 class TornWriteStore(RunStore):
     """A RunStore whose unit-cache writes die mid-write for chosen keys.
 
-    For a matching key, ``put_unit`` leaves a *torn* ``.tmp`` file behind
-    (valid JSON cut off mid-object — what a ``kill -9`` during the write
-    leaves on disk) and raises :class:`InjectedFault` before the atomic
-    rename.  Each key is torn at most once, so retries then land; the
+    For a matching key, ``put_unit`` appends a *torn* record to its segment
+    (a line cut off mid-object, no newline — what a ``kill -9`` during the
+    write leaves on disk), raises :class:`InjectedFault`, and abandons the
+    segment the way the dead process would have: the retry lands in a
+    fresh one.  Each key is torn at most once, so retries then land; the
     ``torn`` list records what was hit.
     """
 
@@ -217,10 +218,9 @@ class TornWriteStore(RunStore):
     def put_unit(self, key: str, metrics: Dict[str, float]) -> None:
         if self.match in key and key not in self.torn:
             self.torn.append(key)
-            self.units_dir.mkdir(parents=True, exist_ok=True)
-            temp = (self.units_dir / f"{key}.json").with_suffix(".json.tmp")
-            temp.write_text('{"key": "%s", "metrics": {' % key,
-                            encoding="utf-8")
+            super().put_unit(key, metrics)
+            segment, self._segment = self._segment, None
+            segment.truncate(segment.tell() - 8)
             raise InjectedFault(
-                f"injected torn write for unit {key} (left {temp.name})")
+                f"injected torn write for unit {key} (tail of {segment.name})")
         super().put_unit(key, metrics)

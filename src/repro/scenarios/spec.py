@@ -25,8 +25,8 @@ import copy as _copy
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 #: The five architecture families the paper compares.
 FAMILIES = ("permissionless", "consensus", "permissioned", "overlay", "edge")
@@ -163,6 +163,9 @@ class ScenarioSpec:
             list(self.variants.items()) if self.variants else [("", {})]
         )
         sweep_axes = list(self.sweeps.items())
+        # The axes are dropped once, here, so that no point copies them
+        # (``with_overrides`` deep-copies what it is called on).
+        base = replace(self, sweeps={}, variants={})
         expanded: List[Tuple[str, ScenarioSpec]] = []
         for variant_label, variant_overrides in variant_items:
             value_lists = [values for _, values in sweep_axes]
@@ -172,7 +175,7 @@ class ScenarioSpec:
                 for (axis, _), value in zip(sweep_axes, combo):
                     overrides[axis] = value
                     parts.append(f"{axis.rsplit('.', 1)[-1]}={value}")
-                spec = self.with_overrides(overrides)
+                spec = base.with_overrides(overrides)
                 spec.sweeps = {}
                 spec.variants = {}
                 expanded.append((", ".join(parts), spec))
@@ -181,7 +184,8 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, object]:
+    def to_dict(self, _value: Callable[[Any], Any] = _copy.deepcopy,
+                ) -> Dict[str, object]:
         """Plain JSON-serialisable representation.
 
         ``metrics`` is emitted only when it differs from the default, so
@@ -189,22 +193,23 @@ class ScenarioSpec:
         therefore its :meth:`spec_hash`, the key under which goldens,
         unit-job caches and RunStore entries were recorded.  (Same
         convention as the ResultSet ``failures`` manifest: absent means
-        default.)
+        default.)  ``_value`` is private to this class: the hashing path
+        passes the identity to read the live fields without copying them.
         """
         data = {
             "name": self.name,
             "family": self.family,
             "description": self.description,
             "claim": self.claim,
-            "architecture": _copy.deepcopy(self.architecture),
-            "topology": _copy.deepcopy(self.topology),
-            "churn": _copy.deepcopy(self.churn),
-            "workload": _copy.deepcopy(self.workload),
+            "architecture": _value(self.architecture),
+            "topology": _value(self.topology),
+            "churn": _value(self.churn),
+            "workload": _value(self.workload),
             "duration": self.duration,
             "seed": self.seed,
             "replicates": self.replicates,
-            "sweeps": _copy.deepcopy(self.sweeps),
-            "variants": _copy.deepcopy(self.variants),
+            "sweeps": _value(self.sweeps),
+            "variants": _value(self.variants),
         }
         if self.metrics != "exact":
             data["metrics"] = self.metrics
@@ -225,7 +230,24 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def canonical_json(self) -> str:
         """The minimal, key-sorted JSON form used for hashing and caching."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _canonical(self.to_dict(_value=_live))
+
+    def canonical_around_seed(self) -> Tuple[str, str]:
+        """``(head, tail)`` with ``canonical_json() == head + str(seed) +
+        tail``: everything about the spec but its seed.
+
+        Replicates of one point differ in nothing else, so the execution
+        layer hashes ``head`` once per point.  Key-sorted JSON is the
+        concatenation of its sorted items, so the split is taken where the
+        keys sort around ``"seed"`` — the text is never searched.
+        """
+        live = self.to_dict(_value=_live)
+        head = _canonical({key: value for key, value in live.items()
+                           if key < "seed"})
+        tail = _canonical({key: value for key, value in live.items()
+                           if key > "seed"})
+        # ``name`` and ``workload`` are baseline fields: neither is empty.
+        return head[:-1] + ',"seed":', "," + tail[1:]
 
     def spec_hash(self) -> str:
         """A stable content hash of the spec (16 hex chars of sha256).
@@ -237,3 +259,11 @@ class ScenarioSpec:
         """
         digest = hashlib.sha256(self.canonical_json().encode("utf-8"))
         return digest.hexdigest()[:16]
+
+
+def _live(value: Any) -> Any:
+    return value
+
+
+def _canonical(data: Mapping[str, object]) -> str:
+    return json.dumps(data, sort_keys=True, separators=(",", ":"))

@@ -283,24 +283,25 @@ class TestGracefulDegradationWithStore:
 
 
 class TestTornWrites:
-    def test_torn_tmp_swept_on_open_and_cache_intact(self, tmp_path):
-        import time
-
+    def test_torn_tail_is_a_miss_and_verify_names_it(self, tmp_path):
         store = TornWriteStore(tmp_path / "runs", match="")
         plan = sweep_plan()
         with pytest.raises(InjectedFault, match="torn write"):
             execute_plan(plan, store=store)  # dies mid first unit write
-        (tmp,) = store.units_dir.glob("*.tmp")
-        # the torn temp never reached the cache: no unit is resumable
+        (segment,) = store.units_dir.iterdir()
+        assert not segment.read_bytes().endswith(b"\n")
+        # the torn record never reached the cache: no unit is resumable
         assert RunStore(tmp_path / "runs").completed_units(
             plan.job_keys()) == {}
-        # a fresh .tmp survives store open (could be a live run's write)
-        assert tmp.exists()
-        # ...but once stale it is swept on open, not only by gc
-        old = time.time() - 7200
-        os.utime(tmp, (old, old))
-        RunStore(tmp_path / "runs")
-        assert not tmp.exists()
+        (problem,) = RunStore(tmp_path / "runs").verify()
+        assert problem.kind == "unreadable-unit"
+        assert problem.path == f"{segment}:2"
+        # the writer abandoned that segment, as the dead process would
+        # have: its retry lands whole in a fresh one
+        store.put_unit(plan.jobs[0].key, {"x": 1.0})
+        assert len(list(store.units_dir.iterdir())) == 2
+        assert RunStore(tmp_path / "runs").get_unit(
+            plan.jobs[0].key) == {"x": 1.0}
 
     def test_rerun_after_torn_write_repairs_the_cache(self, tmp_path):
         plan = sweep_plan()

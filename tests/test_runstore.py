@@ -1,6 +1,8 @@
 """RunStore: persistence, unit cache, lifecycle (gc/verify/no-resume), CLI."""
 
+import builtins
 import json
+import os
 
 import pytest
 
@@ -63,6 +65,23 @@ class TestSaveLoadList:
         assert store.list() == []
         assert (store.objects_dir / f"{record.object_hash}.json").exists()
 
+    def test_torn_object_is_repaired_by_saving_the_same_results_again(
+            self, tmp_path):
+        # A kill mid-save used to leave a truncated object that the
+        # deterministic re-run (same bytes, same hash) never rewrote.
+        store = RunStore(tmp_path / "runs")
+        results = small_sweep()
+        record = store.save(results, "demo")
+        object_path = store.objects_dir / f"{record.object_hash}.json"
+        object_path.write_text(object_path.read_text()[:100])
+        with pytest.raises(ValueError, match="content-hash"):
+            store.load("demo")
+        assert store.save(results, "demo").object_hash == record.object_hash
+        assert store.load("demo").to_json() == results.to_json()
+        assert store.verify() == []
+        # Both files go through a temp file + rename; none is left behind.
+        assert sorted(path.name for path in store.root.rglob("*.tmp")) == []
+
     def test_default_dir_env_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "elsewhere"))
         assert default_runs_dir() == tmp_path / "elsewhere"
@@ -91,14 +110,71 @@ class TestUnitCache:
         resumed = execute_plan(plan, store=store)
         assert resumed.to_json() == first.to_json()
 
-    def test_torn_unit_file_is_a_cache_miss(self, tmp_path):
+    def test_torn_unit_record_is_a_cache_miss(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         store.put_unit("abc-s1", {"x": 1.0})
-        (store.units_dir / "abc-s1.json").write_text('{"key": "abc-s1", "met')
-        assert store.get_unit("abc-s1") is None
+        (segment,) = store.units_dir.iterdir()
+        segment.write_bytes(segment.read_bytes()[:-5])  # killed mid-write
+        assert RunStore(tmp_path / "runs").get_unit("abc-s1") is None
         # Recomputing repairs the cache.
+        RunStore(tmp_path / "runs").put_unit("abc-s1", {"x": 1.0})
+        assert RunStore(tmp_path / "runs").get_unit("abc-s1") == {"x": 1.0}
+
+    def test_units_written_by_the_earlier_layout_just_miss(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        store.units_dir.mkdir(parents=True)
+        (store.units_dir / "abc-s1.json").write_text(
+            '{"key": "abc-s1", "metrics": {"x": 1.0}}')
+        assert store.get_unit("abc-s1") is None
+        assert store.completed_units(["abc-s1"]) == {}
+        assert store.verify() == []
+
+    def test_returned_metrics_are_the_callers_to_mutate(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
         store.put_unit("abc-s1", {"x": 1.0})
+        store.get_unit("abc-s1")["x"] = -1.0
+        store.completed_units(["abc-s1"])["abc-s1"]["x"] = -1.0
         assert store.get_unit("abc-s1") == {"x": 1.0}
+
+    def test_cold_sweep_leaves_one_segment_not_a_file_per_unit(self, tmp_path):
+        store = RunStore(tmp_path / "runs")
+        plan = compile_sweep("pos-slashing", replicates=2, overrides={
+            "architecture.rounds": 20,
+            "sweeps": {"architecture.multi_vote_fraction":
+                       [index / 100 for index in range(100)]}})
+        assert len(plan.jobs) == 200
+        execute_plan(plan, store=store)
+        assert len(list(store.units_dir.iterdir())) <= 2
+        assert set(RunStore(tmp_path / "runs").completed_units(
+            plan.job_keys())) == set(plan.job_keys())
+
+    def test_completed_units_costs_the_same_for_any_number_of_keys(
+            self, tmp_path, monkeypatch):
+        writer = RunStore(tmp_path / "runs")
+        keys = [f"{index:016x}-s{index}" for index in range(200)]
+        for key in keys:
+            writer.put_unit(key, {"x": 1.0})
+        calls = []
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((os, "stat"), (os, "listdir"), (os, "scandir"),
+                             (os, "lstat"), (builtins, "open")):
+            counted(module, name)
+
+        def cost(wanted):
+            del calls[:]
+            assert len(RunStore(tmp_path / "runs").completed_units(
+                wanted)) == len(wanted)
+            return sorted(calls)
+
+        assert cost(keys[:1]) == cost(keys) == ["listdir", "open", "stat"]
 
     def test_interrupted_run_keeps_finished_units(self, tmp_path, monkeypatch):
         store = RunStore(tmp_path / "runs")
@@ -159,9 +235,12 @@ class TestGc:
     def test_unsaved_unit_cache_is_garbage(self, tmp_path):
         store = RunStore(tmp_path / "runs")
         small_sweep(store=store)  # cached units, but never --save'd
+        keys = compile_sweep("market-concentration",
+                             overrides=SWEEP_OVERRIDES).job_keys()
         report = store.gc()
-        assert len(report.units_removed) == 3
-        assert not list(store.units_dir.glob("*.json"))
+        assert sorted(report.units_removed) == sorted(keys)
+        assert store.completed_units(keys) == {}
+        assert RunStore(tmp_path / "runs").completed_units(keys) == {}
 
     def test_dry_run_mutates_nothing(self, tmp_path):
         store = RunStore(tmp_path / "runs")
@@ -173,49 +252,55 @@ class TestGc:
         assert snapshot(store) == before
         assert "would remove" in report.summary()
 
-    def test_sweeps_only_stale_tmp_files(self, tmp_path):
-        import os
-        import time
-
-        store = RunStore(tmp_path / "runs")
-        store.units_dir.mkdir(parents=True)
-        stale = store.units_dir / "torn.json.tmp"
-        stale.write_text("{")
-        os.utime(stale, (time.time() - 7200, time.time() - 7200))
-        fresh = store.units_dir / "inflight.json.tmp"
-        fresh.write_text("{")  # could be a concurrent run's atomic write
+    def test_compacts_what_it_keeps_into_one_segment(self, tmp_path):
+        root = tmp_path / "runs"
+        results = small_sweep(store=RunStore(root))
+        RunStore(root).save(results, "keep")
+        for index in range(3):  # three more writers, three more segments
+            RunStore(root).put_unit(f"stray-s{index}", {"x": float(index)})
+        store = RunStore(root)
+        assert len(list(store.units_dir.iterdir())) == 4
+        keys = compile_sweep("market-concentration",
+                             overrides=SWEEP_OVERRIDES).job_keys()
+        cached = store.completed_units(keys)
         report = store.gc()
-        assert report.units_removed == ["torn.json.tmp"]
-        assert not stale.exists() and fresh.exists()
+        assert report.units_removed == ["stray-s0", "stray-s1", "stray-s2"]
+        assert report.units_kept == 3
+        assert len(list(store.units_dir.iterdir())) == 1
+        assert RunStore(root).completed_units(keys) == cached
+        assert store.verify() == []
+        assert store.gc().removed == 0  # nothing left to do
 
-    def test_stale_tmp_swept_on_store_open(self, tmp_path):
-        import os
-        import time
-
+    def test_collects_units_of_the_earlier_layout(self, tmp_path):
         store = RunStore(tmp_path / "runs")
-        store.units_dir.mkdir(parents=True)
-        stale = store.units_dir / "torn.json.tmp"
-        stale.write_text("{")
-        os.utime(stale, (time.time() - 7200, time.time() - 7200))
-        fresh = store.units_dir / "inflight.json.tmp"
-        fresh.write_text("{")
-        # Opening the store (not just gc) reclaims the stale orphan.
-        RunStore(tmp_path / "runs")
-        assert not stale.exists() and fresh.exists()
+        store.save(small_sweep(store=store), "keep")
+        (store.units_dir / "old-s1.json").write_text(
+            '{"key": "old-s1", "metrics": {"x": 1.0}}')
+        (store.units_dir / "old-s2.json.part").write_text("{")
+        assert store.gc(dry_run=True).units_removed == [
+            "old-s1", "old-s2.json.part"]
+        assert len(list(store.units_dir.iterdir())) == 3
+        report = store.gc()
+        assert report.units_removed == ["old-s1", "old-s2.json.part"]
+        assert report.units_kept == 3
+        assert [path.suffix for path in store.units_dir.iterdir()] == [".seg"]
 
-    def test_sweep_tmp_dry_run_reports_without_deleting(self, tmp_path):
-        import os
-        import time
-
-        store = RunStore(tmp_path / "runs")
-        store.units_dir.mkdir(parents=True)
-        stale = store.units_dir / "torn.json.tmp"
-        stale.write_text("{")
-        os.utime(stale, (time.time() - 7200, time.time() - 7200))
-        assert store.sweep_tmp(dry_run=True) == ["torn.json.tmp"]
-        assert stale.exists()
-        assert store.sweep_tmp() == ["torn.json.tmp"]
-        assert not stale.exists()
+    def test_writer_whose_segment_was_collected_misses_never_errs(
+            self, tmp_path):
+        root = tmp_path / "runs"
+        writer = RunStore(root)
+        writer.put_unit("early-s1", {"x": 1.0})
+        assert writer.get_unit("early-s1") == {"x": 1.0}
+        assert RunStore(root).gc().units_removed == ["early-s1"]
+        # The live writer keeps appending to the segment gc unlinked under
+        # it: no error, and what it writes there is lost to everyone else.
+        writer.put_unit("late-s1", {"x": 2.0})
+        assert RunStore(root).get_unit("late-s1") is None
+        assert RunStore(root).completed_units(["early-s1", "late-s1"]) == {}
+        # What it had already read stays a (correct) hit for it alone.
+        assert writer.get_unit("early-s1") == {"x": 1.0}
+        assert writer.get_unit("late-s1") is None
+        assert RunStore(root).verify() == []
 
 
 class TestVerify:
@@ -239,13 +324,20 @@ class TestVerify:
         record = store.save(small_sweep(), "demo")
         (store.objects_dir / f"{record.object_hash}.json").unlink()
         store.put_unit("good-s1", {"x": 1.0})
-        (store.units_dir / "good-s1.json").write_text('{"key": "good-s1", ')
-        store.put_unit("liar-s1", {"x": 1.0})
-        renamed = store.units_dir / "renamed-s1.json"
-        (store.units_dir / "liar-s1.json").rename(renamed)
-        kinds = sorted(problem.kind for problem in store.verify())
-        assert kinds == ["missing-object", "unit-key-mismatch",
-                         "unreadable-unit"]
+        store.put_unit("bad-s1", {"x": 1.0})
+        store.put_unit("torn-s1", {"x": 1.0})
+        (segment,) = store.units_dir.iterdir()
+        segment.write_bytes(
+            segment.read_bytes().replace(b"bad-s1", b"bAd-s1")[:-4])
+        missing, *units = sorted(store.verify(), key=lambda p: p.kind)
+        assert missing.kind == "missing-object"
+        assert [problem.kind for problem in units] == ["unreadable-unit"] * 2
+        # Each damaged record is named by segment and line.
+        assert [problem.path for problem in units] == [
+            f"{segment}:4", f"{segment}:6"]
+        assert RunStore(tmp_path / "runs").completed_units(
+            ["good-s1", "bad-s1", "bAd-s1", "torn-s1"]) == {
+                "good-s1": {"x": 1.0}}
 
 
 class TestNoResume:
@@ -281,10 +373,12 @@ class TestLifecycleCli:
         small_sweep(store=store)  # unreachable units
         assert run_main(["gc", "--dry-run", "--runs-dir", str(tmp_path)]) == 0
         assert "would remove" in capsys.readouterr().out
-        assert len(list(store.units_dir.glob("*.json"))) == 3
+        keys = compile_sweep("market-concentration",
+                             overrides=SWEEP_OVERRIDES).job_keys()
+        assert len(RunStore(tmp_path).completed_units(keys)) == 3
         assert run_main(["gc", "--runs-dir", str(tmp_path)]) == 0
         assert "removed 0 object(s) and 3 unit(s)" in capsys.readouterr().out
-        assert not list(store.units_dir.glob("*.json"))
+        assert RunStore(tmp_path).completed_units(keys) == {}
 
     def test_verify_exit_codes(self, tmp_path, capsys):
         store = RunStore(tmp_path)
