@@ -1,10 +1,11 @@
 """Shared helpers for the experiment benchmarks.
 
 Every benchmark regenerates one of the paper's quantitative claims (see
-DESIGN.md section 3 and ``repro.core.claims``).  Benchmarks run the
-underlying experiment exactly once through ``benchmark.pedantic`` (the
-numbers of interest are the experiment's outputs, not the wall-clock of the
-harness) and print a :class:`repro.analysis.tables.ResultTable` so that
+``repro.core.claims`` and the ``EXPERIMENTS.md`` generated from it).
+Benchmarks run the underlying experiment exactly once through
+``benchmark.pedantic`` (the numbers of interest are the experiment's
+outputs, not the wall-clock of the harness) and print a
+:class:`repro.analysis.tables.ResultTable` so that
 ``pytest benchmarks/ --benchmark-only -s`` reproduces the paper's rows.
 """
 

@@ -5,13 +5,10 @@ Each workload drives one hot path of the simulation core and returns a
 
 * :func:`engine_events` — the event-loop blend: a timer ring (heap
   discipline: every event pushes a future event) plus a zero-delay cascade
-  (now-bucket discipline: event triggers / process resumes).  Work units are
-  engine events processed, and the schedule-call sequence is identical under
-  the seed and current engines, so events/sec is directly comparable.
-* :func:`engine_waiters` — fan-in synchronisation: ``all_of`` over batches
-  of events, each triggered once.  Work units are *logical* waiter
-  completions (not engine events), so it credits engines that need fewer
-  internal events per wait.
+  (now-bucket discipline).  Work units are engine events processed, and the
+  schedule-call sequence is identical under the seed and current engines, so
+  events/sec is directly comparable.  ``Simulator.run`` has one loop, so
+  this is the rate the models get under ``run(until=...)`` too.
 * :func:`network_messages` — message passing over :class:`Network` with a
   ping-forwarding ring across two regions.  Work units are deliveries.
 * :func:`pow_blocks` — end-to-end proof-of-work run.  Work units are
@@ -25,7 +22,7 @@ seed baseline in ``BENCH_core.json`` was produced).
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 from repro.sim.engine import Simulator
 
@@ -67,44 +64,6 @@ def engine_events(
     processed = sim.run()
     elapsed = perf_counter() - start
     return processed, elapsed
-
-
-def engine_waiters(
-    total: int = 20_000,
-    fan_in: int = 8,
-    sim_factory: Callable[[], Simulator] = Simulator,
-) -> Tuple[int, float]:
-    """Fan-in workload: repeated ``all_of`` barriers over ``fan_in`` events."""
-    sim = sim_factory()
-    completions = {"count": 0}
-    rounds = max(1, total // fan_in)
-
-    def one_round(_value=None):
-        if completions["count"] >= rounds:
-            return
-        completions["count"] += 1
-        events = [sim.event(f"e{i}") for i in range(fan_in)]
-        combined = sim.all_of(events)
-        _chain(combined, one_round)
-        for event in events:
-            event.succeed(None)
-
-    def _chain(event, callback):
-        add = getattr(event, "add_callback", None)
-        if add is not None:
-            add(callback)
-        else:  # seed engine: waiter process per callback
-            def _waiter():
-                value = yield event
-                callback(value)
-
-            sim.spawn(_waiter())
-
-    sim.schedule(0.0, one_round)
-    start = perf_counter()
-    sim.run()
-    elapsed = perf_counter() - start
-    return rounds * fan_in, elapsed
 
 
 def network_messages(
@@ -152,7 +111,6 @@ def pow_blocks(blocks: int = 60, miners: int = 8, seed: int = 0) -> Tuple[int, f
 
 WORKLOADS = {
     "engine_events": engine_events,
-    "engine_waiters": engine_waiters,
     "network_messages": network_messages,
     "pow_blocks": pow_blocks,
 }

@@ -35,7 +35,6 @@ from typing import Dict
 
 from benchmarks.perf_core import (
     engine_events,
-    engine_waiters,
     network_messages,
     pow_blocks,
     rate,
@@ -54,10 +53,6 @@ WORKLOAD_NOTES = {
         "Simulator event loop: 200k events, half a 1024-timer ring (heap "
         "discipline), half a zero-delay cascade (now-bucket discipline); "
         "best of 5"
-    ),
-    "engine_waiters_per_sec": (
-        "all_of fan-in barriers, 8 events per round, 20k logical waiter "
-        "completions; best of 3"
     ),
     "network_messages_per_sec": (
         "Network.send ping ring, 32 nodes in 2 regions, 60k deliveries "
@@ -215,7 +210,6 @@ def measure() -> Dict[str, float]:
     """Run every core workload and return work-units-per-second rates."""
     results = {
         "engine_events_per_sec": rate(engine_events, repeats=5),
-        "engine_waiters_per_sec": rate(engine_waiters, repeats=3),
         "network_messages_per_sec": rate(network_messages, repeats=3),
         "pow_blocks_per_sec": rate(pow_blocks, repeats=5, blocks=150),
     }

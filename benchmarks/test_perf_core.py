@@ -16,7 +16,6 @@ from pathlib import Path
 
 from benchmarks.perf_core import (
     engine_events,
-    engine_waiters,
     network_messages,
     pow_blocks,
 )
@@ -32,12 +31,6 @@ class TestEngineMicrobench:
         assert processed >= total
         assert elapsed > 0
         print(f"\nengine events/sec: {processed / elapsed:,.0f}")
-
-    def test_engine_waiters_fan_in(self, once):
-        completions, elapsed = once(engine_waiters, total=8_000)
-        assert completions == 8_000
-        assert elapsed > 0
-        print(f"\nwaiter completions/sec: {completions / elapsed:,.0f}")
 
 
 class TestNetworkMicrobench:
@@ -62,7 +55,6 @@ class TestCommittedBaseline:
         assert document["schema"] == "bench-core/v1"
         for key in (
             "engine_events_per_sec",
-            "engine_waiters_per_sec",
             "network_messages_per_sec",
             "pow_blocks_per_sec",
         ):

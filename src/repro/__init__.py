@@ -18,8 +18,8 @@ and exposes the paper's quantitative claims as runnable experiments:
   islands.
 * :mod:`repro.economics` — market concentration, pricing volatility and
   mining economics.
-* :mod:`repro.core` — the architecture comparison harness, the decision
-  framework and the claim registry (E1-E16).
+* :mod:`repro.core` — the decision framework and the claim registry
+  (E1-E16).
 * :mod:`repro.scenarios` — the declarative scenario framework: one
   :class:`~repro.scenarios.ScenarioSpec` per experiment, five architecture
   adapters, a named registry and the ``python -m repro.run`` /
@@ -29,13 +29,9 @@ and exposes the paper's quantitative claims as runnable experiments:
 
 Quickstart::
 
-    from repro.core import compare_architectures
-    comparison = compare_architectures()
-    for row in comparison.rows():
-        print(row)
-
-    from repro.scenarios import run_scenario
+    from repro.scenarios import run_scenario, run_study
     print(run_scenario("pow-baseline").metric("throughput_tps"))
+    print(run_study("figure1").to_table().render())
 """
 
 __version__ = "1.0.0"

@@ -2,13 +2,10 @@
 
 The paper's argument is a comparison: permissionless blockchains cannot be
 the substrate of a decentralized Internet, but permissioned blockchains plus
-edge-centric computing (with the cloud as a utility) can.  This package
-turns that argument into runnable code:
+edge-centric computing (with the cloud as a utility) can.  The comparison
+itself is the registered ``figure1`` study (:mod:`repro.scenarios.study`);
+this package holds what surrounds it:
 
-* :mod:`~repro.core.comparison` — runs the same payment/service workload on
-  every architecture (permissionless PoW, permissioned BFT/Fabric,
-  centralized cloud, edge-centric federation) and tabulates throughput,
-  latency, energy and decentralization side by side.
 * :mod:`~repro.core.decision` — the "when is which architecture
   appropriate" decision framework implied by Sections III-D, IV and V.
 * :mod:`~repro.core.claims` — the registry of every quantitative claim in
@@ -16,11 +13,6 @@ turns that argument into runnable code:
   it, used by ``EXPERIMENTS.md`` and the benchmark suite.
 """
 
-from repro.core.comparison import (
-    ArchitectureProfile,
-    ArchitectureComparison,
-    compare_architectures,
-)
 from repro.core.decision import (
     DecisionInput,
     Recommendation,
@@ -29,9 +21,6 @@ from repro.core.decision import (
 from repro.core.claims import Claim, CLAIMS, claims_by_id
 
 __all__ = [
-    "ArchitectureProfile",
-    "ArchitectureComparison",
-    "compare_architectures",
     "DecisionInput",
     "Recommendation",
     "recommend_architecture",

@@ -145,7 +145,7 @@ CLAIMS: List[Claim] = [
         "centralized cloud",
         "several-fold lower latency at the edge; trust Nakamoto coefficient > 1",
         "benchmarks/test_e16_edge_vs_cloud.py",
-        ("repro.edge", "repro.permissioned", "repro.core.comparison"),
+        ("repro.edge", "repro.permissioned", "repro.scenarios.study"),
     ),
 ]
 

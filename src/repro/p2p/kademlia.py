@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.p2p.identifiers import ID_BITS, bucket_index, random_id, xor_distance
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.metrics import MetricsRegistry
 from repro.sim.network import Message, Network, NetworkParams
 from repro.sim.node import Node
@@ -434,13 +434,12 @@ class KademliaNetwork:
         origin_id: int,
         target: int,
         on_complete: Optional[Callable[[LookupResult], None]] = None,
-    ) -> Event:
+    ) -> None:
         """Start an iterative lookup from ``origin_id`` towards ``target``.
 
-        Returns an event triggered with the :class:`LookupResult`.
+        ``on_complete`` is called with the :class:`LookupResult`.
         """
         origin = self.nodes[origin_id]
-        done = self.sim.event(name="lookup")
 
         def _complete(result: LookupResult) -> None:
             self.metrics.sample("lookup_latency").observe(result.latency)
@@ -450,11 +449,8 @@ class KademliaNetwork:
                 self.metrics.counter("lookup_failures").increment()
             if on_complete is not None:
                 on_complete(result)
-            if not done.triggered:
-                done.succeed(result)
 
         IterativeLookup(origin, target, self.config, _complete).start()
-        return done
 
     def warm_up(self, passes: int = 3) -> None:
         """Run a few maintenance passes immediately.

@@ -23,14 +23,6 @@ from repro.sim.rng import SeededRNG
 
 
 @dataclass
-class SessionSample:
-    """One on/off cycle of a peer, as produced by a churn model."""
-
-    session_length: float
-    downtime: float
-
-
-@dataclass
 class ChurnModel:
     """Statistical description of peer session behaviour.
 
@@ -70,10 +62,6 @@ class ChurnModel:
         # Downtimes are usually modelled exponentially regardless of the
         # session distribution; the session heavy tail is what matters.
         return rng.exponential(self.mean_downtime) if self.mean_downtime > 0 else 0.0
-
-    def sample_cycle(self, rng: SeededRNG) -> SessionSample:
-        """Draw one full on/off cycle."""
-        return SessionSample(self.sample_session(rng), self.sample_downtime(rng))
 
     def _draw(self, rng: SeededRNG, mean: float) -> float:
         if mean <= 0:
@@ -222,14 +210,6 @@ class ChurnProcess:
             else:
                 wait = self.model.sample_downtime(self.rng) * self.rng.random()
                 self.sim.schedule(wait, self._join, node_id)
-
-    def is_online(self, node_id) -> bool:
-        """Whether the churn process currently considers the peer online."""
-        return self.online.get(node_id, False)
-
-    def online_count(self) -> int:
-        """Number of peers currently online."""
-        return sum(1 for value in self.online.values() if value)
 
     def churn_rate_per_hour(self) -> float:
         """Average membership change events per node per hour so far."""

@@ -1,12 +1,10 @@
 """Metric collection for simulation runs.
 
-Three primitives cover everything the experiments need:
+Two primitives cover everything the experiments need:
 
 * :class:`Counter` — monotonically increasing event counts.
 * :class:`Sample` — a bag of observations with percentile/summary helpers
   (lookup latencies, block intervals, transaction confirmation times).
-* :class:`TimeSeries` — (time, value) pairs for quantities that evolve over a
-  run (online population, chain length, market shares).
 
 A :class:`MetricsRegistry` groups them under string names so simulators can
 expose everything they measured in a single object.
@@ -18,7 +16,7 @@ Two sample implementations share one API (the :class:`Sample` surface):
 * :class:`StreamingSample` — **O(1) memory**: a Welford accumulator for
   mean/stdev (plus exact count/total/min/max) and a logarithmically
   bucketed histogram sketch (DDSketch-style, relative-accuracy
-  ``relative_error``) for percentiles, ``fraction_below`` and the CDF.
+  ``relative_error``) for percentiles and ``fraction_below``.
   Long-horizon high-rate runs opt in via ``MetricsRegistry(mode=
   "streaming")`` (scenario specs: ``metrics: streaming``) so per-event
   observation lists stop growing with run length — the prerequisite for
@@ -131,20 +129,6 @@ class Sample:
         """50th percentile."""
         return self.percentile(50.0)
 
-    def cdf(self, points: int = 100) -> List[Tuple[float, float]]:
-        """Empirical CDF as (value, cumulative fraction) pairs."""
-        if not self.values:
-            return []
-        ordered = self._ordered()
-        n = len(ordered)
-        step = max(1, n // points)
-        cdf_points = [
-            (ordered[index], (index + 1) / n) for index in range(0, n, step)
-        ]
-        if cdf_points[-1][0] != ordered[-1]:
-            cdf_points.append((ordered[-1], 1.0))
-        return cdf_points
-
     def fraction_below(self, threshold: float) -> float:
         """Fraction of observations strictly below ``threshold``."""
         if not self.values:
@@ -174,7 +158,7 @@ class StreamingSample:
     Moment statistics (count, total, min, max, mean, population stdev) are
     exact: mean/variance use Welford's online update, which is numerically
     stable over arbitrarily long streams.  Order statistics (percentiles,
-    ``fraction_below``, the CDF) come from a logarithmically bucketed
+    ``fraction_below``) come from a logarithmically bucketed
     histogram: a positive value ``v`` lands in bucket
     ``ceil(log(v) / log(gamma))`` with ``gamma = (1 + a) / (1 - a)`` for
     relative error ``a``, so any reported quantile is within a factor
@@ -313,21 +297,6 @@ class StreamingSample:
         """50th percentile (sketched)."""
         return self.percentile(50.0)
 
-    def cdf(self, points: int = 100) -> List[Tuple[float, float]]:
-        """Sketched CDF as (value, cumulative fraction) pairs."""
-        if not self._count:
-            return []
-        ordered = self._ordered_buckets()
-        step = max(1, len(ordered) // points)
-        cdf_points: List[Tuple[float, float]] = []
-        cumulative = 0
-        for position, (value, count) in enumerate(ordered):
-            cumulative += count
-            if position % step == 0 or position == len(ordered) - 1:
-                cdf_points.append((min(max(value, self._min), self._max),
-                                   cumulative / self._count))
-        return cdf_points
-
     def fraction_below(self, threshold: float) -> float:
         """Approximate fraction of observations below ``threshold``."""
         if not self._count:
@@ -371,47 +340,9 @@ def make_sample(name: str = "", mode: str = "exact"):
     raise ValueError(f"unknown metrics mode {mode!r}; pick one of {SAMPLE_MODES}")
 
 
-class TimeSeries:
-    """(time, value) pairs for a quantity evolving over a simulation."""
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.points: List[Tuple[float, float]] = []
-
-    def record(self, time: float, value: float) -> None:
-        """Append an observation at the given virtual time."""
-        self.points.append((float(time), float(value)))
-
-    def last(self) -> Optional[float]:
-        """Most recent value, or ``None`` if empty."""
-        return self.points[-1][1] if self.points else None
-
-    def values(self) -> List[float]:
-        """All values in recording order."""
-        return [value for _, value in self.points]
-
-    def times(self) -> List[float]:
-        """All timestamps in recording order."""
-        return [time for time, _ in self.points]
-
-    def time_average(self) -> float:
-        """Time-weighted average assuming piecewise-constant values."""
-        if len(self.points) < 2:
-            return self.points[0][1] if self.points else 0.0
-        weighted = 0.0
-        duration = 0.0
-        for (t0, v0), (t1, _) in zip(self.points, self.points[1:]):
-            weighted += v0 * (t1 - t0)
-            duration += t1 - t0
-        return weighted / duration if duration > 0 else self.points[-1][1]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 @dataclass
 class MetricsRegistry:
-    """Named collection of counters, samples and time series.
+    """Named collection of counters and samples.
 
     ``mode`` selects the sample implementation handed out by
     :meth:`sample`: ``"exact"`` (default, list-backed :class:`Sample`)
@@ -422,7 +353,6 @@ class MetricsRegistry:
 
     counters: Dict[str, Counter] = field(default_factory=dict)
     samples: Dict[str, Sample] = field(default_factory=dict)
-    series: Dict[str, TimeSeries] = field(default_factory=dict)
     mode: str = "exact"
 
     def __post_init__(self) -> None:
@@ -442,20 +372,11 @@ class MetricsRegistry:
             self.samples[name] = make_sample(name, self.mode)
         return self.samples[name]
 
-    def timeseries(self, name: str) -> TimeSeries:
-        """Get or create the time series with the given name."""
-        if name not in self.series:
-            self.series[name] = TimeSeries(name)
-        return self.series[name]
-
     def snapshot(self) -> Dict[str, Dict[str, float]]:
         """Flatten everything into plain dictionaries for reporting."""
-        result: Dict[str, Dict[str, float]] = {"counters": {}, "samples": {}, "series": {}}
+        result: Dict[str, Dict[str, float]] = {"counters": {}, "samples": {}}
         for name, counter in self.counters.items():
             result["counters"][name] = float(counter.value)
         for name, sample in self.samples.items():
             result["samples"][name] = sample.mean()
-        for name, series in self.series.items():
-            last = series.last()
-            result["series"][name] = last if last is not None else 0.0
         return result

@@ -1,30 +1,30 @@
 """Latency/bandwidth network model for message-passing simulations.
 
 The network connects named nodes (any hashable identifier).  Sending a
-message samples a one-way delay from the link's latency distribution, adds a
-serialisation delay proportional to the message size and the link bandwidth,
-and schedules delivery on the simulator.  Links can be declared explicitly or
-derived from region-to-region latency defaults, which is how the blockchain
-and edge simulators model geo-distribution without a full topology.
+message samples a one-way delay — the pair's mean latency times a log-normal
+jitter factor, plus a serialisation delay proportional to the message size
+over the bandwidth — and schedules delivery on the simulator.  A pair's mean
+latency comes from the two nodes' regions (``base_latency`` inside a region,
+``inter_region_latency`` across), which is how the blockchain and edge
+simulators model geo-distribution without a full topology.
 
-Partitions and crashed nodes are modelled by dropping messages.
+Failures are modelled by dropping messages: to or from a node marked
+offline, to an unregistered node, or at random with ``loss_rate``.  There
+are no partitions and no per-pair link overrides — no model needs either.
 
-Fast path
----------
 ``send``/``broadcast`` resolve a per-pair ``(mean latency, bandwidth, loss)``
-triple through a cache keyed on ``(sender, recipient)`` so the region/link
-lookup chain runs once per pair instead of once per message.  The cache is
-invalidated by every topology mutation (``register``/``unregister``/
-``set_link``); mutate :attr:`params` only before traffic starts, or call
-:meth:`invalidate_link_cache` afterwards.  The RNG draw sequence (optional
-loss Bernoulli, then jitter log-normal, per recipient in order) is part of
-the determinism contract and must not change.
+triple through a cache keyed on ``(sender, recipient)`` so the region lookup
+runs once per pair instead of once per message; ``register``/``unregister``
+invalidate it, and :attr:`Network.params` must not be mutated once traffic
+has started.  The RNG draw sequence (optional loss Bernoulli, then jitter
+log-normal, per recipient in order) is part of the determinism contract and
+must not change.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRNG
@@ -124,22 +124,11 @@ NETWORK_PRESETS = {
 }
 
 
-@dataclass
-class Link:
-    """Explicit per-pair link override."""
-
-    latency: float
-    bandwidth_bps: Optional[float] = None
-    loss_rate: Optional[float] = None
-
-
 class Message:
     """A message in flight between two nodes.
 
     A plain ``__slots__`` class (not a dataclass) because it is allocated
-    once per message on the hot send path.  ``metadata`` is lazily created:
-    it stays ``None`` until first accessed through :meth:`meta`, so sending
-    never builds a dict per message.
+    once per message on the hot send path.
     """
 
     __slots__ = (
@@ -150,7 +139,6 @@ class Message:
         "size_bytes",
         "sent_at",
         "delivered_at",
-        "metadata",
     )
 
     def __init__(
@@ -162,7 +150,6 @@ class Message:
         size_bytes: int = 256,
         sent_at: float = 0.0,
         delivered_at: float = 0.0,
-        metadata: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.sender = sender
         self.recipient = recipient
@@ -171,18 +158,11 @@ class Message:
         self.size_bytes = size_bytes
         self.sent_at = sent_at
         self.delivered_at = delivered_at
-        self.metadata = metadata
 
     @property
     def latency(self) -> float:
         """Observed one-way latency once delivered."""
         return self.delivered_at - self.sent_at
-
-    def meta(self) -> Dict[str, Any]:
-        """The metadata dict, created on first use."""
-        if self.metadata is None:
-            self.metadata = {}
-        return self.metadata
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper
         return (
@@ -205,9 +185,7 @@ class Network:
         self.rng = rng or SeededRNG(0)
         self._handlers: Dict[NodeId, Handler] = {}
         self._regions: Dict[NodeId, str] = {}
-        self._links: Dict[Tuple[NodeId, NodeId], Link] = {}
         self._offline: Set[NodeId] = set()
-        self._partitions: Dict[NodeId, int] = {}
         # (sender, recipient) -> (mean_latency, bandwidth_bps, loss_rate)
         self._resolved: Dict[Tuple[NodeId, NodeId], Tuple[float, float, float]] = {}
         self.messages_sent = 0
@@ -240,47 +218,9 @@ class Network:
         else:
             self._offline.discard(node_id)
 
-    def is_online(self, node_id: NodeId) -> bool:
-        """True when the node is registered and not marked offline."""
-        return node_id in self._handlers and node_id not in self._offline
-
     def nodes(self) -> Iterable[NodeId]:
         """All registered node identifiers."""
         return self._handlers.keys()
-
-    def region_of(self, node_id: NodeId) -> str:
-        """Region label of a node (``"default"`` if never set)."""
-        return self._regions.get(node_id, "default")
-
-    # ------------------------------------------------------------------
-    # Topology control
-    # ------------------------------------------------------------------
-    def set_link(self, a: NodeId, b: NodeId, link: Link) -> None:
-        """Override the link characteristics for the (unordered) pair."""
-        self._links[(a, b)] = link
-        self._links[(b, a)] = link
-        self._resolved.pop((a, b), None)
-        self._resolved.pop((b, a), None)
-
-    def invalidate_link_cache(self) -> None:
-        """Drop every cached link resolution (after mutating :attr:`params`)."""
-        self._resolved.clear()
-
-    def set_partition(self, groups: Iterable[Iterable[NodeId]]) -> None:
-        """Partition the network: messages across groups are dropped."""
-        self._partitions.clear()
-        for index, group in enumerate(groups):
-            for node_id in group:
-                self._partitions[node_id] = index
-
-    def clear_partition(self) -> None:
-        """Heal any partition previously installed with :meth:`set_partition`."""
-        self._partitions.clear()
-
-    def _same_partition(self, a: NodeId, b: NodeId) -> bool:
-        if not self._partitions:
-            return True
-        return self._partitions.get(a, -1) == self._partitions.get(b, -1)
 
     # ------------------------------------------------------------------
     # Link resolution
@@ -291,22 +231,14 @@ class Network:
         resolved = self._resolved.get(key)
         if resolved is None:
             params = self.params
-            link = self._links.get(key)
-            if link is not None:
-                mean_latency = link.latency
-                bandwidth = link.bandwidth_bps or params.bandwidth_bps
-                loss = params.loss_rate if link.loss_rate is None else link.loss_rate
-            else:
-                regions = self._regions
-                same_region = regions.get(sender, "default") == regions.get(
-                    recipient, "default"
-                )
-                mean_latency = (
-                    params.base_latency if same_region else params.inter_region_latency
-                )
-                bandwidth = params.bandwidth_bps
-                loss = params.loss_rate
-            resolved = (mean_latency, bandwidth, loss)
+            regions = self._regions
+            same_region = regions.get(sender, "default") == regions.get(
+                recipient, "default"
+            )
+            mean_latency = (
+                params.base_latency if same_region else params.inter_region_latency
+            )
+            resolved = (mean_latency, params.bandwidth_bps, params.loss_rate)
             self._resolved[key] = resolved
         return resolved
 
@@ -330,11 +262,7 @@ class Network:
         message = Message(sender, recipient, msg_type, payload, size_bytes, sim.now)
         self.messages_sent += 1
         self.bytes_sent += size_bytes
-        if (
-            sender in self._offline
-            or recipient in self._offline
-            or not self._same_partition(sender, recipient)
-        ):
+        if sender in self._offline or recipient in self._offline:
             self.messages_dropped += 1
             return message
         mean_latency, bandwidth, loss = self._resolve_link(sender, recipient)
@@ -386,11 +314,7 @@ class Network:
                 continue
             count += 1
             message = Message(sender, recipient, msg_type, payload, size_bytes, now)
-            if (
-                sender_offline
-                or recipient in offline
-                or not self._same_partition(sender, recipient)
-            ):
+            if sender_offline or recipient in offline:
                 dropped += 1
                 continue
             mean_latency, bandwidth, loss = resolve(sender, recipient)
@@ -411,36 +335,9 @@ class Network:
         self.messages_dropped += dropped
         return count
 
-    def _should_drop(self, sender: NodeId, recipient: NodeId) -> bool:
-        if sender in self._offline or recipient in self._offline:
-            return True
-        if not self._same_partition(sender, recipient):
-            return True
-        loss = self._resolve_link(sender, recipient)[2]
-        return loss > 0 and self.rng.bernoulli(loss)
-
-    def sample_delay(self, sender: NodeId, recipient: NodeId, size_bytes: int) -> float:
-        """Sample the one-way delay (propagation + serialisation) for a message."""
-        mean_latency, bandwidth, _ = self._resolve_link(sender, recipient)
-        jitter = 1.0
-        if self.params.latency_jitter > 0:
-            jitter = self.rng.lognormal(0.0, self.params.latency_jitter)
-        serialisation = (size_bytes * 8.0) / bandwidth if bandwidth > 0 else 0.0
-        return max(1e-6, mean_latency * jitter + serialisation)
-
-    def _link_attr(self, a: NodeId, b: NodeId, attr: str, default: float) -> float:
-        link = self._links.get((a, b))
-        if link is None:
-            return default
-        value = getattr(link, attr)
-        return default if value is None else value
-
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.recipient)
         if handler is None or message.recipient in self._offline:
-            self.messages_dropped += 1
-            return
-        if not self._same_partition(message.sender, message.recipient):
             self.messages_dropped += 1
             return
         message.delivered_at = self.sim.now

@@ -319,10 +319,6 @@ class VecRoutingTable:
         dead = filled & (self.stale | ~alive)
         return float(dead.sum()) / total
 
-    def fill_fraction(self) -> float:
-        """Fraction of slots holding a contact (diagnostic)."""
-        return float((self.table != EMPTY).mean())
-
     # -- maintenance ---------------------------------------------------
     def evict_offline(self, online: np.ndarray,
                       detection: float = 0.8) -> int:

@@ -155,10 +155,11 @@ class TestKademliaLookup:
     def test_lookup_event_triggered_with_result(self):
         dht = small_dht(size=50)
         rng = SeededRNG(6)
-        done = dht.lookup(dht.node_ids()[0], random_id(rng))
+        results = []
+        assert dht.lookup(dht.node_ids()[0], random_id(rng), results.append) is None
         dht.sim.run(until=300.0)
-        assert done.triggered
-        assert done.value.success
+        (result,) = results
+        assert result.success
 
     def test_lookup_latency_increases_with_offline_nodes(self):
         fast = small_dht(size=80, seed=7)

@@ -10,6 +10,15 @@ the experiments import their models lazily.  A package ``__init__`` is
 ``X`` is defined in, never everything the ``__init__`` happens to
 re-export, so a module kept alive by nothing but its package's re-export
 (and its own unit test) shows up here as unreached.
+
+For ``repro.sim`` — the substrate every model stands on — the same rule
+holds one level down, for *names*: a public class, function, constant,
+method or property defined under ``repro.sim`` must be mentioned (an AST
+``Name``, ``Attribute`` or ``from … import``) somewhere in ``src/repro``
+outside its own definition, in a claim benchmark, in ``examples/`` or in
+``benchmarks/e2e``.  A mention inside a definition that is itself
+unreferenced does not count, so a mechanism that only feeds itself (a
+class used by nothing but the factory method nothing calls) is named whole.
 """
 
 import ast
@@ -18,7 +27,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.lint.framework import iter_python_files, module_name
 
@@ -28,6 +37,26 @@ REPO = Path(__file__).resolve().parents[1]
 #: experiment (or claim, or entry point) that reaches the module, or
 #: delete it.
 ALLOWED_UNREACHED: Set[str] = set()
+
+
+#: ``repro.sim`` names allowed to have no reference, each with its reason.
+#: (``Simulator.pending`` is kept on the same ground as ``processed``; it
+#: needs no entry only because the match is by bare name and Fabric's
+#: endorsement table is also called ``.pending``.)
+ALLOWED_UNREFERENCED_SIM_NAMES: Dict[str, str] = {
+    "repro.sim.engine.Simulator.processed":
+        "with `pending`, the engine counters ROADMAP item 6(d) builds on; "
+        "the determinism fingerprints in tests/test_sim_determinism.py "
+        "read it",
+    "repro.sim.rng.SeededRNG.poisson":
+        "no model draws it today; its three law tests "
+        "(TestSeededRNG::test_poisson_*) were outside PR 23's enumerated "
+        "deletions — delete both together",
+    "repro.sim.vecstate.VecChurn.online_indices":
+        "as poisson: TestVecChurn::test_online_indices_are_sorted_ranks",
+    "repro.sim.vecstate.VecChurn.online_count":
+        "as poisson: the same test reads it",
+}
 
 
 class _Graph:
@@ -125,12 +154,16 @@ def _roots(repo: Path, graph: _Graph) -> Set[str]:
                 isinstance(node, ast.If) and "__main__" in ast.dump(node.test)
                 for node in graph.tree(module).body):
             roots.add(module)
-    outside = sorted((repo / "benchmarks").glob("test_[ea]*.py"))
-    outside += sorted((repo / "examples").glob("*.py"))
-    for path in outside:
+    for path in _outside_roots(repo):
         roots.update(graph.imports(
             ast.parse(path.read_text(encoding="utf-8")), None))
     return roots
+
+
+def _outside_roots(repo: Path) -> List[Path]:
+    """The claim benchmarks and the examples."""
+    return (sorted((repo / "benchmarks").glob("test_[ea]*.py"))
+            + sorted((repo / "examples").glob("*.py")))
 
 
 def unreached_modules(repo: Path) -> List[str]:
@@ -139,12 +172,103 @@ def unreached_modules(repo: Path) -> List[str]:
     return sorted(set(graph.files) - reached)
 
 
+#: One definition: (qualified name, the mentions that reference it,
+#: defining module, first line, last line).
+_Definition = Tuple[str, Set[str], str, int, int]
+
+
+def _public_definitions(module: str, tree: ast.Module) -> Iterator[_Definition]:
+    """Public module-level names of ``module`` and public members of its
+    public classes.  A member is referenced only by an attribute access."""
+    def names(node: ast.stmt) -> List[str]:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            return [node.name]
+        if isinstance(node, ast.Assign):
+            return [target.id for target in node.targets
+                    if isinstance(target, ast.Name)]
+        return []
+
+    for node in tree.body:
+        for name in names(node):
+            if not name.startswith("_"):
+                yield (f"{module}.{name}", {name, "." + name}, module,
+                       node.lineno, node.end_lineno)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) \
+                        and not member.name.startswith("_"):
+                    yield (f"{module}.{node.name}.{member.name}",
+                           {"." + member.name}, module,
+                           member.lineno, member.end_lineno)
+
+
+def _mentions(tree: ast.Module) -> Iterator[Tuple[str, int]]:
+    """``(name, line)`` of every name a file mentions; an attribute access
+    is spelled ``.name``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield "." + node.attr, node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node.lineno
+
+
+def unreferenced_sim_names(repo: Path) -> List[str]:
+    graph = _Graph(repo / "src")
+    definitions: List[_Definition] = []
+    mentions: List[Tuple[str, str, int]] = []  # (name, file, line)
+    for module in graph.files:
+        if module == "repro.sim":
+            continue  # the package's re-exports are not a licence
+        mentions += [(name, module, line)
+                     for name, line in _mentions(graph.tree(module))]
+        if module.startswith("repro.sim."):
+            definitions += _public_definitions(module, graph.tree(module))
+    outside = _outside_roots(repo) + sorted(
+        (repo / "benchmarks" / "e2e").glob("*.py"))
+    for path in outside:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        mentions += [(name, str(path), line) for name, line in _mentions(tree)]
+
+    def inside(mention: Tuple[str, str, int], definition: _Definition) -> bool:
+        _, where, line = mention
+        _, _, module, first, last = definition
+        return where == module and first <= line <= last
+
+    dead: List[_Definition] = []
+    while True:
+        alive = [mention for mention in mentions
+                 if not any(inside(mention, definition) for definition in dead)]
+        newly = []
+        for definition in definitions:
+            if definition in dead:
+                continue
+            if not any(mention[0] in definition[1]
+                       and not inside(mention, definition)
+                       for mention in alive):
+                newly.append(definition)
+        if not newly:
+            return sorted(definition[0] for definition in dead)
+        dead += newly
+
+
 def test_every_module_is_reached_by_something_registered():
     unreached = set(unreached_modules(REPO))
     assert unreached - ALLOWED_UNREACHED == set(), (
         "modules nothing registered reaches (register an experiment, claim "
         "or entry point that uses them, or delete them)")
     assert ALLOWED_UNREACHED <= unreached, "stale allowlist entries"
+
+
+def test_every_public_sim_name_is_referenced():
+    unreferenced = set(unreferenced_sim_names(REPO))
+    assert unreferenced - set(ALLOWED_UNREFERENCED_SIM_NAMES) == set(), (
+        "public repro.sim names that no model, claim benchmark, example or "
+        "benchmarks/e2e file mentions (use them or delete them)")
+    assert set(ALLOWED_UNREFERENCED_SIM_NAMES) <= unreferenced, \
+        "stale allowlist entries"
 
 
 def test_relative_and_reexported_imports_resolve():

@@ -4,14 +4,7 @@ import time
 
 import pytest
 
-from repro.sim.engine import (
-    INTERRUPTED,
-    Event,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -63,21 +56,6 @@ class TestScheduling:
         sim.run()
         assert fired == ["late"]
 
-    def test_schedule_at_absolute_time(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(7.5, fired.append, "x")
-        sim.run()
-        assert sim.now == 7.5
-
-    def test_max_events_limits_processing(self):
-        sim = Simulator()
-        for _ in range(10):
-            sim.schedule(1.0, lambda: None)
-        processed = sim.run(max_events=4)
-        assert processed == 4
-        assert sim.pending == 6
-
     def test_nested_scheduling_from_callback(self):
         sim = Simulator()
         results = []
@@ -92,12 +70,6 @@ class TestScheduling:
         sim.schedule(1.0, outer)
         sim.run()
         assert results == [("outer", 1.0), ("inner", 3.0)]
-
-    def test_drain_discards_pending(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.drain()
-        assert sim.pending == 0
 
     def test_processed_counter(self):
         sim = Simulator()
@@ -172,20 +144,6 @@ class TestFastPathAccounting:
         assert sim.pending == 0
         assert sim.processed == 0
 
-    def test_drain_from_inside_callback(self):
-        sim = Simulator()
-        fired = []
-
-        def drain_now():
-            fired.append("a")
-            sim.drain()
-
-        sim.schedule(1.0, drain_now)
-        sim.schedule(2.0, fired.append, "never")
-        sim.run()
-        assert fired == ["a"]
-        assert sim.pending == 0
-
     def test_pending_is_accurate_mid_run(self):
         sim = Simulator()
         seen = []
@@ -244,272 +202,101 @@ class TestRunEdgeCases:
         assert sim.run(until=5.0) == 0
         assert sim.now == 25.0
 
-    def test_max_events_zero_processes_nothing(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        assert sim.run(max_events=0) == 0
-        assert sim.pending == 1
-        assert sim.now == 0.0
-
-    def test_max_events_skips_cancelled_heads_for_free(self):
+    def test_run_until_in_the_past_leaves_the_clock_alone(self):
         sim = Simulator()
         fired = []
-        first = sim.schedule(1.0, fired.append, "a")
-        second = sim.schedule(2.0, fired.append, "b")
-        sim.schedule(3.0, fired.append, "c")
-        first.cancel()
-        second.cancel()
-        processed = sim.run(max_events=1)
-        assert processed == 1
-        assert fired == ["c"]
+        sim.schedule(20.0, fired.append, "later")
+        sim.run(until=15.0)
+        sim.schedule(0.0, fired.append, "now")
+        assert sim.run(until=5.0) == 0
+        assert sim.now == 15.0
+        assert fired == []
+        assert sim.pending == 2
+        sim.run()
+        assert fired == ["now", "later"]
+
+
+class TestOneLoop:
+    """``run()``, ``run(until=H)`` and a sliced run are the same loop."""
+
+    HORIZON = 10.0
+
+    @staticmethod
+    def _mixed_workload(sim, trace):
+        """Heap timers, zero-delay cascades, callbacks that schedule both
+        kinds, and cancelled heads in the heap *and* in the now-bucket.
+
+        Tags are handed out in scheduling order, so ``(sim.now, tag)`` is the
+        ``(time, seq)`` order the engine promises.
+        """
+        tags = iter(range(10_000))
+        delays = (0.25, 0.5, 1.0)
+
+        def fire(tag, depth):
+            trace.append((sim.now, tag))
+            if depth == 0:
+                return
+            # A cancelled entry at the head of the bucket, then a live one.
+            sim.schedule(0.0, fire, next(tags), 0).cancel()
+            sim.schedule(0.0, fire, next(tags), depth - 1)
+            # A cancelled timer that will surface at the head of the heap
+            # before the live one scheduled after it.
+            sim.schedule(0.125, fire, next(tags), 0).cancel()
+            sim.schedule(delays[tag % 3], fire, next(tags), depth - 1)
+
+        for start in (0.0, 0.5, 1.0, 1.0, 3.75):
+            sim.schedule(start, fire, next(tags), 4)
+
+    def _reference(self):
+        sim = Simulator()
+        trace = []
+        self._mixed_workload(sim, trace)
+        processed = sim.run()
+        assert processed == len(trace) == sim.processed
+        assert trace == sorted(trace)
+        assert trace[-1][0] < self.HORIZON
+        return trace
+
+    def test_one_horizon_runs_the_same_order(self):
+        reference = self._reference()
+        sim = Simulator()
+        trace = []
+        self._mixed_workload(sim, trace)
+        assert sim.run(until=self.HORIZON) == len(reference)
+        assert trace == reference
+        assert sim.now == self.HORIZON
         assert sim.pending == 0
 
-    def test_step_merges_bucket_and_heap_order(self):
+    def test_ten_slices_run_the_same_order(self):
+        reference = self._reference()
         sim = Simulator()
-        order = []
-        sim.schedule(0.0, order.append, "bucket")
-        sim.schedule(1.0, order.append, "heap")
-        assert sim.step() is True
-        assert order == ["bucket"]
-        assert sim.step() is True
-        assert order == ["bucket", "heap"]
-        assert sim.step() is False
+        trace = []
+        self._mixed_workload(sim, trace)
+        for index in range(1, 11):
+            boundary = self.HORIZON * index / 10
+            sim.run(until=boundary)
+            # Everything up to and *on* the boundary has run, nothing after
+            # it; with the queue empty the clock still reaches the boundary.
+            assert trace == [entry for entry in reference if entry[0] <= boundary]
+            assert sim.now == boundary
+        assert trace == reference
+        # Slice boundaries did fall on event times.
+        assert {1.0, 2.0} <= {time for time, _ in reference}
 
-
-class TestEvents:
-    def test_event_triggers_once(self):
-        sim = Simulator()
-        event = sim.event("once")
-        event.succeed(42)
-        with pytest.raises(SimulationError):
-            event.succeed(43)
-
-    def test_event_delivers_value_to_waiter(self):
-        sim = Simulator()
-        event = sim.event()
-        got = []
-
-        def waiter():
-            value = yield event
-            got.append(value)
-
-        sim.spawn(waiter())
-        sim.schedule(3.0, event.succeed, "payload")
-        sim.run()
-        assert got == ["payload"]
-
-    def test_waiting_on_already_triggered_event(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed("early")
-        got = []
-
-        def waiter():
-            value = yield event
-            got.append(value)
-
-        sim.spawn(waiter())
-        sim.run()
-        assert got == ["early"]
-
-    def test_all_of_waits_for_every_event(self):
-        sim = Simulator()
-        events = [sim.event(str(i)) for i in range(3)]
-        combined = sim.all_of(events)
-        for index, event in enumerate(events):
-            sim.schedule(float(index + 1), event.succeed, index)
-        sim.run()
-        assert combined.triggered
-        assert combined.value == [0, 1, 2]
-
-    def test_all_of_empty_triggers_immediately(self):
-        sim = Simulator()
-        combined = sim.all_of([])
-        assert combined.triggered
-
-    def test_any_of_triggers_on_first(self):
-        sim = Simulator()
-        events = [sim.event(str(i)) for i in range(3)]
-        combined = sim.any_of(events)
-        sim.schedule(2.0, events[1].succeed, "second")
-        sim.schedule(5.0, events[0].succeed, "first-late")
-        sim.run()
-        assert combined.triggered
-        assert combined.value == "second"
-
-
-class TestProcesses:
-    def test_timeout_advances_clock(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            yield Timeout(5.0)
-            log.append(sim.now)
-            yield Timeout(2.5)
-            log.append(sim.now)
-
-        sim.spawn(proc())
-        sim.run()
-        assert log == [5.0, 7.5]
-
-    def test_process_return_value_on_done_event(self):
+    def test_raising_callback_under_a_horizon_leaves_pending_exact(self):
         sim = Simulator()
 
-        def proc():
-            yield Timeout(1.0)
-            return "finished"
+        def boom():
+            raise RuntimeError("boom")
 
-        process = sim.spawn(proc())
-        sim.run()
-        assert process.done.triggered
-        assert process.done.value == "finished"
-
-    def test_process_waits_on_another_process(self):
-        sim = Simulator()
-        log = []
-
-        def child():
-            yield Timeout(4.0)
-            return "child-result"
-
-        def parent():
-            child_process = sim.spawn(child())
-            value = yield child_process
-            log.append((sim.now, value))
-
-        sim.spawn(parent())
-        sim.run()
-        assert log == [(4.0, "child-result")]
-
-    def test_interrupted_process_never_resumes(self):
-        sim = Simulator()
-        log = []
-
-        def proc():
-            yield Timeout(1.0)
-            log.append("should not happen")
-
-        process = sim.spawn(proc())
-        process.interrupt()
-        sim.run()
-        assert log == []
-        assert not process.alive
-
-    def test_invalid_yield_raises(self):
-        sim = Simulator()
-
-        def proc():
-            yield "not a timeout"
-
-        sim.spawn(proc())
-        with pytest.raises(SimulationError):
-            sim.run()
-
-
-class TestInterrupt:
-    def test_interrupt_triggers_done_with_sentinel(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(10.0)
-
-        process = sim.spawn(proc())
-        sim.schedule(1.0, process.interrupt)
-        sim.run()
-        assert not process.alive
-        assert process.done.triggered
-        assert process.done.value is INTERRUPTED
-
-    def test_waiter_on_interrupted_process_is_released(self):
-        sim = Simulator()
-        got = []
-
-        def child():
-            yield Timeout(100.0)
-
-        def parent():
-            value = yield child_process
-            got.append((sim.now, value))
-
-        child_process = sim.spawn(child())
-        sim.spawn(parent())
-        sim.schedule(5.0, child_process.interrupt)
-        sim.run()
-        assert got == [(5.0, INTERRUPTED)]
-
-    def test_all_of_over_interrupted_process_does_not_hang(self):
-        sim = Simulator()
-
-        def quick():
-            yield Timeout(1.0)
-            return "ok"
-
-        def stuck():
-            yield Timeout(1000.0)
-
-        quick_process = sim.spawn(quick())
-        stuck_process = sim.spawn(stuck())
-        combined = sim.all_of([quick_process.done, stuck_process.done])
-        sim.schedule(2.0, stuck_process.interrupt)
-        sim.run(until=10.0)
-        assert combined.triggered
-        assert combined.value[0] == "ok"
-        assert combined.value[1] is INTERRUPTED
-
-    def test_interrupt_after_completion_is_noop(self):
-        sim = Simulator()
-
-        def proc():
-            yield Timeout(1.0)
-            return "finished"
-
-        process = sim.spawn(proc())
-        sim.run()
-        process.interrupt()
-        assert process.done.value == "finished"
-
-
-class TestEventCallbacks:
-    def test_add_callback_on_pending_event(self):
-        sim = Simulator()
-        event = sim.event()
-        got = []
-        event.add_callback(got.append)
-        sim.schedule(3.0, event.succeed, "payload")
-        sim.run()
-        assert got == ["payload"]
-
-    def test_add_callback_on_triggered_event(self):
-        sim = Simulator()
-        event = sim.event()
-        event.succeed("early")
-        got = []
-        event.add_callback(got.append)
-        sim.run()
-        assert got == ["early"]
-
-    def test_callbacks_run_in_registration_order(self):
-        sim = Simulator()
-        event = sim.event()
-        order = []
-        event.add_callback(lambda value: order.append("first"))
-        event.add_callback(lambda value: order.append("second"))
-        event.succeed(None)
-        sim.run()
-        assert order == ["first", "second"]
-
-    def test_all_of_does_not_spawn_processes(self):
-        # all_of must register direct callbacks, not one generator process
-        # per waited event: for n events only the n succeed() calls plus one
-        # callback each hit the scheduler.
-        sim = Simulator()
-        events = [sim.event(str(i)) for i in range(10)]
-        combined = sim.all_of(events)
-        before = sim.pending
-        assert before == 0
-        for event in events:
-            event.succeed(None)
-        sim.run()
-        assert combined.triggered
-        assert sim.processed == 10
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, boom)
+        sim.schedule(2.0, lambda: None)
+        sim.schedule(0.5, lambda: None).cancel()
+        with pytest.raises(RuntimeError):
+            sim.run(until=5.0)
+        assert sim.pending == 1
+        assert sim.processed == 1
+        assert sim.now == 2.0
+        assert sim.run(until=5.0) == 1
+        assert sim.now == 5.0

@@ -17,7 +17,7 @@ from repro.analysis.stats import (
     stdev,
 )
 from repro.analysis.tables import ResultTable
-from repro.sim.metrics import Counter, MetricsRegistry, Sample, TimeSeries
+from repro.sim.metrics import Counter, MetricsRegistry, Sample
 from repro.sim.rng import SeededRNG
 
 
@@ -136,33 +136,10 @@ class TestMetrics:
         sample.extend([1, 2, 3, 4, 5])
         assert sample.fraction_below(3) == pytest.approx(0.4)
 
-    def test_sample_cdf_monotone(self):
-        sample = Sample()
-        sample.extend(range(100))
-        cdf = sample.cdf()
-        fractions = [fraction for _, fraction in cdf]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-
     def test_empty_sample_statistics(self):
         sample = Sample()
         assert sample.mean() == 0.0
         assert sample.percentile(90) == 0.0
-        assert sample.cdf() == []
-
-    def test_timeseries_time_average(self):
-        series = TimeSeries()
-        series.record(0.0, 10.0)
-        series.record(10.0, 20.0)
-        series.record(20.0, 20.0)
-        assert series.time_average() == pytest.approx(15.0)
-
-    def test_timeseries_last_and_len(self):
-        series = TimeSeries()
-        assert series.last() is None
-        series.record(1.0, 5.0)
-        assert series.last() == 5.0
-        assert len(series) == 1
 
     def test_registry_creates_and_reuses(self):
         registry = MetricsRegistry()
@@ -170,11 +147,9 @@ class TestMetrics:
         registry.counter("x").increment()
         assert registry.counter("x").value == 2
         registry.sample("lat").observe(1.0)
-        registry.timeseries("pop").record(0.0, 3.0)
         snapshot = registry.snapshot()
         assert snapshot["counters"]["x"] == 2.0
         assert snapshot["samples"]["lat"] == 1.0
-        assert snapshot["series"]["pop"] == 3.0
 
 
 class TestStatsHelpers:

@@ -1,14 +1,9 @@
-"""The Study API: registry, runner, CLI subcommand, and the comparison shim."""
+"""The Study API: registry, runner and CLI subcommand."""
 
 import json
 
 import pytest
 
-from repro.core.comparison import (
-    compare_architectures,
-    comparison_from_resultset,
-    figure1_overrides,
-)
 from repro.run import main as run_main
 from repro.scenarios import (
     STUDIES,
@@ -125,32 +120,6 @@ class TestRunStudy:
         assert [replicate.seed for replicate in pools.replicates] == [3, 4]
         low, high = pools.ci95("top1")
         assert low <= pools.metric("top1") <= high
-
-
-class TestComparisonShim:
-    def test_shim_equals_study_backed_path(self):
-        shim = compare_architectures(seed=2, pow_blocks=10, fabric_rate=400,
-                                     fabric_duration=1.0)
-        results = run_study(
-            "figure1",
-            seed=2,
-            members=["bitcoin", "ethereum", "fabric", "edge"],
-            member_overrides=figure1_overrides(pow_blocks=10, fabric_rate=400,
-                                               fabric_duration=1.0),
-        )
-        assert comparison_from_resultset(results) == shim
-
-    def test_shim_keeps_the_historical_shape(self):
-        shim = compare_architectures(seed=2, pow_blocks=10, fabric_rate=400,
-                                     fabric_duration=1.0)
-        names = [row["architecture"] for row in shim.rows()]
-        assert names == ["bitcoin-pow", "ethereum-pow", "permissioned-fabric",
-                         "centralized-cloud", "edge-federation"]
-        for row in shim.rows():
-            assert set(row) == {"architecture", "throughput_tps",
-                                "finality_latency_s", "energy_per_tx_kwh",
-                                "trust_nakamoto", "open_membership"}
-        assert shim.throughput_gap() > 20
 
 
 class TestStudyCli:
