@@ -39,6 +39,7 @@ from benchmarks.perf_core import (
     pow_blocks,
     rate,
 )
+from repro.analysis import jsonfmt
 
 BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_core.json"
 SCHEMA = "bench-core/v1"
@@ -284,7 +285,7 @@ def write(results: Dict[str, float], baseline: Dict) -> None:
             for key in results
             if seed.get(key)
         }
-    BENCH_PATH.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
+    BENCH_PATH.write_text(jsonfmt.dumps(document) + "\n")
     print(f"wrote {BENCH_PATH}")
 
 

@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from repro.analysis import jsonfmt
 from repro.analysis.resultset import ResultSet
 from repro.analysis.tables import ResultTable
 
@@ -409,9 +410,9 @@ class DiffReport:
             "units": [unit.to_dict() for unit in self.units],
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self) -> str:
         """Deterministic, machine-readable JSON rendering."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return jsonfmt.dumps(self.to_dict())
 
     # -- rendering -----------------------------------------------------
     def table(self, max_unchanged: int = 0) -> ResultTable:

@@ -23,6 +23,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro.analysis import jsonfmt
 from repro.analysis.lint.config import LintConfig, default_config, load_config
 from repro.analysis.lint.framework import Finding, lint_paths
 from repro.analysis.lint.rules import ALL_RULES, RULES_BY_CODE
@@ -145,7 +146,7 @@ def _report_json(findings: List[Finding], files: int, clean: bool) -> str:
         },
         "findings": [f.to_dict() for f in findings],
     }
-    return json.dumps(payload, indent=2, sort_keys=True)
+    return jsonfmt.dumps(payload)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -27,6 +27,16 @@ Usage::
     table = points.pivot(rows="architecture.replicas",
                          cols="family", metric="throughput_tps")
     lo, hi = points.aggregate(by="scenario")[0].ci95("throughput_tps")
+
+Rendering contract
+------------------
+``to_json`` is :func:`repro.analysis.jsonfmt.dumps` of :meth:`ResultSet.to_dict`:
+key-sorted, two-space-indented JSON, byte-identical to what the stdlib's
+``json.dumps`` writes with ``sort_keys=True`` and an ``indent`` of 2 — that
+call is the oracle ``tests/test_jsonfmt.py`` holds the renderer to, and
+the golden corpus, saved-object hashes and RunStore names depend on it.
+The replicate rows are rendered straight from the results
+(:meth:`ScenarioResult.json_tree`), never built as dicts first.
 """
 
 from __future__ import annotations
@@ -45,6 +55,7 @@ from typing import (
     Union,
 )
 
+from repro.analysis import jsonfmt
 from repro.analysis.stats import mean
 from repro.analysis.tables import ResultTable
 
@@ -330,18 +341,24 @@ class ResultSet:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """Plain JSON-serialisable representation (deterministic ordering)."""
+        return self._fields([result.to_dict() for result in self._results])
+
+    def _fields(self, results: List[object]) -> Dict[str, object]:
         payload: Dict[str, object] = {
             "name": self.name,
             "description": self.description,
-            "results": [result.to_dict() for result in self._results],
+            "results": results,
         }
         if self.failures:
             payload["failures"] = [dict(entry) for entry in self.failures]
         return payload
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        """Deterministic JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        """Deterministic JSON rendering of :meth:`to_dict` (see the
+        rendering contract in the module docstring)."""
+        # Each result sits at depth 2: the document {"results": [result]}.
+        return jsonfmt.dumps(self._fields(
+            [result.json_tree(2) for result in self._results]))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ResultSet":

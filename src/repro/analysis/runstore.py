@@ -80,6 +80,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
+from repro.analysis import jsonfmt
 from repro.analysis.resultset import ResultSet
 
 #: Schema tag written into every named record.
@@ -288,8 +289,8 @@ class RunStore:
             failures=len(getattr(results, "failures", None) or ()),
         )
         self.named_dir.mkdir(parents=True, exist_ok=True)
-        _write_atomic(path, (json.dumps(record.to_dict(), indent=2,
-                                        sort_keys=True) + "\n").encode("utf-8"))
+        _write_atomic(path, (jsonfmt.dumps(record.to_dict())
+                             + "\n").encode("utf-8"))
         return record
 
     def record(self, name: str) -> RunRecord:

@@ -178,13 +178,13 @@ class UnitJob:
                   seeds: Iterable[int]) -> List["UnitJob"]:
         """The unit jobs of one point, one per seed.
 
-        Unit specs of one point differ only in their seed, so the point is
-        copied once (the jobs' specs share its nested sections — nothing
-        that runs a job may write into them) and its canonical JSON is
-        hashed once up to the seed; each job finishes a copy of that hash.
-        Keys equal ``unit_spec(spec, seed).spec_hash()`` byte for byte.
+        Unit specs of one point differ only in their seed, so the jobs'
+        specs share the point's nested sections — nothing that runs a job
+        may write into them — and its canonical JSON is hashed once up to
+        the seed; each job finishes a copy of that hash.  Keys equal
+        ``unit_spec(spec, seed).spec_hash()`` byte for byte.
         """
-        template = unit_spec(spec, spec.seed)
+        template = replace(spec, replicates=1, sweeps={}, variants={})
         head, tail = template.canonical_around_seed()
         hashed = hashlib.sha256(head.encode("utf-8"))
         jobs: List[UnitJob] = []
@@ -192,7 +192,7 @@ class UnitJob:
             digest = hashed.copy()
             digest.update(f"{seed}{tail}".encode("utf-8"))
             jobs.append(cls(key=f"{digest.hexdigest()[:16]}-s{seed}",
-                            spec=replace(template, seed=seed), seed=seed))
+                            spec=template.with_seed(seed), seed=seed))
         return jobs
 
 

@@ -31,7 +31,9 @@ import argparse
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.analysis.resultset import ResultSet
+from repro.scenarios.execution import ExecutionPlan, execute_plan
+from repro.scenarios.runner import compile_sweep
+from repro.scenarios.study import compile_study
 
 #: Dotted-path overrides trimming each registered scenario for the corpus.
 #: An entry may override the ``sweeps`` field wholesale to cut the number
@@ -123,28 +125,22 @@ def golden_path(kind: str, name: str,
     return (directory or goldens_dir()) / f"{kind}-{name}.json"
 
 
-def run_golden_scenario(name: str) -> ResultSet:
-    """The trimmed fixed-seed run a scenario golden captures."""
-    from repro.scenarios.runner import run_sweep
-
-    if name not in SCENARIO_TRIMS:
-        raise KeyError(
-            f"scenario {name!r} has no golden trim; add a SCENARIO_TRIMS "
-            f"entry in {__name__} (empty dict if it is already fast)"
-        )
-    return run_sweep(name, overrides=SCENARIO_TRIMS[name])
-
-
-def run_golden_study(name: str) -> ResultSet:
-    """The trimmed fixed-seed run a study golden captures."""
-    from repro.scenarios.study import run_study
-
+def golden_plan(kind: str, name: str) -> ExecutionPlan:
+    """The trimmed fixed-seed plan a golden captures (``kind`` is
+    scenario/study); its serial run is the golden."""
+    if kind == "scenario":
+        if name not in SCENARIO_TRIMS:
+            raise KeyError(
+                f"scenario {name!r} has no golden trim; add a SCENARIO_TRIMS "
+                f"entry in {__name__} (empty dict if it is already fast)"
+            )
+        return compile_sweep(name, overrides=SCENARIO_TRIMS[name])
     if name not in STUDY_TRIMS:
         raise KeyError(
             f"study {name!r} has no golden trim; add a STUDY_TRIMS entry "
             f"in {__name__}"
         )
-    return run_study(name, member_overrides=STUDY_TRIMS[name])
+    return compile_study(name, member_overrides=STUDY_TRIMS[name])
 
 
 def golden_entries() -> List[tuple]:
@@ -159,10 +155,10 @@ def golden_entries() -> List[tuple]:
 def write_golden(kind: str, name: str,
                  directory: Optional[Path] = None) -> Path:
     """(Re)generate one golden file; returns the path written."""
-    runner = run_golden_scenario if kind == "scenario" else run_golden_study
     path = golden_path(kind, name, directory)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(runner(name).to_json() + "\n", encoding="utf-8")
+    path.write_text(execute_plan(golden_plan(kind, name)).to_json() + "\n",
+                    encoding="utf-8")
     return path
 
 

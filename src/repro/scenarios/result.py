@@ -9,13 +9,15 @@ two runs of the same spec at the same seed produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
+from repro.analysis import jsonfmt
 from repro.analysis.stats import bootstrap_ci
 from repro.analysis.tables import ResultTable
+
+_CONTAINERS = (dict, list, tuple)
 
 
 @dataclass
@@ -125,18 +127,31 @@ class ScenarioResult:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
         """Plain JSON-serialisable representation (deterministic ordering)."""
+        return self._fields([replicate.to_dict() for replicate in self.replicates])
+
+    def json_tree(self, depth: int) -> Dict[str, object]:
+        """:meth:`to_dict` for :func:`jsonfmt.render` at ``depth``.
+
+        The replicate rows — most of a sweep's bytes — are rendered here
+        straight from the replicates into a :class:`jsonfmt.Fragment`, so
+        their dicts are never built.
+        """
+        return self._fields(jsonfmt.Fragment(
+            _replicate_rows(self.replicates, depth + 1)))
+
+    def _fields(self, replicates: object) -> Dict[str, object]:
         return {
             "scenario": self.scenario,
             "family": self.family,
             "label": self.label,
             "spec": self.spec,
             "metrics": dict(sorted(self.metrics.items())),
-            "replicates": [replicate.to_dict() for replicate in self.replicates],
+            "replicates": replicates,
         }
 
-    def to_json(self, indent: Optional[int] = 2) -> str:
+    def to_json(self) -> str:
         """Deterministic JSON rendering of :meth:`to_dict`."""
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return jsonfmt.dumps(self.json_tree(0))
 
     @classmethod
     def from_dict(cls, data: Mapping[str, object]) -> "ScenarioResult":
@@ -151,8 +166,44 @@ class ScenarioResult:
         )
 
 
-def results_to_json(results: List[ScenarioResult], indent: Optional[int] = 2) -> str:
+def results_to_json(results: List[ScenarioResult]) -> str:
     """One JSON document for a list of results (sweep output)."""
-    return json.dumps(
-        [result.to_dict() for result in results], indent=indent, sort_keys=True
-    )
+    return jsonfmt.dumps([result.json_tree(1) for result in results])
+
+
+def _replicate_rows(replicates: Sequence[ReplicateResult], depth: int) -> str:
+    """``jsonfmt.render([r.to_dict() for r in replicates], depth)``.
+
+    The rows go through one C call, as ``[[metrics, seed], ...]`` at the
+    depth of the metrics dicts, whose item separator ``sep`` then separates
+    every list and dict in the text.  When each metrics dict is non-empty
+    and holds only scalars (an encoded scalar holds no raw newline),
+    ``"}" + sep`` occurs only where a metrics dict ends and
+    ``"]" + sep + "[{"`` only where a row ends, so two replaces turn the
+    text into the indented rows.  Other rows are rendered from their dicts.
+    """
+    if not replicates or not _scalar_rows(replicates):
+        return jsonfmt.render([replicate.to_dict() for replicate in replicates],
+                              depth)
+    encoder, metrics_inner, metrics_outer = jsonfmt.level(depth + 2)
+    _, row_inner, row_outer = jsonfmt.level(depth + 1)
+    _, inner, outer = jsonfmt.level(depth)
+    sep = "," + metrics_inner
+    opening = "{" + row_inner + '"metrics": {' + metrics_inner
+    text = "".join(encoder([[replicate.metrics, replicate.seed]
+                            for replicate in replicates], 0))
+    rows = text[3:-2].replace(
+        "}" + sep, metrics_outer + "}," + row_inner + '"seed": ').replace(
+        "]" + sep + "[{", row_outer + "}," + inner + opening)
+    return "[" + inner + opening + rows + row_outer + "}" + outer + "]"
+
+
+def _scalar_rows(replicates: Sequence[ReplicateResult]) -> bool:
+    """Whether every row has a scalar seed and non-empty scalar metrics."""
+    for replicate in replicates:
+        if not replicate.metrics or isinstance(replicate.seed, _CONTAINERS):
+            return False
+        for value in replicate.metrics.values():
+            if isinstance(value, _CONTAINERS):
+                return False
+    return True

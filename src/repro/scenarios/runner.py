@@ -17,6 +17,7 @@ integer (``None``/0/1 → serial, byte-identical to the historical runner);
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Mapping, Optional, Union
 
 from repro.analysis.resultset import ResultSet
@@ -41,13 +42,12 @@ def resolve_spec(
 ) -> ScenarioSpec:
     """Look up (or copy) a spec and apply overrides/seed/replicates."""
     spec = get_scenario(scenario) if isinstance(scenario, str) else scenario.copy()
-    if overrides:
-        spec = spec.with_overrides(overrides)
+    pinned = dict(overrides or {})
     if seed is not None:
-        spec.seed = seed
+        pinned["seed"] = seed
     if replicates is not None:
-        spec.replicates = replicates
-    return spec
+        pinned["replicates"] = replicates
+    return spec.with_overrides(pinned)
 
 
 # ----------------------------------------------------------------------
@@ -61,11 +61,8 @@ def compile_scenario(
 ) -> ExecutionPlan:
     """One-slot plan for the base configuration of a scenario."""
     spec = resolve_spec(scenario, overrides, seed, replicates)
-    base = spec.copy()
-    base.sweeps = {}
-    base.variants = {}
     return ExecutionPlan(
-        slots=[ResultSlot.for_point(base)],
+        slots=[ResultSlot.for_point(replace(spec, sweeps={}, variants={}))],
         name=spec.name,
         description=spec.description,
     )

@@ -116,22 +116,28 @@ class ScenarioSpec:
         return _copy.deepcopy(self)
 
     def with_overrides(self, overrides: Mapping[str, object]) -> "ScenarioSpec":
-        """A copy with dotted-path overrides applied.
+        """A copy with dotted-path overrides applied, validated like a
+        constructed spec.
 
         The first path segment names a spec field (``architecture.replicas``,
         ``workload.rate_tps``, ``seed``); deeper segments index into nested
-        dicts, created on demand.
+        dicts, created on demand.  Only the sections an override touches are
+        deep-copied; the rest are shared with ``self``, so neither spec may
+        be written into afterwards (specs are data: nothing that runs one
+        writes into it).
         """
-        spec = self.copy()
-        field_names = {f.name for f in fields(spec)}
+        field_names = {f.name for f in fields(self)}
+        changes: Dict[str, Any] = {}
         for path, value in overrides.items():
             head, _, rest = path.partition(".")
             if head not in field_names:
                 raise KeyError(f"unknown spec field {head!r} in override {path!r}")
             if not rest:
-                setattr(spec, head, _copy.deepcopy(value))
+                changes[head] = _copy.deepcopy(value)
                 continue
-            container = getattr(spec, head)
+            if head not in changes:
+                changes[head] = _copy.deepcopy(getattr(self, head))
+            container = changes[head]
             if not isinstance(container, dict):
                 raise KeyError(
                     f"cannot apply nested override {path!r}: field {head!r} "
@@ -143,7 +149,34 @@ class ScenarioSpec:
                 if not isinstance(container, dict):
                     raise KeyError(f"override path {path!r} crosses a non-dict value")
             container[keys[-1]] = _copy.deepcopy(value)
-        return spec
+        return replace(self, **changes)
+
+    def with_seed(self, seed: int) -> "ScenarioSpec":
+        """A shallow copy at another seed, sharing every section with
+        ``self``.
+
+        Skips :meth:`__post_init__`: ``self`` passed it and no seed is
+        invalid.  The execution layer builds one per unit job.
+        """
+        clone = object.__new__(type(self))
+        # Every field, in the order ``__init__`` assigns them: the clone then
+        # keeps CPython's compact attribute layout, on which ``spec_hash``
+        # (it reads every field) is faster than on a copied ``__dict__``.
+        clone.name = self.name
+        clone.family = self.family
+        clone.description = self.description
+        clone.claim = self.claim
+        clone.architecture = self.architecture
+        clone.topology = self.topology
+        clone.churn = self.churn
+        clone.workload = self.workload
+        clone.duration = self.duration
+        clone.seed = seed
+        clone.replicates = self.replicates
+        clone.metrics = self.metrics
+        clone.sweeps = self.sweeps
+        clone.variants = self.variants
+        return clone
 
     # ------------------------------------------------------------------
     # Sweep expansion
@@ -163,8 +196,8 @@ class ScenarioSpec:
             list(self.variants.items()) if self.variants else [("", {})]
         )
         sweep_axes = list(self.sweeps.items())
-        # The axes are dropped once, here, so that no point copies them
-        # (``with_overrides`` deep-copies what it is called on).
+        # The axes are dropped once, here; points share every section that
+        # their overrides do not touch with ``base`` (and ``self``).
         base = replace(self, sweeps={}, variants={})
         expanded: List[Tuple[str, ScenarioSpec]] = []
         for variant_label, variant_overrides in variant_items:

@@ -110,6 +110,14 @@ class TestMalformedSweeps:
         err = capsys.readouterr().err
         assert "unknown spec field" in err and one_line(err)
 
+    def test_sweep_to_an_invalid_spec(self, capsys):
+        # Each point is validated like a constructed spec: a replicates=0
+        # point is a usage error, not a result with no replicates.
+        assert run_main(["pos-slashing", "--sweep", "replicates=0,1",
+                         "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert "replicates must be >= 1" in err and one_line(err)
+
     def test_sweep_on_study_rejected(self):
         with pytest.raises(SystemExit, match="studies declare"):
             run_main(["study", "figure1", "--sweep", "seed=1,2"])

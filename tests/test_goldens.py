@@ -13,6 +13,8 @@ Two properties over *every* registered scenario and study, trimmed by
   not just PoW.
 * **Determinism** — running the same trimmed configuration twice in one
   process yields byte-identical ``to_json()`` output.
+* **Read-only specs** — every run leaves the canonical JSON of each slot
+  and unit-job spec of its plan unchanged.
 
 The first run of each configuration is shared between the two tests, so
 the whole gate costs roughly two trimmed passes over the registry.
@@ -23,6 +25,7 @@ import pytest
 from repro.analysis.diff import diff_resultsets
 from repro.analysis.resultset import ResultSet
 from repro.scenarios import goldens
+from repro.scenarios.execution import execute_plan
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.study import study_names
 
@@ -34,10 +37,26 @@ IDS = [name for _, name in ENTRIES]
 _FIRST_RUN: dict = {}
 
 
+def _spec_snapshot(plan) -> list:
+    return ([slot.spec.canonical_json() for slot in plan.slots]
+            + [job.spec.canonical_json() for job in plan.jobs])
+
+
 def _run(kind: str, name: str) -> str:
-    runner = (goldens.run_golden_scenario if kind == "scenario"
-              else goldens.run_golden_study)
-    return runner(name).to_json()
+    """The golden's serial run; asserts that running it wrote into no spec.
+
+    Job specs share their nested sections (``architecture``, ``workload``,
+    ``topology``, ``churn``) with their point and each other, so an
+    experiment that writes into one would leak into every other job.
+    """
+    plan = goldens.golden_plan(kind, name)
+    before = _spec_snapshot(plan)
+    text = execute_plan(plan).to_json()
+    assert _spec_snapshot(plan) == before, (
+        f"running {kind} {name!r} wrote into a slot or job spec; "
+        f"experiments must treat specs as read-only"
+    )
+    return text
 
 
 def _first_run(kind: str, name: str) -> str:

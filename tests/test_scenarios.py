@@ -1,6 +1,7 @@
 """The scenario framework: specs, registry, adapters, runner and CLI."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.run import main as run_main
+from repro.scenarios.runner import resolve_spec
 
 
 class TestScenarioSpec:
@@ -34,6 +36,24 @@ class TestScenarioSpec:
         # The original is untouched.
         assert spec.topology["size"] == 100
         assert "client_overrides" not in spec.architecture
+
+    def test_overrides_are_validated(self):
+        spec = ScenarioSpec(name="x", family="overlay")
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            spec.with_overrides({"replicates": 0})
+        with pytest.raises(ValueError, match="unknown metrics mode"):
+            spec.with_overrides({"metrics": "approximate"})
+        with pytest.raises(ValueError, match="replicates must be >= 1"):
+            resolve_spec(spec, replicates=0)
+
+    def test_with_seed_copies_every_field(self):
+        spec = ScenarioSpec(name="x", family="edge", description="d",
+                            claim="E1", architecture={"a": 1}, churn="kad",
+                            duration=2.0, seed=3, replicates=4,
+                            metrics="streaming", sweeps={"seed": [1]})
+        clone = spec.with_seed(9)
+        assert clone == replace(spec, seed=9)
+        assert clone.architecture is spec.architecture
 
     def test_with_overrides_rejects_unknown_field(self):
         spec = ScenarioSpec(name="x", family="overlay")
