@@ -53,11 +53,13 @@ experiments:
 goldens:
 	PYTHONPATH=src $(PY) -m repro.scenarios.goldens
 
-# Fault-tolerance gate: the scripted crash/retry/degrade suite and the
-# unit-cache segments under hostile conditions (cut and damaged at every
-# byte, two writer processes, a writer SIGKILLed mid-grid), then the
-# trimmed figure1 study on the --jobs 2 pool with every unit job's worker
-# killed on its first attempt — supervision must retry, complete, and save
+# Fault-tolerance gate: the scripted crash/retry/degrade suite (its
+# fixtures — a plan installed around one backend call, a torn unit-cache
+# write — live in tests/fault_fixtures.py) and the unit-cache segments
+# under hostile conditions (cut and damaged at every byte, two writer
+# processes, a writer SIGKILLed mid-grid), then the trimmed figure1 study
+# on the --jobs 2 pool with REPRO_FAULT_PLAN killing every unit job's
+# worker on its first attempt — supervision must retry, complete, and save
 # a run whose failure manifest is empty (byte-identical to the fault-free
 # golden by construction; asserted by the CI chaos job).
 chaos:

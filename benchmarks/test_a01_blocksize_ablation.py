@@ -1,8 +1,8 @@
 """A1 — block size vs stale rate: why "just raise the block size" is not free.
 
-Design-choice ablation called out in DESIGN.md: larger blocks raise the
-throughput ceiling but propagate more slowly, so the fork/stale rate grows,
-weakening security and favouring well-connected (centralized) miners.
+Design-choice ablation: larger blocks raise the throughput ceiling but
+propagate more slowly, so the fork/stale rate grows, weakening security
+and favouring well-connected (centralized) miners.
 """
 
 from repro.analysis.tables import ResultTable

@@ -5,10 +5,7 @@ from repro.analysis.resultset import ResultSet
 from repro.analysis.runstore import GcReport, RunRecord, RunStore, StoreProblem
 from repro.analysis.stats import (
     bootstrap_ci,
-    cdf_points,
     describe,
-    geometric_mean,
-    linear_fit,
     mean,
     percentile,
     stdev,
@@ -17,11 +14,8 @@ from repro.analysis.tables import ResultTable
 
 __all__ = [
     "bootstrap_ci",
-    "cdf_points",
     "describe",
     "diff_resultsets",
-    "geometric_mean",
-    "linear_fit",
     "mean",
     "percentile",
     "stdev",

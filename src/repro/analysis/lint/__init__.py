@@ -39,7 +39,7 @@ from repro.analysis.lint.framework import (
     lint_sources,
     load_source,
 )
-from repro.analysis.lint.rules import ALL_RULES, RULES_BY_CODE, rule_for
+from repro.analysis.lint.rules import ALL_RULES, RULES_BY_CODE
 from repro.analysis.lint.cli import main
 
 __all__ = [
@@ -56,5 +56,4 @@ __all__ = [
     "load_config",
     "load_source",
     "main",
-    "rule_for",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 from repro.analysis.lint.config import LintConfig
 from repro.analysis.lint.framework import Finding, ModuleSource, Rule
@@ -587,8 +587,3 @@ ALL_RULES: Tuple[Rule, ...] = (
 )
 
 RULES_BY_CODE: Dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}
-
-
-def rule_for(code: str) -> Optional[Rule]:
-    """The rule registered under ``code``, if any."""
-    return RULES_BY_CODE.get(code)

@@ -5,7 +5,7 @@ Everything the framework produces more than one
 expansion, a replicate fan-out, a cross-family study — lands in a
 :class:`ResultSet`.  It gives sweep/study output a query surface instead of
 a raw list: ``filter``/``group_by``/``aggregate`` return new ResultSets,
-``pivot``/``to_table`` render through
+``to_table`` renders through
 :class:`~repro.analysis.tables.ResultTable`, ``ci95`` exposes per-metric
 95% bootstrap confidence intervals computed from the replicates, and
 ``to_json`` is deterministic (two runs of the same spec set at the same
@@ -24,8 +24,7 @@ Usage::
     from repro.scenarios import run_sweep
     points = run_sweep("bft-committee-sweep")          # a ResultSet
     small = points.filter(**{"architecture.replicas": [4, 7]})
-    table = points.pivot(rows="architecture.replicas",
-                         cols="family", metric="throughput_tps")
+    table = points.to_table(metrics=["throughput_tps"])
     lo, hi = points.aggregate(by="scenario")[0].ci95("throughput_tps")
 
 Rendering contract
@@ -56,7 +55,6 @@ from typing import (
 )
 
 from repro.analysis import jsonfmt
-from repro.analysis.stats import mean
 from repro.analysis.tables import ResultTable
 
 #: An axis is a callable or a name resolved by :func:`axis_value`.
@@ -310,29 +308,6 @@ class ResultSet:
                 cells.append(aggregated.get(metric, "-"))
                 if ci:
                     cells.append(_format_interval(result, metric))
-            table.add_row(*cells)
-        return table
-
-    def pivot(self, rows: Axis, cols: Axis, metric: str) -> ResultTable:
-        """A rows-by-cols table of one metric (mean over matching results)."""
-        row_keys = self.axis_values(rows)
-        col_keys = self.axis_values(cols)
-        row_name = rows if isinstance(rows, str) else "key"
-        table = ResultTable(
-            [row_name] + [str(key) for key in col_keys],
-            title=f"{metric} by {row_name} x {cols if isinstance(cols, str) else 'key'}",
-        )
-        for row_key in row_keys:
-            cells: List[object] = [str(row_key)]
-            for col_key in col_keys:
-                values = [
-                    result.metrics[metric]
-                    for result in self._results
-                    if axis_value(result, rows) == row_key
-                    and axis_value(result, cols) == col_key
-                    and metric in result.metrics
-                ]
-                cells.append(mean(values) if values else "-")
             table.add_row(*cells)
         return table
 

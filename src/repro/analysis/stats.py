@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 
 def mean(values: Sequence[float]) -> float:
@@ -25,14 +25,6 @@ def stdev(values: Sequence[float]) -> float:
         return 0.0
     mu = mean(values)
     return math.sqrt(sum((value - mu) ** 2 for value in values) / len(values))
-
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of strictly positive values; 0.0 for an empty input."""
-    values = [value for value in values if value > 0]
-    if not values:
-        return 0.0
-    return math.exp(sum(math.log(value) for value in values) / len(values))
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -71,13 +63,6 @@ def describe(values: Sequence[float]) -> Dict[str, float]:
     }
 
 
-def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF as sorted (value, cumulative fraction) pairs."""
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
-
-
 def bootstrap_ci(
     values: Sequence[float],
     confidence: float = 0.95,
@@ -100,21 +85,3 @@ def bootstrap_ci(
         percentile(resampled_means, 100.0 * alpha),
         percentile(resampled_means, 100.0 * (1.0 - alpha)),
     )
-
-
-def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> Tuple[float, float]:
-    """Least-squares fit ``y = slope * x + intercept``; returns (slope, intercept)."""
-    xs = list(xs)
-    ys = list(ys)
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have the same length")
-    if len(xs) < 2:
-        return (0.0, ys[0] if ys else 0.0)
-    mean_x = mean(xs)
-    mean_y = mean(ys)
-    covariance = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    variance = sum((x - mean_x) ** 2 for x in xs)
-    if variance == 0:
-        return (0.0, mean_y)
-    slope = covariance / variance
-    return (slope, mean_y - slope * mean_x)

@@ -8,7 +8,7 @@ into ``EXPERIMENTS.md``).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 
 class ResultTable:
@@ -37,17 +37,6 @@ class ResultTable:
                 )
             row = list(values)
         self.rows.append([self._format(value) for value in row])
-
-    def as_dicts(self) -> List[Dict[str, str]]:
-        """Rows as dictionaries keyed by column name."""
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
-    def column(self, name: str) -> List[str]:
-        """All formatted values of one column."""
-        if name not in self.columns:
-            raise KeyError(name)
-        index = self.columns.index(name)
-        return [row[index] for row in self.rows]
 
     def render(self) -> str:
         """Render the table as aligned plain text."""

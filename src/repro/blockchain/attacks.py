@@ -111,23 +111,3 @@ def sybil_resistance_table(
             }
         )
     return rows
-
-
-def cost_of_majority_attack(
-    network_hashrate: float,
-    hardware_cost_per_hash: float,
-    electricity_cost_per_hash_hour: float,
-    attack_hours: float = 1.0,
-) -> Dict[str, float]:
-    """Back-of-envelope capital + operating cost of renting a 51% majority."""
-    if network_hashrate <= 0:
-        raise ValueError("network hashrate must be positive")
-    needed = network_hashrate * 1.02   # slightly more than the honest network
-    capital = needed * hardware_cost_per_hash
-    operating = needed * electricity_cost_per_hash_hour * attack_hours
-    return {
-        "required_hashrate": needed,
-        "capital_cost": capital,
-        "operating_cost": operating,
-        "total_cost": capital + operating,
-    }

@@ -137,24 +137,6 @@ class BlockTree:
         main = set(self.chain_hashes())
         return [block for block_hash, block in self.blocks.items() if block_hash not in main]
 
-    def confirmations(self, block_hash: str) -> int:
-        """Depth of a block under the head (0 if not on the main chain)."""
-        block = self.blocks.get(block_hash)
-        if block is None or self._ancestor_at(self.head, block.height).hash != block_hash:
-            return 0
-        return self.head.height - block.height + 1
-
-    def confirmed_transactions(self, min_confirmations: int = 1) -> List:
-        """Transactions on the main chain with at least ``min_confirmations``."""
-        main = self.main_chain()
-        if min_confirmations > 1:
-            cutoff = len(main) - (min_confirmations - 1)
-            main = main[:cutoff] if cutoff > 0 else []
-        transactions = []
-        for block in main:
-            transactions.extend(block.transactions)
-        return transactions
-
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------

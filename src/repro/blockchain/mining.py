@@ -66,12 +66,6 @@ class DifficultyAdjuster:
         self._blocks_in_window = 0
         self.adjustment_history: List[float] = [self.difficulty]
 
-    def expected_interval(self, network_hashrate: float) -> float:
-        """Expected time between blocks at the current difficulty."""
-        if network_hashrate <= 0:
-            return float("inf")
-        return self.difficulty / network_hashrate
-
     def record_block(self, timestamp: float) -> bool:
         """Record a block on the main chain; returns ``True`` when a retarget fired."""
         if self._window_start_time is None:

@@ -133,10 +133,6 @@ class Block:
         """Number of transactions confirmed by this block."""
         return len(self.transactions)
 
-    def total_fees(self) -> float:
-        """Sum of the fees offered by the included transactions."""
-        return sum(tx.fee for tx in self.transactions)
-
     @classmethod
     def genesis(cls, timestamp: float = 0.0) -> "Block":
         """The canonical first block of a chain."""

@@ -109,7 +109,3 @@ class CpuBoundNode(Node):
             handler(message)
         else:
             self.on_unknown(message)
-
-    def cpu_utilisation(self, elapsed: float) -> float:
-        """Fraction of the elapsed virtual time this node's CPU was busy."""
-        return min(1.0, self.cpu_busy_time / elapsed) if elapsed > 0 else 0.0

@@ -7,7 +7,7 @@ Experiment E15's permissioned-vs-permissionless comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 from repro.consensus.base import ConsensusMetrics, ReplicaParams
 from repro.consensus.pbft import PBFTCluster, PBFTConfig
@@ -57,28 +57,3 @@ class ConsensusBenchmark:
             )
             return cluster.run_workload(config.request_rate, config.duration)
         raise ValueError(f"unknown protocol {config.protocol!r}")
-
-
-def committee_size_sweep(
-    sizes: List[int],
-    protocol: str = "pbft",
-    request_rate: float = 2000.0,
-    duration: float = 5.0,
-    seed: int = 0,
-) -> List[Dict[str, float]]:
-    """Throughput/latency as the committee grows (ablation A2)."""
-    rows: List[Dict[str, float]] = []
-    for size in sizes:
-        metrics = ConsensusBenchmark(
-            ConsensusBenchmarkConfig(
-                protocol=protocol,
-                replicas=size,
-                request_rate=request_rate,
-                duration=duration,
-                seed=seed,
-            )
-        ).run()
-        row = {"protocol": protocol}
-        row.update(metrics.summary())
-        rows.append(row)
-    return rows

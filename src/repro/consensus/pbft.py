@@ -236,22 +236,6 @@ class PBFTCluster:
         self._commit_votes: Dict[int, Set[int]] = {}
 
     # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-    def make_byzantine(self, count: int) -> List[int]:
-        """Silence ``count`` replicas (never the primary of view 0)."""
-        candidates = [replica.index for replica in self.replicas if replica.index != 0]
-        chosen = self.rng.sample(candidates, min(count, len(candidates)))
-        for index in chosen:
-            self.replicas[index].byzantine = True
-        return chosen
-
-    def crash_primary(self) -> None:
-        """Take the current primary offline (a view change will be needed)."""
-        primary = self.replicas[self.replicas[0].view % self.config.replicas]
-        primary.go_offline()
-
-    # ------------------------------------------------------------------
     # Client workload
     # ------------------------------------------------------------------
     @property

@@ -268,14 +268,6 @@ class RaftCluster:
         leader.submit_request(self.sim.now)
         return True
 
-    def crash_leader(self) -> Optional[int]:
-        """Crash the current leader; returns its index."""
-        leader = self.leader
-        if leader is None:
-            return None
-        leader.go_offline()
-        return leader.index
-
     def record_commit(self, entry: _LogEntry) -> None:
         """Account a committed batch."""
         self.committed_requests += len(entry.request_times)

@@ -18,7 +18,7 @@ from repro.core.decision import (
     Recommendation,
     recommend_architecture,
 )
-from repro.core.claims import Claim, CLAIMS, claims_by_id
+from repro.core.claims import Claim, CLAIMS
 
 __all__ = [
     "DecisionInput",
@@ -26,5 +26,4 @@ __all__ = [
     "recommend_architecture",
     "Claim",
     "CLAIMS",
-    "claims_by_id",
 ]

@@ -8,7 +8,7 @@ human-readable rendering of this registry plus the measured values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,3 @@ CLAIMS: List[Claim] = [
         ("repro.edge", "repro.permissioned", "repro.scenarios.study"),
     ),
 ]
-
-
-def claims_by_id() -> Dict[str, Claim]:
-    """The registry keyed by claim id."""
-    return {claim.claim_id: claim for claim in CLAIMS}

@@ -23,7 +23,7 @@ recommendation and the reasons, so examples and tests can check the logic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List
 
 
 @dataclass
@@ -47,10 +47,6 @@ class Recommendation:
     architecture: str
     reasons: List[str] = field(default_factory=list)
     warnings: List[str] = field(default_factory=list)
-
-    def is_blockchain(self) -> bool:
-        """Whether any kind of blockchain was recommended."""
-        return "blockchain" in self.architecture
 
 
 def recommend_architecture(application: DecisionInput) -> Recommendation:
@@ -111,59 +107,3 @@ def recommend_architecture(application: DecisionInput) -> Recommendation:
     )
     warnings.append("a permissionless blockchain is the only remaining option, with all its costs")
     return Recommendation("permissionless-blockchain", reasons, warnings)
-
-
-def decision_matrix() -> List[Dict[str, object]]:
-    """The use cases of Section V-A run through the framework (for tests/docs)."""
-    cases = {
-        "supply-chain": DecisionInput(
-            participants_known=True,
-            participants_mutually_trusting=False,
-            latency_sensitive=False,
-            audit_trail_required=True,
-            throughput_tps_required=500,
-        ),
-        "healthcare": DecisionInput(
-            participants_known=True,
-            participants_mutually_trusting=False,
-            data_locality_required=True,
-            audit_trail_required=True,
-            throughput_tps_required=200,
-        ),
-        "education-credentials": DecisionInput(
-            participants_known=True,
-            participants_mutually_trusting=False,
-            throughput_tps_required=50,
-        ),
-        "smart-grid": DecisionInput(
-            participants_known=True,
-            participants_mutually_trusting=False,
-            latency_sensitive=True,
-            data_locality_required=True,
-            throughput_tps_required=2000,
-        ),
-        "consumer-web-app": DecisionInput(
-            participants_known=True,
-            participants_mutually_trusting=True,
-            single_trusted_operator_acceptable=True,
-            latency_sensitive=True,
-            throughput_tps_required=50_000,
-        ),
-        "censorship-resistant-currency": DecisionInput(
-            participants_known=False,
-            open_anonymous_participation_required=True,
-            throughput_tps_required=5,
-            audit_trail_required=False,
-        ),
-    }
-    rows = []
-    for name, application in cases.items():
-        recommendation = recommend_architecture(application)
-        rows.append(
-            {
-                "use_case": name,
-                "recommendation": recommendation.architecture,
-                "warnings": len(recommendation.warnings),
-            }
-        )
-    return rows

@@ -64,6 +64,7 @@ from repro.distributed.protocol import (
     accept,
     create_listener,
     listener_address,
+    parse_address,
     recv_frame,
     send_frame,
 )
@@ -934,6 +935,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="run without a journal: a broker crash "
                              "loses every queued run")
     args = parser.parse_args(argv)
+    try:
+        parse_address(args.listen)
+    except ValueError as error:
+        print(f"repro-broker: --listen: {error}", file=sys.stderr)
+        return 2
     journal = None
     if not args.no_journal:
         from repro.analysis.runstore import default_runs_dir

@@ -76,7 +76,7 @@ def recv_frame(sock: socket.socket) -> Optional[Dict[str, object]]:
     if length > MAX_FRAME_BYTES:
         raise FrameError(
             f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte limit")
-    payload = _recv_exact(sock, length) if length else b""
+    payload = _recv_exact(sock, length) or b""  # EOF here raises, never None
     try:
         message = json.loads(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as error:
@@ -140,16 +140,9 @@ def parse_address(text: str) -> Address:
         port_number = int(port)
     except ValueError:
         raise ValueError(f"address {text!r} has a non-numeric port") from None
+    if not 0 <= port_number <= 65535:
+        raise ValueError(f"address {text!r} has a port outside 0-65535")
     return ("tcp", (host or "127.0.0.1", port_number))
-
-
-def format_address(address: Address) -> str:
-    """The canonical string spelling of a parsed address."""
-    kind, endpoint = address
-    if kind == "unix":
-        return f"unix:{endpoint}"
-    host, port = endpoint  # type: ignore[misc]
-    return f"{host}:{port}"
 
 
 def _set_nodelay(sock: socket.socket) -> None:

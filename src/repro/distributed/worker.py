@@ -54,6 +54,7 @@ from typing import Dict, List, Optional
 from repro.distributed.protocol import (
     FrameError,
     connect,
+    parse_address,
     recv_frame,
     send_frame,
     wait_readable,
@@ -312,6 +313,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         default=DEFAULT_CONNECT_TIMEOUT_S, metavar="S",
                         help="seconds to keep retrying the first connection")
     args = parser.parse_args(argv)
+    try:
+        parse_address(args.broker)
+    except ValueError as error:
+        print(f"repro-worker: --broker: {error}", file=sys.stderr)
+        return 2
 
     # Mark this process as a worker so a scripted ``kill`` fault
     # (REPRO_FAULT_PLAN) hard-exits it the way it does pool workers.

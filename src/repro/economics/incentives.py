@@ -111,13 +111,6 @@ class MiningEconomics:
         blocks_per_day = self.expected_blocks_per_day(profile, units)
         return float("inf") if blocks_per_day == 0 else 1.0 / blocks_per_day
 
-    def breakeven_electricity_price(self, profile: MinerProfile) -> float:
-        """Electricity price ($/kWh) at which this hardware's profit is zero."""
-        kwh_per_day = profile.power_watts * 24.0 / 1000.0
-        if kwh_per_day == 0:
-            return float("inf")
-        return self.expected_daily_revenue_usd(profile) / kwh_per_day
-
     # ------------------------------------------------------------------
     # Comparative reports
     # ------------------------------------------------------------------
@@ -139,7 +132,3 @@ class MiningEconomics:
                 }
             )
         return rows
-
-    def solo_mining_viable(self, profile: MinerProfile, horizon_days: float = 365.0) -> bool:
-        """Whether a solo miner can expect to find ≥1 block within the horizon."""
-        return self.expected_days_per_block(profile) <= horizon_days

@@ -160,14 +160,6 @@ class MarketModel:
         """Current concentration metrics."""
         return self.snapshot().concentration()
 
-    def share_trajectory(self, top_k: int = 3) -> List[float]:
-        """Top-k combined share over time (one value per recorded snapshot)."""
-        trajectory = []
-        for snapshot in self.history:
-            metrics = snapshot.concentration()
-            trajectory.append(metrics[f"top{top_k}"] if f"top{top_k}" in metrics else 0.0)
-        return trajectory
-
 
 def observed_market_reference() -> Dict[str, Dict[str, float]]:
     """The concentration figures quoted in Section I of the paper.

@@ -156,7 +156,3 @@ class EdgeTopology:
     def central(self) -> Site:
         """The central cloud site."""
         return self.central_sites[0]
-
-    def device_count(self) -> int:
-        """Total number of end devices in the topology."""
-        return len(self.devices)

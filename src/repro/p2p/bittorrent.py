@@ -85,13 +85,6 @@ class SwarmResult:
             return float("inf")
         return free_rider_time / contributor_time
 
-    def post_completion_seed_ratio(self) -> float:
-        """Seeds remaining at the end divided by the swarm's peak seed count."""
-        if not self.seeds_over_time:
-            return 0.0
-        peak = max(self.seeds_over_time)
-        return self.seeds_over_time[-1] / peak if peak else 0.0
-
 
 class TitForTatSwarm:
     """Round-based BitTorrent swarm with tit-for-tat choking."""

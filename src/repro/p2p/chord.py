@@ -161,19 +161,6 @@ class ChordNetwork:
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def average_hops(self, lookups: int = 200) -> float:
-        """Mean hop count over random successful lookups."""
-        alive = list(self.alive_ids())
-        total = 0
-        successes = 0
-        for _ in range(lookups):
-            origin = self.rng.choice(alive)
-            key = random_id(self.rng)
-            result = self.lookup(origin, key)
-            if result.success:
-                total += result.hops
-                successes += 1
-        return total / successes if successes else float("inf")
 
     def routing_state_per_node(self) -> float:
         """Average number of routing entries (fingers + successors) per node."""

@@ -57,13 +57,3 @@ def bucket_index(a: int, b: int) -> int:
 def closest(ids: Iterable[int], target: int, count: int = 1) -> List[int]:
     """The ``count`` identifiers closest to ``target`` by XOR distance."""
     return sorted(ids, key=lambda identifier: xor_distance(identifier, target))[:count]
-
-
-def shares_prefix_bits(a: int, b: int, bits: int) -> bool:
-    """Whether two identifiers share their ``bits`` most significant bits."""
-    if bits <= 0:
-        return True
-    if bits > ID_BITS:
-        raise ValueError("cannot compare more bits than the identifier has")
-    shift = ID_BITS - bits
-    return (a >> shift) == (b >> shift)

@@ -136,11 +136,6 @@ class LookupResult:
     timeouts: int
     closest: List[int] = field(default_factory=list)
 
-    @property
-    def found_target(self) -> bool:
-        """Whether the exact target identifier appears in the closest set."""
-        return self.target in self.closest
-
 
 class KademliaNode(Node):
     """A single Kademlia peer with a k-bucket routing table."""

@@ -134,30 +134,3 @@ class GnutellaNetwork:
             origin = self.rng.randint(0, self.config.size - 1)
             outcomes.append(self.query(origin))
         return outcomes
-
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def recall_and_cost(self, count: int = 200) -> Dict[str, float]:
-        """Aggregate query success rate and message cost."""
-        outcomes = self.run_queries(count)
-        found = [outcome for outcome in outcomes if outcome.found]
-        return {
-            "queries": float(len(outcomes)),
-            "recall": len(found) / len(outcomes) if outcomes else 0.0,
-            "mean_messages_per_query": (
-                sum(outcome.messages for outcome in outcomes) / len(outcomes)
-                if outcomes
-                else 0.0
-            ),
-            "mean_peers_reached": (
-                sum(outcome.peers_reached for outcome in outcomes) / len(outcomes)
-                if outcomes
-                else 0.0
-            ),
-            "mean_hops_to_hit": (
-                sum(outcome.first_hit_hops or 0 for outcome in found) / len(found)
-                if found
-                else 0.0
-            ),
-        }

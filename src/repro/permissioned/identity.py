@@ -4,8 +4,8 @@
 authenticate the nodes that control and update the shared state and to
 authorize who can issue transactions."  Certificates are modelled as opaque
 tokens issued by an organization's CA; what matters behaviourally is that
-(a) only enrolled identities can act, (b) identities are bound to an
-organization, and (c) revocation takes effect immediately.
+(a) only enrolled identities can act and (b) identities are bound to an
+organization.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,6 @@ class Identity:
     organization: str
     role: str = "member"          # "member", "peer", "orderer", "admin", "client"
     certificate: str = ""
-
-    def is_role(self, role: str) -> bool:
-        """Whether this identity carries the given role."""
-        return self.role == role
 
 
 @dataclass
@@ -43,12 +39,11 @@ class Organization:
 
 
 class MembershipService:
-    """Issues, validates and revokes identities for a consortium."""
+    """Admits organizations and issues identities for a consortium."""
 
     def __init__(self, organizations: Optional[List[Organization]] = None) -> None:
         self.organizations: Dict[str, Organization] = {}
         self._identities: Dict[str, Identity] = {}
-        self._revoked: Set[str] = set()
         self._serial = itertools.count(1)
         for organization in organizations or []:
             self.add_organization(organization)
@@ -74,7 +69,7 @@ class MembershipService:
         """Issue a certificate for ``name`` under ``organization``."""
         if organization not in self.organizations:
             raise KeyError(f"unknown organization {organization!r}")
-        if name in self._identities and name not in self._revoked:
+        if name in self._identities:
             raise ValueError(f"identity {name!r} already enrolled")
         serial = next(self._serial)
         certificate = hashlib.sha256(
@@ -82,40 +77,10 @@ class MembershipService:
         ).hexdigest()
         identity = Identity(name=name, organization=organization, role=role, certificate=certificate)
         self._identities[name] = identity
-        self._revoked.discard(name)
         return identity
-
-    def revoke(self, name: str) -> None:
-        """Revoke an identity; it can no longer authenticate."""
-        if name not in self._identities:
-            raise KeyError(f"unknown identity {name!r}")
-        self._revoked.add(name)
-
-    def is_valid(self, identity: Identity) -> bool:
-        """Whether the identity is enrolled, unrevoked and unmodified."""
-        known = self._identities.get(identity.name)
-        if known is None or identity.name in self._revoked:
-            return False
-        return known.certificate == identity.certificate
 
     def get(self, name: str) -> Identity:
         """Look up an enrolled identity by name."""
-        if name not in self._identities or name in self._revoked:
-            raise KeyError(f"unknown or revoked identity {name!r}")
+        if name not in self._identities:
+            raise KeyError(f"unknown identity {name!r}")
         return self._identities[name]
-
-    def identities_of(self, organization: str, role: Optional[str] = None) -> List[Identity]:
-        """All valid identities of an organization (optionally of one role)."""
-        result = []
-        for name, identity in self._identities.items():
-            if name in self._revoked or identity.organization != organization:
-                continue
-            if role is not None and identity.role != role:
-                continue
-            result.append(identity)
-        return result
-
-    def authorize(self, identity: Identity, required_role: str) -> bool:
-        """Authentication plus role check — the permissioning the paper contrasts
-        with open membership."""
-        return self.is_valid(identity) and identity.role == required_role

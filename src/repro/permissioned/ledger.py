@@ -30,11 +30,6 @@ class ReadWriteSet:
     reads: Dict[str, int] = field(default_factory=dict)
     writes: Dict[str, object] = field(default_factory=dict)
 
-    def merge(self, other: "ReadWriteSet") -> None:
-        """Fold another read/write set into this one."""
-        self.reads.update(other.reads)
-        self.writes.update(other.writes)
-
 
 class WorldState:
     """Versioned key-value store: every write bumps the key's version."""

@@ -78,7 +78,8 @@ instead of aborting the run — the partial results are printed/saved, a
 failure table goes to stderr, and the process exits 3.  Because failed
 jobs never enter the unit cache, re-running the same ``--save`` command
 executes only the failed units.  Exit codes: 0 success, 1 drift
-(``diff``), 2 usage error, 3 partial failure.
+(``diff``, and damage found by ``verify``), 2 usage error (one line on
+stderr), 3 partial failure.
 
 ``--set``/``--sweep`` values are parsed as JSON where possible (``none`` →
 null), so ``--set churn=none`` and ``--set 'churn={"mean_session": 600}'``
@@ -417,11 +418,9 @@ def _run_diff_command(args) -> int:
             print(f"ci-overlap: {unit.display}.{delta.metric} "
                   f"[{delta.a:.6g} vs {delta.b:.6g}] intervals are disjoint",
                   file=sys.stderr)
-    if not report.identical:
-        return 1
-    if failures and args.strict_ci:
-        return 1
-    return 0
+    if not report.identical or (failures and args.strict_ci):
+        return EXIT_DRIFT
+    return EXIT_OK
 
 
 def _run_gc_command(args) -> int:
@@ -435,7 +434,7 @@ def _run_gc_command(args) -> int:
         for name in removed:
             print(("would remove " if args.dry_run else "removed ") + name)
         print(f"gc {store.root}: {report.summary()}")
-    return 0
+    return EXIT_OK
 
 
 def _run_verify_command(args) -> int:
@@ -447,12 +446,12 @@ def _run_verify_command(args) -> int:
     if not problems:
         if not args.quiet:
             print(f"verify {store.root}: all objects, records and units healthy")
-        return 0
+        return EXIT_OK
     for problem in problems:
         print(problem, file=sys.stderr)
     print(f"verify {store.root}: {len(problems)} problem(s) found",
           file=sys.stderr)
-    return 1
+    return EXIT_DRIFT
 
 
 def _run_ls_command(args) -> int:
@@ -461,7 +460,7 @@ def _run_ls_command(args) -> int:
     if not records:
         print(f"no saved runs under {store.root} "
               f"(save one with: repro-run study figure1 --save NAME)")
-        return 0
+        return EXIT_OK
     table = ResultTable(["name", "results", "failures", "labels", "saved at",
                          "object"],
                         title=f"Saved runs in {store.root} (repro-run show <name>)")
@@ -473,7 +472,7 @@ def _run_ls_command(args) -> int:
                       record.failures or "-", labels,
                       record.saved_at, record.object_hash[:12])
     print(table.render())
-    return 0
+    return EXIT_OK
 
 
 def _run_show_command(args) -> int:
@@ -483,25 +482,23 @@ def _run_show_command(args) -> int:
     try:
         results = store.load(args.name)
     except (KeyError, ValueError) as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
+        raise SystemExit(error.args[0])
     if not args.quiet:
         _print_resultset(results, title=f"saved run {args.name}: "
                                         f"{results.name or 'result set'}")
     if args.json_out:
         _emit_json(results.to_json(), args.json_out, args.quiet)
-    return 0
+    return EXIT_OK
 
 
 def _run_study_command(args) -> int:
     if not args.name:
         _list_studies()
-        return 2
+        return EXIT_USAGE
     try:
         study = get_study(args.name)
     except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
+        raise SystemExit(error.args[0])
     if args.sweeps:
         raise SystemExit("--sweep applies to scenarios; studies declare their "
                          "sweeps on swept members")
@@ -516,9 +513,8 @@ def _run_study_command(args) -> int:
                 f"{study.member_labels()}, or '*'), got {assignment!r}"
             )
         if member != "*" and member not in study.member_labels():
-            print(f"unknown member {member!r} of study {study.name!r}; "
-                  f"members: {study.member_labels()}", file=sys.stderr)
-            return 2
+            raise SystemExit(f"unknown member {member!r} of study "
+                             f"{study.name!r}; members: {study.member_labels()}")
         member_overrides.setdefault(member, {})[rest] = _parse_value(value)
 
     members = [label.strip() for label in args.members.split(",")] \
@@ -532,8 +528,7 @@ def _run_study_command(args) -> int:
                              replicates=args.replicates, members=members,
                              member_overrides=member_overrides)
     except (KeyError, ValueError) as error:
-        print(error.args[0] if error.args else error, file=sys.stderr)
-        return 2
+        raise SystemExit(str(error.args[0] if error.args else error))
     try:
         results = execute_plan(plan, backend=_backend_from_args(args),
                                store=store, progress=args.progress,
@@ -558,8 +553,7 @@ def _run_scenario_command(args, name: str, base_only: bool = False) -> int:
     try:
         spec = get_scenario(name)
     except KeyError as error:
-        print(error.args[0], file=sys.stderr)
-        return 2
+        raise SystemExit(error.args[0])
 
     if base_only:
         # `repro-run run NAME`: the base configuration only — registered
@@ -585,8 +579,7 @@ def _run_scenario_command(args, name: str, base_only: bool = False) -> int:
         plan = compile_sweep(spec, overrides=overrides, seed=args.seed,
                              replicates=args.replicates)
     except (KeyError, ValueError) as error:
-        print(error.args[0] if error.args else error, file=sys.stderr)
-        return 2
+        raise SystemExit(str(error.args[0] if error.args else error))
     try:
         results = execute_plan(plan, backend=_backend_from_args(args),
                                store=store, progress=args.progress,
@@ -615,6 +608,22 @@ def _run_scenario_command(args, name: str, base_only: bool = False) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """``repro-run``: a usage error is one line on stderr and exit 2.
+
+    Every usage error is raised as ``SystemExit("message")``; this maps it
+    to :data:`EXIT_USAGE`.  argparse's own exits (``--help``, a bad
+    flag) carry their code and pass through.
+    """
+    try:
+        return _main(argv)
+    except SystemExit as error:
+        if error.code is None or isinstance(error.code, int):
+            raise
+        print(error.code, file=sys.stderr)
+        return EXIT_USAGE
+
+
+def _main(argv: Optional[List[str]]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-run",
         description="Run a named scenario (or study) through the architecture adapters.",
@@ -714,13 +723,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true",
                         help="suppress the metric tables")
     args = parser.parse_args(argv)
+    if args.broker:
+        from repro.distributed.protocol import parse_address
+
+        try:
+            parse_address(args.broker)
+        except ValueError as error:
+            raise SystemExit(f"--broker: {error}")
 
     if args.list_studies:
         _list_studies()
-        return 0
+        return EXIT_OK
     if args.list or not args.command:
         _list_scenarios()
-        return 0 if args.list else 2
+        return EXIT_OK if args.list else EXIT_USAGE
 
     if args.command != "diff" and args.name2:
         raise SystemExit(

@@ -37,7 +37,7 @@ Usage::
 
 Collections of results — sweep output, study output — are
 :class:`~repro.analysis.resultset.ResultSet` objects with a
-filter/group_by/pivot/aggregate/CI query surface, and cross-family
+filter/group_by/aggregate/CI query surface, and cross-family
 comparisons are first-class *studies*::
 
     from repro.scenarios import run_study, run_sweep
@@ -50,8 +50,7 @@ comparisons are first-class *studies*::
 
     # Sweeps return ResultSets too.
     points = run_sweep("bft-committee-sweep")
-    print(points.pivot(rows="architecture.replicas", cols="family",
-                       metric="throughput_tps").render())
+    print(points.to_table(metrics=["throughput_tps"]).render())
 
 Execution is an explicit, pluggable layer: every entry point *compiles*
 its specs into an :class:`ExecutionPlan` of independent, seed-pinned unit
@@ -84,11 +83,9 @@ same seed-pinned unit, so output stays byte-identical at any retry count::
         print(entry["key"], entry["kind"], entry["error"])
 
 :mod:`repro.scenarios.faults` scripts deterministic failures (raise,
-hang, worker kill, torn cache write) against chosen job keys and
-attempts — :class:`FaultInjectingBackend` and the ``REPRO_FAULT_PLAN``
-environment hook, plus :class:`TornWriteStore`, which leaves the torn
-tail of a killed writer on its unit-cache segment — so the supervision
-layer is itself testable.
+hang, worker kill) against chosen job keys and attempts through the
+``REPRO_FAULT_PLAN`` environment hook, so the supervision layer is itself
+testable.
 
 ResultSets persist in a :class:`~repro.analysis.runstore.RunStore`
 (named, content-addressed, under ``runs/``), which also caches finished
@@ -141,11 +138,9 @@ from repro.scenarios.execution import (
     execute_plan,
 )
 from repro.scenarios.faults import (
-    FaultInjectingBackend,
     FaultPlan,
     FaultSpec,
     InjectedFault,
-    TornWriteStore,
 )
 from repro.scenarios.adapters import (
     ADAPTERS,
@@ -184,7 +179,6 @@ __all__ = [
     "ExecutionPlan",
     "Experiment",
     "FAMILIES",
-    "FaultInjectingBackend",
     "FaultPlan",
     "FaultSpec",
     "IncompletePlanError",
@@ -206,7 +200,6 @@ __all__ = [
     "SerialBackend",
     "StudyMember",
     "StudySpec",
-    "TornWriteStore",
     "UnitJob",
     "adapter_for",
     "backend_for",

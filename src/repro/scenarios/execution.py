@@ -170,10 +170,6 @@ class UnitJob:
     seed: int
 
     @classmethod
-    def for_spec(cls, spec: ScenarioSpec, seed: int) -> "UnitJob":
-        return cls.for_seeds(spec, [seed])[0]
-
-    @classmethod
     def for_seeds(cls, spec: ScenarioSpec,
                   seeds: Iterable[int]) -> List["UnitJob"]:
         """The unit jobs of one point, one per seed.

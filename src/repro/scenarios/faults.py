@@ -2,19 +2,20 @@
 
 Fault tolerance is only trustworthy if it can be *proved*, and proving it
 needs failures that happen on demand, at a chosen job and attempt, the
-same way every run.  This module provides that harness:
+same way every run.  This module is the part of that harness the
+executing processes run:
 
 - :class:`FaultSpec` — one scripted fault: a substring match on unit-job
   keys, the attempt numbers it fires on, and an action (``raise``,
   ``hang``, or ``kill`` the worker process).
 - :class:`FaultPlan` — an ordered list of FaultSpecs, serialisable to the
   ``REPRO_FAULT_PLAN`` environment variable so pool workers (fork *or*
-  spawn) inherit the same script as the parent.
-- :class:`FaultInjectingBackend` — wraps any :class:`ExecutionBackend`
-  and installs a plan for the duration of one ``execute`` call.
-- :class:`TornWriteStore` — a :class:`~repro.analysis.runstore.RunStore`
-  whose unit-cache writes are killed mid-write for matching keys, leaving
-  the torn tail a dead writer leaves on its segment.
+  spawn) and ``repro-worker`` processes inherit the same script as the
+  parent.
+
+The test-side fixtures that install a plan around one backend call and
+tear a unit-cache write live with the tests (``tests/fault_fixtures.py``);
+``make chaos`` sets ``REPRO_FAULT_PLAN`` directly.
 
 Injection is keyed on ``(job key, attempt)``, both of which are fully
 deterministic, so a scripted scenario like "kill the worker running seed
@@ -29,13 +30,11 @@ from __future__ import annotations
 import json
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.analysis.runstore import RunStore
-from repro.scenarios.execution import FAULT_PLAN_ENV, ExecutionBackend
+from repro.scenarios.execution import FAULT_PLAN_ENV
 
 #: Set (to any non-empty value) by processes that serve leased unit jobs
 #: (``repro-worker``), so a scripted ``kill`` fault hard-exits them the
@@ -136,28 +135,6 @@ class FaultPlan:
         return cls(FaultSpec.from_dict(entry)
                    for entry in data.get("faults", []))
 
-    @classmethod
-    def from_env(cls) -> Optional["FaultPlan"]:
-        payload = os.environ.get(FAULT_PLAN_ENV)
-        return _parse_plan(payload) if payload else None
-
-    @contextmanager
-    def installed(self):
-        """Set ``REPRO_FAULT_PLAN`` for the duration of the block.
-
-        Pool workers spawned inside the block inherit the variable, so
-        the same script applies on every backend.
-        """
-        previous = os.environ.get(FAULT_PLAN_ENV)
-        os.environ[FAULT_PLAN_ENV] = self.to_json()
-        try:
-            yield self
-        finally:
-            if previous is None:
-                os.environ.pop(FAULT_PLAN_ENV, None)
-            else:
-                os.environ[FAULT_PLAN_ENV] = previous
-
 
 @lru_cache(maxsize=8)
 def _parse_plan(payload: str) -> FaultPlan:
@@ -177,50 +154,3 @@ def maybe_inject(key: str, attempt: int) -> None:
     fault = _parse_plan(payload).find(key, attempt)
     if fault is not None:
         fault.trigger(key, attempt)
-
-
-class FaultInjectingBackend(ExecutionBackend):
-    """Wrap a backend so a :class:`FaultPlan` applies to its jobs.
-
-    The plan is installed in the environment around the inner backend's
-    ``execute`` call, so both in-process (serial) and worker-process
-    (pool) unit executions see the same script.
-    """
-
-    def __init__(self, inner: ExecutionBackend, plan: FaultPlan) -> None:
-        self.inner = inner
-        self.plan = plan
-
-    def execute(self, plan, completed=None, progress=None, on_result=None,
-                policy=None, failures=None):
-        with self.plan.installed():
-            return self.inner.execute(
-                plan, completed=completed, progress=progress,
-                on_result=on_result, policy=policy, failures=failures)
-
-
-class TornWriteStore(RunStore):
-    """A RunStore whose unit-cache writes die mid-write for chosen keys.
-
-    For a matching key, ``put_unit`` appends a *torn* record to its segment
-    (a line cut off mid-object, no newline — what a ``kill -9`` during the
-    write leaves on disk), raises :class:`InjectedFault`, and abandons the
-    segment the way the dead process would have: the retry lands in a
-    fresh one.  Each key is torn at most once, so retries then land; the
-    ``torn`` list records what was hit.
-    """
-
-    def __init__(self, root, match: str = "") -> None:
-        super().__init__(root)
-        self.match = match
-        self.torn: List[str] = []
-
-    def put_unit(self, key: str, metrics: Dict[str, float]) -> None:
-        if self.match in key and key not in self.torn:
-            self.torn.append(key)
-            super().put_unit(key, metrics)
-            segment, self._segment = self._segment, None
-            segment.truncate(segment.tell() - 8)
-            raise InjectedFault(
-                f"injected torn write for unit {key} (tail of {segment.name})")
-        super().put_unit(key, metrics)

@@ -130,7 +130,7 @@ def run_sweep(
 
     Returns a :class:`~repro.analysis.resultset.ResultSet` (iterable and
     indexable like the list it used to be, plus the
-    filter/group/pivot/CI query surface).  ``policy`` is an optional
+    filter/group/aggregate/CI query surface).  ``policy`` is an optional
     :class:`~repro.scenarios.execution.JobPolicy`; under ``keep_going``
     the set may be partial, with the dropped points listed in its
     ``failures`` manifest.

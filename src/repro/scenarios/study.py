@@ -8,7 +8,7 @@ and reported on throughput/latency/energy/trust axes.  A
 dotted-path overrides that pin it to the study's matched workload.
 :func:`run_study` executes every member through the existing runner and
 returns one :class:`~repro.analysis.resultset.ResultSet`, so study output
-gets the full filter/group/pivot/CI query surface.
+gets the full filter/group/aggregate/CI query surface.
 
 Usage::
 
@@ -128,20 +128,6 @@ class StudySpec:
     def member_labels(self) -> List[str]:
         """The member labels, in declaration order."""
         return [member.label for member in self.members]
-
-    def member(self, label: str) -> StudyMember:
-        """Look up one member by label."""
-        for member in self.members:
-            if member.label == label:
-                return member
-        raise KeyError(
-            f"study {self.name!r} has no member {label!r}; "
-            f"members: {self.member_labels()}"
-        )
-
-    def scenario_names(self) -> List[str]:
-        """Distinct scenario names the members reference, in order."""
-        return list(dict.fromkeys(member.scenario for member in self.members))
 
     def copy(self) -> "StudySpec":
         """An independent deep copy."""

@@ -10,7 +10,6 @@ draws convert explicitly.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from typing import List, Optional, Sequence, TypeVar
 
@@ -84,23 +83,6 @@ class SeededRNG:
     def lognormal(self, mu: float, sigma: float) -> float:
         """Log-normal draw (parameters of the underlying normal)."""
         return self._random.lognormvariate(mu, sigma)
-
-    def poisson(self, mean: float) -> int:
-        """Poisson draw via inversion (adequate for the small means we use)."""
-        if mean < 0:
-            raise ValueError("poisson mean must be non-negative")
-        if mean == 0:
-            return 0
-        if mean > 50:
-            # Normal approximation for large means keeps this O(1).
-            return max(0, int(round(self._random.gauss(mean, math.sqrt(mean)))))
-        threshold = math.exp(-mean)
-        count = 0
-        product = self._random.random()
-        while product > threshold:
-            count += 1
-            product *= self._random.random()
-        return count
 
     def zipf_rank(self, n: int, exponent: float = 1.0) -> int:
         """Draw a 1-based rank from a Zipf distribution over ``n`` items."""

@@ -487,14 +487,6 @@ class VecChurn:
         self.now = until
         return transitions
 
-    def online_indices(self) -> np.ndarray:
-        """Ranks of the currently online nodes (ascending, so sorted ids)."""
-        return np.flatnonzero(self.online)
-
-    def online_count(self) -> int:
-        """Number of nodes currently online."""
-        return int(self.online.sum())
-
     def churn_rate_per_hour(self) -> float:
         """Membership transitions per node per hour so far."""
         if self.now <= 0 or self.n == 0:

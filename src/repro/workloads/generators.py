@@ -135,10 +135,6 @@ class ZipfObjectWorkload:
         size = max(0.1, self.rng.lognormal(0.0, 0.8) * self.mean_object_mb)
         return {"object_id": f"object-{rank}", "size_mb": size}
 
-    def requests(self, count: int) -> List[Dict[str, object]]:
-        """A batch of ``count`` object requests."""
-        return [self.sample_object() for _ in range(count)]
-
 
 class VerticalWorkload:
     """Domain workloads for the Section V-A use cases.

@@ -34,7 +34,6 @@ from repro.distributed import BrokerQueue
 from repro.distributed.broker import policy_to_dict
 from repro.distributed.journal import replay_records
 from repro.scenarios import (
-    FaultInjectingBackend,
     FaultPlan,
     FaultSpec,
     JobFailure,
@@ -43,6 +42,8 @@ from repro.scenarios import (
     SerialBackend,
 )
 from repro.scenarios.attempts import AttemptLedger
+
+from fault_fixtures import FaultInjectingBackend, installed
 from repro.scenarios.execution import UnitJob, _describe_error, execute_unit
 from repro.scenarios.spec import ScenarioSpec
 
@@ -224,7 +225,7 @@ def _through_queue(plan, faults):
     events = queue.submit("conformance", [
         {"key": job.key, "spec": job.spec.to_dict(), "seed": job.seed,
          "scenario": job.spec.name} for job in plan.jobs], POLICY)
-    with faults.installed():
+    with installed(faults):
         while True:
             grant = queue.lease("w", wait_s=0.0)
             if grant["type"] != "job":
@@ -302,13 +303,14 @@ def test_pool_elapsed_covers_every_attempt_not_the_last():
 
 
 _KILLED_WORKER_NO_POLICY = """
-from repro.scenarios import (FaultInjectingBackend, FaultPlan, FaultSpec,
-                             JobExecutionError, ProcessPoolBackend,
-                             compile_sweep, execute_plan)
+import os
+from repro.scenarios import (FaultPlan, FaultSpec, JobExecutionError,
+                             ProcessPoolBackend, compile_sweep, execute_plan)
 plan = compile_sweep("market-concentration", overrides={
     "architecture.steps": 20, "architecture.arrivals_per_step": 20})
-backend = FaultInjectingBackend(ProcessPoolBackend(2), FaultPlan(
-    [FaultSpec(match="", action="kill", attempts=(1,))]))
+os.environ["REPRO_FAULT_PLAN"] = FaultPlan(
+    [FaultSpec(match="", action="kill", attempts=(1,))]).to_json()
+backend = ProcessPoolBackend(2)
 try:
     execute_plan(plan, backend=backend)
 except JobExecutionError as error:

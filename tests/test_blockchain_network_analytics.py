@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from repro.blockchain.attacks import (
     attacker_success_probability,
     confirmations_for_risk,
-    cost_of_majority_attack,
     sybil_resistance_table,
 )
 from repro.blockchain.energy import AUSTRIA_ANNUAL_TWH, EnergyModel, EnergyParams
@@ -298,11 +297,6 @@ class TestDoubleSpend:
         success = {row["identities"]: row["success_probability"] for row in rows}
         assert success[1.0] == success[10.0] == success[1000.0]
 
-    def test_majority_attack_cost_positive(self):
-        report = cost_of_majority_attack(1e6, 70.0, 0.01)
-        assert report["total_cost"] > 0
-        assert report["capital_cost"] > report["operating_cost"]
-
     def test_input_validation(self):
         with pytest.raises(ValueError):
             attacker_success_probability(1.5, 6)
@@ -387,16 +381,13 @@ class TestThroughputModelAndTrilemma:
         assert REFERENCE_SYSTEMS["visa"].paper_tps_low == pytest.approx(24_000.0)
 
     def test_modelled_rates_land_in_bands(self):
-        model = ThroughputModel()
-        rows = {row["system"]: row for row in model.comparison_rows()}
-        assert 3.0 <= rows["bitcoin"]["modelled_tps"] <= 7.0
-        assert 10.0 <= rows["ethereum"]["modelled_tps"] <= 25.0
-        assert rows["visa"]["modelled_tps"] >= 20_000.0
+        # The chains' ceilings are TestProtocolParams'; the cloud's, at the
+        # 16 partitions E7 uses, reaches the paper's VISA figure.
+        assert ThroughputModel().cloud_capacity_tps(16) >= 20_000.0
 
     def test_cloud_scales_with_partitions(self):
         model = ThroughputModel()
         assert model.cloud_capacity_tps(32) == 2 * model.cloud_capacity_tps(16)
-        assert model.partitions_needed(24_000.0) * model.partition_tps >= 24_000.0
 
     def test_invalid_partitions(self):
         with pytest.raises(ValueError):

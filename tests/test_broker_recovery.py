@@ -45,6 +45,7 @@ from repro.distributed.protocol import connect, recv_frame, send_frame
 from repro.scenarios import FaultPlan, FaultSpec, JobPolicy, compile_study
 from repro.scenarios.goldens import STUDY_TRIMS
 
+from fault_fixtures import installed
 from test_execution import FIGURE1_TRIMS
 
 GOLDEN_FIGURE1 = Path(__file__).parent / "goldens" / "study-figure1.json"
@@ -301,7 +302,7 @@ class TestServerStreams:
         hold = FaultPlan([FaultSpec(match=doomed.key, action="hang",
                                     seconds=2.5, attempts=(1,))])
         try:
-            with hold.installed():
+            with installed(hold):
                 thread.start()
                 events = broker.queue.submit("revoked", [_wire(doomed)],
                                              JobPolicy())
@@ -439,7 +440,7 @@ class TestBrokerKillRestart:
                                          attempts=(1,))])
         broker = _spawn_broker(address, journal_dir)
         try:
-            with hold_open.installed():
+            with installed(hold_open):
                 _start_worker_threads(address, stop, ["gen1-0", "gen1-1"])
                 backend = DistributedBackend(
                     address, run_id="kill-restart", reattach=True,

@@ -1,13 +1,10 @@
 """repro-run error paths: one-line nonzero exits, never a traceback.
 
-Every case here either returns a nonzero exit code with a single
-explanatory line on stderr or raises ``SystemExit`` with a message (the
-argparse convention — the interpreter prints the message and exits
-nonzero).  An uncaught adapter/spec exception would surface as a plain
-Python exception and fail these tests, so passing means no traceback.
+Every usage error here returns exit 2 (``EXIT_USAGE``) with a single
+explanatory line on stderr.  An uncaught adapter/spec exception would
+surface as a plain Python exception and fail these tests, so passing
+means no traceback.
 """
-
-import pytest
 
 from repro.run import EXIT_DRIFT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE
 from repro.run import main as run_main
@@ -15,6 +12,14 @@ from repro.run import main as run_main
 
 def one_line(text: str) -> bool:
     return len(text.strip().splitlines()) == 1
+
+
+def usage_error(capsys, argv) -> str:
+    """Run ``repro-run argv``; assert a usage exit with one stderr line."""
+    assert run_main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert one_line(err), err
+    return err
 
 
 class TestExitCodeMatrix:
@@ -78,9 +83,9 @@ class TestUnknownNames:
 
 
 class TestMalformedOverrides:
-    def test_set_without_equals(self):
-        with pytest.raises(SystemExit, match="PATH=VALUE"):
-            run_main(["kad-lookup", "--set", "topology.size"])
+    def test_set_without_equals(self, capsys):
+        assert "PATH=VALUE" in usage_error(
+            capsys, ["kad-lookup", "--set", "topology.size"])
 
     def test_set_unknown_spec_field(self, capsys):
         assert run_main(["kad-lookup", "--set", "nosuch.field=1"]) == 2
@@ -91,19 +96,19 @@ class TestMalformedOverrides:
         assert run_main(["kad-lookup", "--set", "seed.deeper=1"]) == 2
         assert "not a dict" in capsys.readouterr().err
 
-    def test_study_set_without_member(self):
-        with pytest.raises(SystemExit, match="MEMBER.PATH=VALUE"):
-            run_main(["study", "figure1", "--set", "duration=1"])
+    def test_study_set_without_member(self, capsys):
+        assert "MEMBER.PATH=VALUE" in usage_error(
+            capsys, ["study", "figure1", "--set", "duration=1"])
 
 
 class TestMalformedSweeps:
-    def test_sweep_without_equals(self):
-        with pytest.raises(SystemExit, match="PATH=VALUE"):
-            run_main(["kad-lookup", "--sweep", "topology.size"])
+    def test_sweep_without_equals(self, capsys):
+        assert "PATH=VALUE" in usage_error(
+            capsys, ["kad-lookup", "--sweep", "topology.size"])
 
-    def test_sweep_with_empty_values(self):
-        with pytest.raises(SystemExit, match="V1,V2"):
-            run_main(["kad-lookup", "--sweep", "topology.size="])
+    def test_sweep_with_empty_values(self, capsys):
+        assert "V1,V2" in usage_error(
+            capsys, ["kad-lookup", "--sweep", "topology.size="])
 
     def test_sweep_bad_dotted_path(self, capsys):
         assert run_main(["kad-lookup", "--sweep", "bogus.axis=1,2"]) == 2
@@ -118,9 +123,9 @@ class TestMalformedSweeps:
         err = capsys.readouterr().err
         assert "replicates must be >= 1" in err and one_line(err)
 
-    def test_sweep_on_study_rejected(self):
-        with pytest.raises(SystemExit, match="studies declare"):
-            run_main(["study", "figure1", "--sweep", "seed=1,2"])
+    def test_sweep_on_study_rejected(self, capsys):
+        assert "studies declare" in usage_error(
+            capsys, ["study", "figure1", "--sweep", "seed=1,2"])
 
 
 class TestStoreCommands:
@@ -129,49 +134,45 @@ class TestStoreCommands:
         err = capsys.readouterr().err
         assert "no saved run" in err and one_line(err)
 
-    def test_diff_needs_two_operands(self, tmp_path):
-        with pytest.raises(SystemExit, match="two runs"):
-            run_main(["diff", "only-one", "--runs-dir", str(tmp_path)])
+    def test_diff_needs_two_operands(self, tmp_path, capsys):
+        assert "two runs" in usage_error(
+            capsys, ["diff", "only-one", "--runs-dir", str(tmp_path)])
 
-    def test_diff_missing_run(self, tmp_path):
-        with pytest.raises(SystemExit, match="neither a saved run"):
-            run_main(["diff", "ghost-a", "ghost-b",
-                      "--runs-dir", str(tmp_path)])
+    def test_diff_missing_run(self, tmp_path, capsys):
+        assert "neither a saved run" in usage_error(
+            capsys, ["diff", "ghost-a", "ghost-b",
+                     "--runs-dir", str(tmp_path)])
 
-    def test_diff_double_stdin_rejected(self, tmp_path):
-        with pytest.raises(SystemExit, match="stdin"):
-            run_main(["diff", "-", "-", "--runs-dir", str(tmp_path)])
+    def test_diff_double_stdin_rejected(self, tmp_path, capsys):
+        assert "stdin" in usage_error(
+            capsys, ["diff", "-", "-", "--runs-dir", str(tmp_path)])
 
-    def test_diff_non_json_file(self, tmp_path):
+    def test_diff_non_json_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("not json {")
-        with pytest.raises(SystemExit, match="not valid JSON"):
-            run_main(["diff", str(bad), str(bad),
-                      "--runs-dir", str(tmp_path)])
+        assert "not valid JSON" in usage_error(
+            capsys, ["diff", str(bad), str(bad), "--runs-dir", str(tmp_path)])
 
-    def test_bad_tolerance_flag(self, tmp_path):
-        with pytest.raises(SystemExit, match="--tol"):
-            run_main(["diff", "a", "b", "--tol", "tps",
-                      "--runs-dir", str(tmp_path)])
+    def test_bad_tolerance_flag(self, tmp_path, capsys):
+        assert "--tol" in usage_error(
+            capsys, ["diff", "a", "b", "--tol", "tps", "--runs-dir", str(tmp_path)])
 
-    def test_gc_rejects_positional(self, tmp_path):
-        with pytest.raises(SystemExit, match="no positional"):
-            run_main(["gc", "extra", "--runs-dir", str(tmp_path)])
+    def test_gc_rejects_positional(self, tmp_path, capsys):
+        assert "no positional" in usage_error(
+            capsys, ["gc", "extra", "--runs-dir", str(tmp_path)])
 
-    def test_verify_rejects_positional(self, tmp_path):
-        with pytest.raises(SystemExit, match="no positional"):
-            run_main(["verify", "extra", "--runs-dir", str(tmp_path)])
+    def test_verify_rejects_positional(self, tmp_path, capsys):
+        assert "no positional" in usage_error(
+            capsys, ["verify", "extra", "--runs-dir", str(tmp_path)])
 
 
 class TestArgumentShape:
-    def test_extra_positional_for_non_diff(self):
-        with pytest.raises(SystemExit, match="only diff"):
-            run_main(["show", "name", "surplus"])
+    def test_extra_positional_for_non_diff(self, capsys):
+        assert "only diff" in usage_error(capsys, ["show", "name", "surplus"])
 
-    def test_bare_second_name_suggests_study(self):
-        with pytest.raises(SystemExit, match="did you mean"):
-            run_main(["figure1", "extra"])
+    def test_bare_second_name_suggests_study(self, capsys):
+        assert "did you mean" in usage_error(capsys, ["figure1", "extra"])
 
-    def test_members_on_scenario_rejected(self):
-        with pytest.raises(SystemExit, match="--members applies to studies"):
-            run_main(["kad-lookup", "--members", "a,b"])
+    def test_members_on_scenario_rejected(self, capsys):
+        assert "--members applies to studies" in usage_error(
+            capsys, ["kad-lookup", "--members", "a,b"])

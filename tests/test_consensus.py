@@ -3,9 +3,23 @@
 import pytest
 
 from repro.consensus.base import ReplicaParams
-from repro.consensus.cluster import ConsensusBenchmark, ConsensusBenchmarkConfig, committee_size_sweep
+from repro.consensus.cluster import ConsensusBenchmark, ConsensusBenchmarkConfig
 from repro.consensus.pbft import PBFTCluster, PBFTConfig
 from repro.consensus.raft import RaftCluster, RaftConfig
+
+
+def make_byzantine(cluster, count):
+    """Silence ``count`` replicas (never the primary of view 0)."""
+    candidates = [replica.index for replica in cluster.replicas if replica.index != 0]
+    for index in cluster.rng.sample(candidates, min(count, len(candidates))):
+        cluster.replicas[index].byzantine = True
+
+
+def crash_leader(cluster):
+    """Crash the current leader; returns its index."""
+    leader = cluster.leader
+    leader.go_offline()
+    return leader.index
 
 
 class TestPBFT:
@@ -35,13 +49,13 @@ class TestPBFT:
 
     def test_tolerates_f_silent_byzantine_replicas(self):
         cluster = PBFTCluster(PBFTConfig(replicas=4, batch_size=50, seed=3))
-        cluster.make_byzantine(1)
+        make_byzantine(cluster, 1)
         metrics = cluster.run_workload(request_rate=500, duration=3)
         assert metrics.committed_requests > 1000
 
     def test_fails_to_commit_beyond_f_failures(self):
         cluster = PBFTCluster(PBFTConfig(replicas=4, batch_size=50, seed=4))
-        cluster.make_byzantine(2)     # more than f=1
+        make_byzantine(cluster, 2)     # more than f=1
         metrics = cluster.run_workload(request_rate=500, duration=2)
         assert metrics.committed_requests == 0
 
@@ -85,7 +99,7 @@ class TestRaft:
         cluster = RaftCluster(RaftConfig(replicas=5, seed=4))
         cluster.start()
         cluster.sim.run(until=2.0)
-        old_leader = cluster.crash_leader()
+        old_leader = crash_leader(cluster)
         cluster.sim.run(until=6.0)
         assert cluster.leader_index is not None
         assert cluster.leader_index != old_leader
@@ -118,8 +132,9 @@ class TestConsensusBenchmark:
             ConsensusBenchmark(ConsensusBenchmarkConfig(protocol="paxos")).run()
 
     def test_committee_sweep_rows(self):
-        rows = committee_size_sweep([4, 7], request_rate=500, duration=1.5, seed=8)
-        assert len(rows) == 2
+        rows = [ConsensusBenchmark(ConsensusBenchmarkConfig(
+            protocol="pbft", replicas=size, request_rate=500, duration=1.5, seed=8,
+        )).run().summary() for size in (4, 7)]
         assert rows[0]["replicas"] == 4
         assert rows[1]["messages_per_request"] > rows[0]["messages_per_request"]
 

@@ -40,7 +40,6 @@ from repro.distributed.protocol import (
     accept,
     connect,
     create_listener,
-    format_address,
     listener_address,
 )
 from repro.scenarios import (
@@ -54,6 +53,8 @@ from repro.scenarios import (
     execute_plan,
 )
 
+from fault_fixtures import installed
+from test_cli_errors import usage_error
 from test_execution import FIGURE1_TRIMS
 
 GOLDEN_FIGURE1 = Path(__file__).parent / "goldens" / "study-figure1.json"
@@ -145,13 +146,12 @@ class TestProtocol:
         assert parse_address("127.0.0.1:7480") == ("tcp", ("127.0.0.1", 7480))
         assert parse_address(":7480") == ("tcp", ("127.0.0.1", 7480))
         assert parse_address("unix:/tmp/b.sock") == ("unix", "/tmp/b.sock")
-        for bad in ("", "nonsense", "host:", "host:notaport"):
+        assert parse_address("host:0") == ("tcp", ("host", 0))
+        assert parse_address("host:65535") == ("tcp", ("host", 65535))
+        for bad in ("", "nonsense", "host:", "host:notaport", "host:65536",
+                    "host:-1", "127.0.0.1:99999"):
             with pytest.raises(ValueError):
                 parse_address(bad)
-
-    def test_format_address_round_trips(self):
-        for text in ("127.0.0.1:7480", "unix:/tmp/b.sock"):
-            assert format_address(parse_address(text)) == text
 
     def test_stale_unix_socket_is_reclaimed(self, tmp_path):
         from repro.distributed.protocol import create_listener
@@ -362,7 +362,7 @@ class TestEndToEnd:
         plan = compile_study("figure1", member_overrides=FIGURE1_TRIMS)
         doomed_key = plan.jobs[0].key
         fault_plan = FaultPlan([FaultSpec(match=doomed_key, action="raise")])
-        with fault_plan.installed():
+        with installed(fault_plan):
             stop, threads = _start_workers(broker, 2)
             results = execute_plan(
                 plan,
@@ -382,7 +382,7 @@ class TestEndToEnd:
         plan = compile_study("figure1", member_overrides=FIGURE1_TRIMS)
         fault_plan = FaultPlan(
             [FaultSpec(match=plan.jobs[0].key, action="raise")])
-        with fault_plan.installed():
+        with installed(fault_plan):
             stop, threads = _start_workers(broker, 2)
             with pytest.raises(JobExecutionError):
                 execute_plan(
@@ -401,7 +401,7 @@ class TestEndToEnd:
         # run back to byte-identity.
         fault_plan = FaultPlan([FaultSpec(match=plan.jobs[0].key,
                                           action="raise", attempts=(1,))])
-        with fault_plan.installed():
+        with installed(fault_plan):
             stop, threads = _start_workers(broker, 2)
             results = execute_plan(
                 plan,
@@ -677,7 +677,7 @@ class TestWorkerWatch:
         (job,) = _quick_plan().jobs
         hold = FaultPlan([FaultSpec(match=job.key, action="hang",
                                     seconds=1.0, attempts=(1,))])
-        with hold.installed():
+        with installed(hold):
             hand = _HandBroker()
             hand.expect("lease")
             hand.grant(job)
@@ -694,7 +694,7 @@ class TestWorkerWatch:
         (job,) = _quick_plan().jobs
         hold = FaultPlan([FaultSpec(match=job.key, action="hang",
                                     seconds=0.5, attempts=(1,))])
-        with hold.installed():
+        with installed(hold):
             hand = _HandBroker()
             hand.expect("lease")
             hand.grant(job)
@@ -709,10 +709,24 @@ class TestWorkerWatch:
 # ----------------------------------------------------------------------
 class TestCli:
     def test_backend_distributed_requires_broker(self, capsys):
-        from repro.run import main as run_main
+        assert "needs --broker" in usage_error(
+            capsys, ["study", "figure1", "--backend", "distributed"])
 
-        with pytest.raises(SystemExit):
-            run_main(["study", "figure1", "--backend", "distributed"])
+    @pytest.mark.parametrize("address", ["127.0.0.1:abc", "127.0.0.1:99999"])
+    def test_run_rejects_a_bad_broker_address(self, capsys, address):
+        assert "--broker" in usage_error(
+            capsys, ["pos-slashing", "--broker", address])
+
+    @pytest.mark.parametrize("prog, flag", [("broker", "--listen"),
+                                            ("worker", "--broker")])
+    def test_broker_and_worker_reject_a_bad_address(self, capsys, prog, flag):
+        from repro.distributed import broker, worker
+
+        main = {"broker": broker.main, "worker": worker.main}[prog]
+        assert main([flag, "127.0.0.1:99999"]) == 2  # before any socket
+        assert capsys.readouterr().err.splitlines() == [
+            f"repro-{prog}: {flag}: address '127.0.0.1:99999' has a port "
+            f"outside 0-65535"]
 
     def test_broker_flag_implies_distributed(self, broker):
         from repro.run import main as run_main

@@ -119,7 +119,6 @@ class TestMarketModel:
         model = MarketModel(seed=4)
         model.run(steps=5, arrivals_per_step=10)
         assert len(model.history) == 6
-        assert len(model.share_trajectory(3)) == 6
 
     def test_needs_at_least_one_provider(self):
         with pytest.raises(ValueError):
@@ -164,7 +163,7 @@ class TestMiningEconomics:
         economics = MiningEconomics()
         profile = HARDWARE_PROFILES["desktop-cpu"]
         assert economics.daily_profit_usd(profile) < 0
-        assert not economics.solo_mining_viable(profile, horizon_days=365 * 100)
+        assert economics.expected_days_per_block(profile) > 365 * 100
 
     def test_asic_farm_profitable(self):
         economics = MiningEconomics()
@@ -176,10 +175,6 @@ class TestMiningEconomics:
         assert economics.hashrate_share(profile, 10) == pytest.approx(
             10 * economics.hashrate_share(profile, 1)
         )
-
-    def test_breakeven_price_positive(self):
-        economics = MiningEconomics()
-        assert economics.breakeven_electricity_price(HARDWARE_PROFILES["asic-miner"]) > 0
 
     def test_profitability_report_rows(self):
         rows = MiningEconomics().profitability_report()

@@ -21,6 +21,8 @@ from repro.scenarios import (
 )
 from repro.scenarios import execution as execution_module
 
+from test_cli_errors import usage_error
+
 #: Dotted-path trims that make the figure1 study run in well under a second.
 FIGURE1_TRIMS = {
     "bitcoin": {"architecture.duration_blocks": 15},
@@ -98,7 +100,7 @@ class TestPlans:
 
     def test_unit_job_key_embeds_seed_and_hash(self):
         spec = get_scenario("pos-slashing")
-        job = UnitJob.for_spec(spec, seed=9)
+        [job] = UnitJob.for_seeds(spec, [9])
         assert job.key.endswith("-s9")
         assert job.spec.seed == 9 and job.spec.replicates == 1
 
@@ -192,9 +194,8 @@ class TestCliSubcommands:
         assert [point["label"] for point in payload] == [
             "multi_vote_fraction=0.5", "multi_vote_fraction=1.0"]
 
-    def test_run_without_name_fails(self):
-        with pytest.raises(SystemExit, match="registered scenario"):
-            run_main(["run"])
+    def test_run_without_name_fails(self, capsys):
+        assert "registered scenario" in usage_error(capsys, ["run"])
 
     def test_help_documents_jobs_and_save(self, capsys):
         with pytest.raises(SystemExit):

@@ -16,7 +16,6 @@ import pytest
 from repro.analysis.runstore import RunStore
 from repro.run import EXIT_OK, EXIT_PARTIAL, main as run_main
 from repro.scenarios import (
-    FaultInjectingBackend,
     FaultPlan,
     FaultSpec,
     IncompletePlanError,
@@ -26,7 +25,6 @@ from repro.scenarios import (
     JobTimeoutError,
     ProcessPoolBackend,
     SerialBackend,
-    TornWriteStore,
     compile_scenario,
     compile_study,
     compile_sweep,
@@ -36,6 +34,8 @@ from repro.scenarios import (
 )
 from repro.scenarios import execution as execution_module
 
+from fault_fixtures import FaultInjectingBackend, TornWriteStore, installed
+from test_cli_errors import usage_error
 from test_execution import FIGURE1_TRIMS, FIGURE1_TRIM_ARGS
 
 SWEEP_OVERRIDES = {"architecture.steps": 20, "architecture.arrivals_per_step": 20}
@@ -98,10 +98,10 @@ class TestFaultPlan:
         plan = raise_on("abc")
         env = execution_module.FAULT_PLAN_ENV
         assert os.environ.get(env) is None
-        with plan.installed():
-            assert FaultPlan.from_env().find("abc-s1", 1) is not None
+        with installed(plan):
+            assert FaultPlan.from_json(os.environ[env]).find(
+                "abc-s1", 1) is not None
         assert os.environ.get(env) is None
-        assert FaultPlan.from_env() is None
 
 
 class TestSerialSupervision:
@@ -383,11 +383,10 @@ class TestCliFaultTolerance:
             "pbft", "fabric"}
         assert RunStore(tmp_path).record("partial-fig1").failures == 2
 
-    def test_bad_flag_values_are_usage_errors(self):
-        with pytest.raises(SystemExit, match="--retries"):
-            run_main(self.BASE + ["--retries", "-1"])
-        with pytest.raises(SystemExit, match="--job-timeout"):
-            run_main(self.BASE + ["--job-timeout", "0"])
+    def test_bad_flag_values_are_usage_errors(self, capsys):
+        assert "--retries" in usage_error(capsys, self.BASE + ["--retries", "-1"])
+        assert "--job-timeout" in usage_error(
+            capsys, self.BASE + ["--job-timeout", "0"])
 
     def test_help_documents_fault_flags(self, capsys):
         with pytest.raises(SystemExit):

@@ -5,14 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.p2p.identifiers import (
-    ID_BITS,
     ID_SPACE,
     bucket_index,
     closest,
     key_for,
     random_id,
     ring_distance,
-    shares_prefix_bits,
     xor_distance,
 )
 from repro.p2p.kademlia import KademliaConfig, KademliaNetwork
@@ -48,14 +46,6 @@ class TestIdentifiers:
     def test_closest_sorting(self):
         ids = [0b1000, 0b0001, 0b0011]
         assert closest(ids, 0b0000, count=2) == [0b0001, 0b0011]
-
-    def test_shares_prefix_bits(self):
-        a = 0b1010 << (ID_BITS - 4)
-        b = 0b1011 << (ID_BITS - 4)
-        assert shares_prefix_bits(a, b, 3)
-        assert not shares_prefix_bits(a, b, 4)
-        with pytest.raises(ValueError):
-            shares_prefix_bits(a, b, ID_BITS + 1)
 
     @given(st.integers(min_value=0, max_value=ID_SPACE - 1), st.integers(min_value=0, max_value=ID_SPACE - 1))
     @settings(max_examples=80, deadline=None)

@@ -1,24 +1,33 @@
-"""Every module under ``src/repro`` is reached by something registered.
+"""Every module and every public name under ``src/repro`` is used by
+something registered.
 
 The roots are what a user can actually run: the registered experiments
 (plus the scenario and study registries that select them), the claim
 benchmarks (``benchmarks/test_[ea]*.py``), the ``setup.py`` console
-scripts and ``python -m`` entry points, and ``examples/``.  From there an
-AST import graph is followed — function-level imports included, because
-the experiments import their models lazily.  A package ``__init__`` is
-*not* a licence: ``from repro.p2p import X`` reaches only the module
-``X`` is defined in, never everything the ``__init__`` happens to
-re-export, so a module kept alive by nothing but its package's re-export
-(and its own unit test) shows up here as unreached.
+scripts and ``python -m`` entry points, and ``examples/``.
 
-For ``repro.sim`` — the substrate every model stands on — the same rule
-holds one level down, for *names*: a public class, function, constant,
-method or property defined under ``repro.sim`` must be mentioned (an AST
-``Name``, ``Attribute`` or ``from … import``) somewhere in ``src/repro``
-outside its own definition, in a claim benchmark, in ``examples/`` or in
-``benchmarks/e2e``.  A mention inside a definition that is itself
-unreferenced does not count, so a mechanism that only feeds itself (a
-class used by nothing but the factory method nothing calls) is named whole.
+*Modules.*  From the roots an AST import graph is followed —
+function-level imports included, because the experiments import their
+models lazily.  A package ``__init__`` is *not* a licence: ``from
+repro.p2p import X`` reaches only the module ``X`` is defined in, never
+everything the ``__init__`` happens to re-export, so a module kept alive
+by nothing but its package's re-export (and its own unit test) shows up
+here as unreached.
+
+*Names.*  The same rule holds one level down, in every non-``__init__``
+module: a public class, function, constant, method or property must be
+mentioned (an AST ``Name``, ``Attribute`` or ``from … import``) somewhere
+in ``src/repro`` outside its own definition, in a claim benchmark, in
+``examples/`` or in ``benchmarks/e2e``.  A package's re-export is not a
+mention, and neither is a test.  A mention inside a definition that is
+itself unreferenced does not count, so a mechanism that only feeds itself
+(a class used by nothing but the factory method nothing calls) is named
+whole.  Three kinds of definition are live without a mention, because
+they are called by registry or by ``getattr``: the ``@experiment``
+classes (and their methods), the ``on_<msg_type>`` handlers that
+``Node.receive`` and ``CpuBoundNode.receive`` dispatch to, and the
+console scripts' ``main``s.  A name only tests reach is deleted with its
+tests, or moved to ``tests/`` when it is a test fixture.
 """
 
 import ast
@@ -39,23 +48,19 @@ REPO = Path(__file__).resolve().parents[1]
 ALLOWED_UNREACHED: Set[str] = set()
 
 
-#: ``repro.sim`` names allowed to have no reference, each with its reason.
-#: (``Simulator.pending`` is kept on the same ground as ``processed``; it
-#: needs no entry only because the match is by bare name and Fabric's
-#: endorsement table is also called ``.pending``.)
-ALLOWED_UNREFERENCED_SIM_NAMES: Dict[str, str] = {
+#: Public names allowed to have no reference, each with its reason.
+ALLOWED_UNREFERENCED_NAMES: Dict[str, str] = {
     "repro.sim.engine.Simulator.processed":
         "with `pending`, the engine counters ROADMAP item 6(d) builds on; "
         "the determinism fingerprints in tests/test_sim_determinism.py "
         "read it",
-    "repro.sim.rng.SeededRNG.poisson":
-        "no model draws it today; its three law tests "
-        "(TestSeededRNG::test_poisson_*) were outside PR 23's enumerated "
-        "deletions — delete both together",
-    "repro.sim.vecstate.VecChurn.online_indices":
-        "as poisson: TestVecChurn::test_online_indices_are_sorted_ranks",
-    "repro.sim.vecstate.VecChurn.online_count":
-        "as poisson: the same test reads it",
+    "repro.analysis.runstore.RunStore.delete":
+        "the nightly CI job trims the run store to its last 14 nights with "
+        "it (.github/workflows/ci.yml), and no CLI command deletes a run",
+    "repro.scenarios.execution.unit_spec":
+        "the plain definition of a unit job's identity: "
+        "tests/test_unit_identity.py hashes every registered job against "
+        "it, and UnitJob.for_seeds' fast path must agree byte for byte",
 }
 
 
@@ -215,17 +220,49 @@ def _mentions(tree: ast.Module) -> Iterator[Tuple[str, int]]:
                 yield alias.name, node.lineno
 
 
-def unreferenced_sim_names(repo: Path) -> List[str]:
+def _name_roots(repo: Path) -> Set[str]:
+    """Qualified names that are live without a mention: the registered
+    experiment classes (and their methods), and the console-script
+    ``main``s.  The ``on_<msg_type>`` handlers are roots by their name,
+    see :func:`_is_root`."""
+    from repro.scenarios.adapters import EXPERIMENTS
+
+    roots = {f"{type(registered).__module__}.{type(registered).__qualname__}"
+             for registered in EXPERIMENTS.values()}
+    roots |= {f"{module}.{function}" for module, function in re.findall(
+        r'"[\w-]+ = ([\w.]+):(\w+)"',
+        (repo / "setup.py").read_text(encoding="utf-8"))}
+    return roots
+
+
+def _is_root(definition: "_Definition", roots: Set[str]) -> bool:
+    qualified = definition[0]
+    # ``Node.receive`` and ``CpuBoundNode.receive`` dispatch a message to
+    # ``on_<msg_type>`` through ``getattr``: a handler has no mention.
+    return (qualified in roots or qualified.rpartition(".")[0] in roots
+            or qualified.rpartition(".")[2].startswith("on_"))
+
+
+def unreferenced_names(repo: Path,
+                       roots: Optional[Set[str]] = None) -> List[str]:
+    """Public names of ``repo/src/repro`` nothing live mentions.
+
+    ``roots`` are the qualified names live without a mention (default:
+    :func:`_name_roots` of ``repo``).
+    """
     graph = _Graph(repo / "src")
+    if roots is None:
+        roots = _name_roots(repo)
     definitions: List[_Definition] = []
     mentions: List[Tuple[str, str, int]] = []  # (name, file, line)
     for module in graph.files:
-        if module == "repro.sim":
-            continue  # the package's re-exports are not a licence
+        if graph._is_package(module):
+            continue  # a package's re-exports are not a licence
         mentions += [(name, module, line)
                      for name, line in _mentions(graph.tree(module))]
-        if module.startswith("repro.sim."):
-            definitions += _public_definitions(module, graph.tree(module))
+        definitions += [definition for definition in
+                        _public_definitions(module, graph.tree(module))
+                        if not _is_root(definition, roots)]
     outside = _outside_roots(repo) + sorted(
         (repo / "benchmarks" / "e2e").glob("*.py"))
     for path in outside:
@@ -262,13 +299,51 @@ def test_every_module_is_reached_by_something_registered():
     assert ALLOWED_UNREACHED <= unreached, "stale allowlist entries"
 
 
-def test_every_public_sim_name_is_referenced():
-    unreferenced = set(unreferenced_sim_names(REPO))
-    assert unreferenced - set(ALLOWED_UNREFERENCED_SIM_NAMES) == set(), (
-        "public repro.sim names that no model, claim benchmark, example or "
-        "benchmarks/e2e file mentions (use them or delete them)")
-    assert set(ALLOWED_UNREFERENCED_SIM_NAMES) <= unreferenced, \
+def test_every_public_name_is_referenced():
+    unreferenced = set(unreferenced_names(REPO))
+    assert unreferenced - set(ALLOWED_UNREFERENCED_NAMES) == set(), (
+        "public names that no registered experiment, handler, entry point, "
+        "claim benchmark, example or benchmarks/e2e file mentions (use them, "
+        "move a test fixture to tests/, or delete them)")
+    assert set(ALLOWED_UNREFERENCED_NAMES) <= unreferenced, \
         "stale allowlist entries"
+    assert len(ALLOWED_UNREFERENCED_NAMES) <= 5
+
+
+def test_name_rule_roots_and_dead_definitions(tmp_path):
+    package = tmp_path / "src" / "repro" / "pkg"
+    package.mkdir(parents=True)
+    (package.parent / "__init__.py").write_text("")
+    (package / "__init__.py").write_text(
+        "from repro.pkg.models import reexported\n")
+    (package / "models.py").write_text(
+        "class Node:\n"
+        "    def on_ping(self, message):\n"
+        "        return message\n"
+        "\n"
+        "class Registered:\n"
+        "    def run(self):\n"
+        "        return helper(), Node()\n"
+        "\n"
+        "def helper():\n"
+        "    return 1\n"
+        "\n"
+        "def dead():\n"
+        "    return fed_by_dead()\n"
+        "\n"
+        "def fed_by_dead():\n"
+        "    return 2\n"
+        "\n"
+        "def reexported():\n"
+        "    return 3\n")
+    # The registered class and its method, and the handler nothing names,
+    # are roots; a name mentioned only inside a dead definition is dead
+    # too; the package re-export is not a reference.
+    assert unreferenced_names(tmp_path, roots={"repro.pkg.models.Registered"}) == [
+        "repro.pkg.models.dead",
+        "repro.pkg.models.fed_by_dead",
+        "repro.pkg.models.reexported",
+    ]
 
 
 def test_relative_and_reexported_imports_resolve():

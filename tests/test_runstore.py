@@ -11,6 +11,8 @@ from repro.run import main as run_main
 from repro.scenarios import compile_sweep, execute_plan, run_sweep
 from repro.scenarios import execution as execution_module
 
+from test_cli_errors import usage_error
+
 SWEEP_OVERRIDES = {"architecture.steps": 20, "architecture.arrivals_per_step": 20}
 
 
@@ -433,6 +435,6 @@ class TestCli:
         assert run_main(["show", "ghost", "--runs-dir", str(tmp_path)]) == 2
         assert "no saved run" in capsys.readouterr().err
 
-    def test_show_without_name_fails(self, tmp_path):
-        with pytest.raises(SystemExit, match="saved run name"):
-            run_main(["show", "--runs-dir", str(tmp_path)])
+    def test_show_without_name_fails(self, tmp_path, capsys):
+        assert "saved run name" in usage_error(
+            capsys, ["show", "--runs-dir", str(tmp_path)])

@@ -91,9 +91,9 @@ class TestRegistry:
         assert covered == set(FAMILIES)
 
     def test_claims_reference_the_registry(self):
-        from repro.core.claims import claims_by_id
+        from repro.core.claims import CLAIMS
 
-        known = set(claims_by_id())
+        known = {claim.claim_id for claim in CLAIMS}
         for name in scenario_names():
             claim = SCENARIOS[name].claim
             assert claim == "" or claim in known, (name, claim)

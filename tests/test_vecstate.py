@@ -30,6 +30,8 @@ from repro.sim.vecstate import (
     xor_closest,
 )
 
+from test_cli_errors import usage_error
+
 
 class TestHashing:
     def test_splitmix64_is_a_pure_function(self):
@@ -281,12 +283,6 @@ class TestVecChurn:
         churn.advance(3600.0)  # must terminate
         assert churn.now == 3600.0
 
-    def test_online_indices_are_sorted_ranks(self):
-        churn = VecChurn(1000, self.MODEL, seed=3)
-        indices = churn.online_indices()
-        assert np.array_equal(indices, np.sort(indices))
-        assert len(indices) == churn.online_count()
-
 
 def fast_config(**overrides) -> FastKademliaConfig:
     defaults = dict(network_size=2000, lookups=300, lookup_interval=0.05,
@@ -416,6 +412,6 @@ class TestScenarioIntegration:
     def test_cli_unknown_profile_is_a_clean_error(self, tmp_path, capsys):
         from repro.run import main as run_main
 
-        with pytest.raises(SystemExit, match="unknown tolerance profile"):
-            run_main(["diff", "a", "b", "--profile", "nope",
-                      "--runs-dir", str(tmp_path)])
+        assert "unknown tolerance profile" in usage_error(
+            capsys, ["diff", "a", "b", "--profile", "nope",
+                     "--runs-dir", str(tmp_path)])

@@ -15,6 +15,10 @@ from repro.workloads import (
 )
 
 
+def requests(workload: ZipfObjectWorkload, count: int):
+    return [workload.sample_object() for _ in range(count)]
+
+
 def _payment_stream(seed: int):
     workload = PaymentWorkload(rate_tps=20.0, accounts=500, seed=seed)
     return [
@@ -64,12 +68,11 @@ class TestLookupWorkload:
 
 class TestZipfObjectWorkload:
     def test_identical_requests_at_same_seed(self):
-        first = ZipfObjectWorkload(objects=200, seed=5).requests(300)
-        second = ZipfObjectWorkload(objects=200, seed=5).requests(300)
-        assert first == second
+        assert requests(ZipfObjectWorkload(objects=200, seed=5), 300) == requests(
+            ZipfObjectWorkload(objects=200, seed=5), 300)
 
     def test_different_seeds_differ(self):
-        assert ZipfObjectWorkload(seed=1).requests(50) != ZipfObjectWorkload(seed=2).requests(50)
+        assert requests(ZipfObjectWorkload(seed=1), 50) != requests(ZipfObjectWorkload(seed=2), 50)
 
 
 class TestVerticalWorkload:
