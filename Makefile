@@ -8,8 +8,8 @@ PY := python
 #   make typecheck  mypy targeted-strict over the determinism-critical core
 #                   (skips with a notice when mypy is not installed)
 #   make test       full tier-1 suite including the golden corpus
-#   make chaos      fault-injection + hostile-segment suites, figure1 under
-#                   worker kills
+#   make chaos      fault-injection + hostile-log suites (unit segments and
+#                   broker journal), figure1 under worker kills
 
 # Tier-1 gate.  Includes the golden-corpus test (tests/test_goldens.py):
 # every registered scenario and study re-runs trimmed at its fixed seed and
@@ -55,9 +55,10 @@ goldens:
 
 # Fault-tolerance gate: the scripted crash/retry/degrade suite (its
 # fixtures — a plan installed around one backend call, a torn unit-cache
-# write — live in tests/fault_fixtures.py) and the unit-cache segments
-# under hostile conditions (cut and damaged at every byte, two writer
-# processes, a writer SIGKILLed mid-grid), then the trimmed figure1 study
+# write — live in tests/fault_fixtures.py) and both durable logs under
+# hostile conditions (unit-cache segments and the broker journal cut and
+# damaged at every byte; two unit writer processes, a unit writer
+# SIGKILLed mid-grid), then the trimmed figure1 study
 # on the --jobs 2 pool with REPRO_FAULT_PLAN killing every unit job's
 # worker on its first attempt — supervision must retry, complete, and save
 # a run whose failure manifest is empty (byte-identical to the fault-free

@@ -10,8 +10,8 @@ overridable with ``--runs-dir`` or ``$REPRO_RUNS_DIR``)::
       objects/<sha256 of payload>.json   # ResultSet JSON, content-addressed
       named/<name>.json                  # name -> object pointer + metadata
       units/<time>-<pid>-<nonce>.seg     # finished unit-job metrics (resume):
-                                         #   one "<crc32> <compact JSON>" line
-                                         #   per unit, append-only
+                                         #   one checksummed record per unit,
+                                         #   append-only
 
 ``save`` stores one object per distinct content (re-saving identical
 results under a new name just adds a pointer; both files are written
@@ -26,7 +26,7 @@ spec-hash key, and re-running a plan skips the jobs already present.
 Every ``RunStore`` instance that writes units owns one segment, created
 exclusively on its first ``put_unit`` and appended to by nobody else, so
 any number of processes share a ``--runs-dir`` without locking.  A unit
-is one checksummed line handed to the kernel in a single unbuffered
+is one checksummed record handed to the kernel in a single unbuffered
 ``write`` before ``put_unit`` returns — not fsynced: a finished unit
 survives the death of the process, not a power loss.  Reads go through an
 in-memory ``key -> metrics`` index (memory is O(live units)) that every
@@ -34,10 +34,15 @@ in-memory ``key -> metrics`` index (memory is O(live units)) that every
 ``listdir``, one ``stat`` per segment, and a parse of only the bytes
 appended since the last look — so two workers dedupe through each other's
 segments as they grow.  A later record for a key supersedes an earlier
-one (``--no-resume``).  A line that is torn, fails its checksum or does
-not parse is a miss for that record only: never an error, never a wrong
-hit.  Per-file ``units/<key>.json`` entries of the earlier layout are
-ignored (the cache simply misses) and collected by ``gc``.
+one (``--no-resume``).  Per-file ``units/<key>.json`` entries of the
+earlier layout are ignored (the cache simply misses) and collected by
+``gc``.
+
+Records (:func:`encode_record` / :func:`decode_records`) are the one
+durable format of the package, shared with the broker's write-ahead
+journal (:mod:`repro.distributed.journal`), and obey one torn-data rule:
+a record that is torn, fails its checksum or does not parse costs itself
+and no other — for the unit cache a miss, never an error or wrong hit.
 
 Usage::
 
@@ -78,7 +83,8 @@ import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Set,
+                    Tuple, Union)
 
 from repro.analysis import jsonfmt
 from repro.analysis.resultset import ResultSet
@@ -119,39 +125,49 @@ def _write_atomic(path: Path, data: bytes) -> None:
     os.replace(temp, path)
 
 
-def _encode_unit(key: str, metrics: Dict[str, float]) -> bytes:
-    """One segment record: a newline, ``<crc32 of the JSON> <compact
+def encode_record(record: Dict[str, object]) -> bytes:
+    """One durable record: a newline, ``<crc32 of the JSON> <compact
     JSON>``, a newline.
 
     The leading newline makes a record self-synchronising: whatever
     precedes it (a torn tail, a damaged terminator) ends there, so one bad
     byte costs the record it sits in and no other.
     """
-    body = json.dumps({"key": key, "metrics": metrics}, sort_keys=True,
+    body = json.dumps(record, sort_keys=True,
                       separators=(",", ":")).encode("utf-8")
     return b"\n%08x %s\n" % (zlib.crc32(body), body)
 
 
-def _decode_unit(line: bytes) -> Optional[Tuple[str, Dict[str, float]]]:
-    """``(key, metrics)`` of one segment line; ``None`` when the line is
-    torn, fails its checksum or does not parse."""
-    body = line[9:]
-    if line[:9] != b"%08x " % zlib.crc32(body):
+def decode_records(data: bytes) -> Iterator[
+        Tuple[int, Optional[Dict[str, Any]]]]:
+    """``(line number, record)`` per non-blank line of ``data``; the record
+    is ``None`` when the line is torn, fails its checksum or is not a
+    JSON object."""
+    for number, line in enumerate(data.split(b"\n"), start=1):
+        if not line:
+            continue
+        body = line[9:]
+        if line[:9] != b"%08x " % zlib.crc32(body):
+            yield number, None
+            continue
+        try:
+            record = json.loads(body)
+        except ValueError:
+            record = None
+        yield number, record if isinstance(record, dict) else None
+
+
+def _unit(record: Optional[Dict[str, Any]]) -> Optional[
+        Tuple[str, Dict[str, float]]]:
+    """``(key, metrics)`` of one decoded segment record; ``None`` when it is
+    missing or not the shape ``put_unit`` writes."""
+    if record is None:
         return None
     try:
-        data = json.loads(body)
-        return str(data["key"]), {name: float(value) for name, value
-                                  in data["metrics"].items()}
+        return str(record["key"]), {name: float(value) for name, value
+                                    in record["metrics"].items()}
     except (ValueError, KeyError, TypeError, AttributeError):
         return None
-
-
-def _records(data: bytes) -> Iterator[
-        Tuple[int, Optional[Tuple[str, Dict[str, float]]]]]:
-    """``(line number, decoded record or None)`` per non-blank line."""
-    for number, line in enumerate(data.split(b"\n"), start=1):
-        if line:
-            yield number, _decode_unit(line)
 
 
 @dataclass
@@ -361,7 +377,7 @@ class RunStore:
             # only writer, and there is no user-space buffer to lose.
             self._segment = open(  # noqa: SIM115 - lives with the instance
                 os.path.join(self.units_dir, name), "xb", buffering=0)
-        record = _encode_unit(key, metrics)
+        record = encode_record({"key": key, "metrics": metrics})
         if self._segment.write(record) != len(record):
             raise OSError(f"short write to {self._segment.name} (disk full?)")
 
@@ -402,9 +418,10 @@ class RunStore:
             # A tail without its newline may still be in flight: left for
             # the next look rather than judged torn now.
             end = data.rfind(b"\n") + 1
-            for _, record in _records(data[:end]):
-                if record is not None:
-                    self._index[record[0]] = record[1]
+            for _, record in decode_records(data[:end]):
+                unit = _unit(record)
+                if unit is not None:
+                    self._index[unit[0]] = unit[1]
             self._consumed[path] = consumed + end
 
     # -- lifecycle: reachability, gc, verify ---------------------------
@@ -481,7 +498,7 @@ class RunStore:
             _write_atomic(
                 self.units_dir / (f"{time.time_ns():016x}-{os.getpid()}-gc"
                                   f"{SEGMENT_SUFFIX}"),
-                b"".join(_encode_unit(key, metrics)
+                b"".join(encode_record({"key": key, "metrics": metrics})
                          for key, metrics in kept.items()))
         for name in files:
             os.unlink(self.units_dir / name)
@@ -528,5 +545,6 @@ class RunStore:
                 StoreProblem("unreadable-unit", f"{path}:{number}",
                              "unit record is torn, fails its checksum or "
                              "does not parse")
-                for number, record in _records(data) if record is None)
+                for number, record in decode_records(data)
+                if _unit(record) is None)
         return problems

@@ -28,10 +28,12 @@ frames on TCP or Unix sockets:
   streamed completions; byte-identical to ``SerialBackend`` at any
   worker count.
 - :mod:`repro.distributed.journal` — the broker's write-ahead journal:
-  per-run JSONL transition logs under the RunStore directory, replayed
-  on start so a ``kill -9`` mid-run resumes (in-flight leases requeued
-  uncharged, settled results re-delivered on client re-attach) and
-  deleted when a run retires.
+  per-run transition logs under the RunStore directory, in the unit
+  cache's checksummed record format with its one torn-data rule (a
+  damaged record costs itself and no other), replayed on start so a
+  ``kill -9`` mid-run resumes (in-flight leases requeued uncharged,
+  settled results re-delivered on client re-attach) and deleted when a
+  run retires.
 
 Everything here is transport; no simulation semantics live in this
 package, which is why it sits outside the reprolint RL005 purity zone

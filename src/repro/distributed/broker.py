@@ -26,16 +26,17 @@ the submitting client's merge-by-key output is byte-identical to a
 serial run.
 
 Durability and lifecycle (see :mod:`repro.distributed.journal`): with a
-journal configured, every transition is appended to a per-run
-write-ahead file and replayed on start, so ``kill -9`` mid-run resumes
-with in-flight leases requeued uncharged; a client that reconnects and
-re-submits the same run id *re-attaches* and receives every settled
-event again before the live ones.  Settled runs are *retired* — removed
-from the queue and their journal deleted — once their ``run-done`` event
-is delivered (or the run is cancelled and drained), so an always-on
-broker does not leak a ``_Run`` per study.  Every worker heartbeat is
-answered with a ``heartbeat-ack``; ``ok=false`` tells the worker its
-lease was reaped so it abandons the orphaned attempt.
+journal configured, every submit, charge, settlement and cancel is
+appended to a per-run write-ahead file and replayed on start, so
+``kill -9`` mid-run resumes with in-flight leases requeued uncharged; a
+client that reconnects and re-submits the same run id *re-attaches* and
+receives every settled event again before the live ones.  Settled runs
+are *retired* — removed from the queue and their journal deleted — once
+their ``run-done`` event is delivered (or the run is cancelled and
+drained), so an always-on broker does not leak a ``_Run`` per study.
+Every worker heartbeat is answered with a ``heartbeat-ack``;
+``ok=false`` tells the worker its lease was reaped so it abandons the
+orphaned attempt.
 
 The queue logic (:class:`BrokerQueue`) is pure threads-and-state with no
 sockets, so the lease/retry/accounting behaviour is unit-testable
@@ -99,6 +100,23 @@ class _Job:
     scenario: str
     priority: int
     state: str = "pending"  # pending | leased | done | failed
+
+
+def _jobs_from(entries: Sequence[Dict[str, object]]) -> Dict[str, _Job]:
+    """A run's jobs by key in plan order, from submitted or journaled
+    entries (plans deduplicate; a duplicate key keeps its first entry)."""
+    jobs: Dict[str, _Job] = {}
+    for index, entry in enumerate(entries):
+        key = str(entry["key"])
+        if key not in jobs:
+            jobs[key] = _Job(
+                key=key,
+                spec=dict(entry["spec"]),  # type: ignore[arg-type]
+                seed=int(entry["seed"]),  # type: ignore[arg-type]
+                scenario=str(entry.get("scenario", "")),
+                priority=index,
+            )
+    return jobs
 
 
 @dataclass
@@ -190,18 +208,8 @@ class BrokerQueue:
             run = _Run(run_id=run_id, order=order, ledger=AttemptLedger(
                 policy or JobPolicy(), time.monotonic))
             self._runs[run_id] = run
-            for index, entry in enumerate(jobs):
-                key = str(entry["key"])
-                if key in run.jobs:
-                    continue  # plans deduplicate; tolerate a duplicate key
-                run.jobs[key] = _Job(
-                    key=key,
-                    spec=dict(entry["spec"]),  # type: ignore[arg-type]
-                    seed=int(entry["seed"]),  # type: ignore[arg-type]
-                    scenario=str(entry.get("scenario", "")),
-                    priority=index,
-                )
-                run.open_jobs += 1
+            run.jobs = _jobs_from(jobs)
+            run.open_jobs = len(run.jobs)
             self._journal_open(run)
             self._journal_append(run, {
                 "v": SCHEMA_VERSION, "type": "submit", "run": run_id,
@@ -452,30 +460,27 @@ class BrokerQueue:
         restored: List[str] = []
         max_order = -1
         with self._ready:
-            for state in self._journal.replay():
+            states, dead = self._journal.replay()
+            for path in dead:
+                print(f"broker: journal {path} holds no run (torn or "
+                      f"damaged submit); deleting it", file=sys.stderr)
+                self._journal.discard(path)
+            for state in states:
                 max_order = max(max_order, state.order)
                 if state.run_id in self._runs:
                     continue
                 if state.cancelled:
                     # A cancelled run has no client and, post-crash, no
                     # leases left to drain: drop its journal outright.
-                    self._journal.discard(state.run_id)
+                    self._journal.discard(
+                        self._journal.path_for(state.run_id))
                     continue
                 run = _Run(run_id=state.run_id, order=state.order,
                            ledger=AttemptLedger(
                                policy_from_dict(state.policy),
                                time.monotonic, charges=state.charges))
-                for index, entry in enumerate(state.jobs):
-                    key = str(entry.get("key", ""))
-                    if not key or key in run.jobs:
-                        continue
-                    job = _Job(
-                        key=key,
-                        spec=dict(entry.get("spec") or {}),  # type: ignore[arg-type]
-                        seed=int(entry.get("seed", 0)),  # type: ignore[arg-type]
-                        scenario=str(entry.get("scenario", "")),
-                        priority=index,
-                    )
+                run.jobs = _jobs_from(state.jobs)
+                for key, job in run.jobs.items():
                     if key in state.results:
                         job.state = "done"
                         run.completed += 1
@@ -485,17 +490,13 @@ class BrokerQueue:
                         job.state = "failed"
                         run.failed += 1
                         run.failures[key] = state.failures[key]
-                    else:
-                        run.open_jobs += 1  # pending again, uncharged
-                    run.jobs[key] = job
+                    else:  # pending again, uncharged
+                        run.open_jobs += 1
+                        self._push(run, job, ready_at=0.0)
                 run.attached = False
                 run.detached_at = time.monotonic()
                 self._runs[run.run_id] = run
                 self._journal_open(run)
-                for job in sorted(run.jobs.values(),
-                                  key=lambda j: j.priority):
-                    if job.state == "pending":
-                        self._push(run, job, ready_at=0.0)
                 if run.open_jobs == 0:
                     # run-done is primed into the stream on re-attach.
                     run.done = True
@@ -598,9 +599,6 @@ class BrokerQueue:
             deadline=now + self.lease_ttl,
         )
         self._leases[lease.lease_id] = lease
-        self._journal_append(run, {"type": "lease", "key": job.key,
-                                   "worker": worker,
-                                   "attempt": lease.attempt})
         return {
             "type": "job",
             "lease": lease.lease_id,
@@ -701,7 +699,7 @@ class BrokerQueue:
             run.journal.close()
             run.journal = None
         if self._journal is not None:
-            self._journal.discard(run.run_id)
+            self._journal.discard(self._journal.path_for(run.run_id))
 
 
 class BrokerServer:
@@ -893,18 +891,20 @@ class BrokerServer:
 
 _EPILOG = """\
 journal & recovery:
-  Unless --no-journal is given, every queue transition (submit, lease
-  grant, attempt charge, complete, fail, cancel) is appended to a
-  per-run JSONL journal under the --journal directory (default:
-  <runs>/journal next to the RunStore, i.e. $REPRO_RUNS_DIR or ./runs).
-  On start the journal is replayed: settled jobs keep their recorded
-  metrics/failures, jobs that were leased at the crash come back pending
-  at the same attempt number (lost leases are never charged), and a
-  client that reconnects and re-submits the same run id re-attaches and
-  receives every already-settled event before the live ones — so a
-  kill -9 mid-run resumes to output byte-identical to a serial run.
-  A run's journal file is deleted when the run retires (its run-done
-  was delivered, or it was cancelled and drained).
+  Unless --no-journal is given, every transition a restart needs
+  (submit, attempt charge, complete, fail, cancel) is fsynced to a
+  per-run journal under the --journal directory (default: <runs>/journal
+  next to the RunStore, i.e. $REPRO_RUNS_DIR or ./runs) as one of the
+  unit cache's checksummed records: a torn or damaged record costs
+  itself and no other, and a journal whose submit record is lost is
+  reported and deleted.  On start the journal is replayed: settled jobs
+  keep their recorded metrics/failures, jobs that were leased at the
+  crash come back pending at the same attempt number (lost leases are
+  never charged), and a client that reconnects and re-submits the same
+  run id re-attaches and receives every already-settled event before the
+  live ones — so a kill -9 mid-run resumes to output byte-identical to a
+  serial run.  A run's journal file is deleted when the run retires
+  (its run-done was delivered, or it was cancelled and drained).
 
 heartbeat-ack:
   Every worker heartbeat is answered with heartbeat-ack {ok}.  ok=false

@@ -1,17 +1,14 @@
 """Write-ahead journal for the broker queue (crash-safe run recovery).
 
-Every queue state transition — ``submit``, ``lease``, ``charge`` (a
-reported failure that consumed one attempt), ``done``, ``failed``,
-``cancel`` — is appended as one JSON object per line to a per-run file
-under the journal directory (by default ``<runs>/journal`` next to the
-RunStore's ``objects/``).  Appends are flushed and fsynced, so after a
-``kill -9`` the journal holds a *prefix* of the transitions the broker
-acknowledged.  The one exception is ``lease``: replay only counts those
-records (a leased-but-unsettled job is pending with or without the
-line), so they are buffered and reach the disk, in order, with the next
-durable record or ``close()`` — one fsync per job instead of two.
+Every transition a replay needs — ``submit``, ``charge`` (a reported
+failure that consumed one attempt), ``done``, ``failed``, ``cancel`` — is
+appended to a per-run file under the journal directory (by default
+``<runs>/journal`` next to the RunStore's ``objects/``) as one of the
+unit cache's checksummed records
+(:func:`~repro.analysis.runstore.encode_record`): one unbuffered
+``write``, then an fsync, before the broker acts on the transition.
 
-Replay rebuilds queue state from that prefix:
+Replay rebuilds queue state from the records that decode:
 
 - settled jobs (``done``/``failed`` records) keep their metrics/failure
   and are re-delivered to a re-attaching client without re-execution;
@@ -21,28 +18,31 @@ Replay rebuilds queue state from that prefix:
 - ``charge`` records restore consumed retry budget, so a job that failed
   twice before the crash still fails fast after it.
 
-The torn tail a crash can leave (a partially written last line) is
-tolerated: parsing stops at the first undecodable line, and because any
-prefix of a journal is a consistent history, the replayed queue is
-always valid (the property ``tests/test_journal.py`` pins).
-
-A run's journal file is deleted when the run is retired (its ``run-done``
-was delivered, or it was cancelled and drained), so an always-on broker
-garbage-collects its own journal.
+The torn-data rule is the unit cache's: a record that is torn (a crash
+mid-append), fails its checksum or does not parse costs itself and no
+other.  Any subset of a journal's records that keeps its ``submit``
+folds to a consistent queue (``tests/test_journal.py``); a lost
+settlement only means that job runs again, deterministically.  A file
+whose ``submit`` is lost replays to no run, and the broker reports and
+deletes it.  A run's file is also deleted when the run retires (its
+``run-done`` was delivered, or it was cancelled and drained).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
+import io
 import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, Iterable, List, Optional, Set, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+
+from repro.analysis.runstore import (SEGMENT_SUFFIX, decode_records,
+                                     encode_record)
 
 #: Journal format version; bump on incompatible record-shape changes.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _SAFE_RUN_ID = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -55,28 +55,26 @@ def run_file_name(run_id: str) -> str:
     """
     digest = hashlib.sha256(run_id.encode("utf-8")).hexdigest()[:12]
     safe = _SAFE_RUN_ID.sub("_", run_id)[:48].strip("._-") or "run"
-    return f"{safe}-{digest}.jsonl"
+    return f"{safe}-{digest}{SEGMENT_SUFFIX}"
 
 
 class RunJournal:
-    """Append-only record stream for one run (one JSON object per line)."""
+    """Append-only record stream for one run."""
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle: Optional[IO[str]] = open(  # noqa: SIM115 - long-lived
-            self.path, "a", encoding="utf-8")
+        self._handle: Optional[io.FileIO] = open(  # noqa: SIM115 - long-lived
+            self.path, "ab", buffering=0)
 
     def append(self, record: Dict[str, object]) -> None:
-        """Append one record; durable (write + flush + fsync) unless it
-        is a ``lease``, which rides the next durable record's fsync."""
+        """Append one record, durably: one write, then an fsync."""
         if self._handle is None:
             raise ValueError(f"journal {self.path} is closed")
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._handle.write(line + "\n")
-        if record.get("type") != "lease":
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
+        data = encode_record(record)
+        if self._handle.write(data) != len(data):
+            raise OSError(f"short write to {self.path} (disk full?)")
+        os.fsync(self._handle.fileno())
 
     def close(self) -> None:
         if self._handle is not None:
@@ -99,7 +97,6 @@ class ReplayedRun:
     results: Dict[str, Dict[str, float]] = field(default_factory=dict)
     cached: Set[str] = field(default_factory=set)
     failures: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    leases: int = 0
     cancelled: bool = False
 
 
@@ -116,66 +113,47 @@ class JournalDir:
         """Open (or reopen, appending) the journal for one run."""
         return RunJournal(self.path_for(run_id))
 
-    def discard(self, run_id: str) -> None:
-        """Delete a retired run's journal file (missing is fine)."""
+    def discard(self, path: Path) -> None:
+        """Delete a journal file (missing is fine; one we cannot delete is
+        replayed then discarded again)."""
         try:
-            self.path_for(run_id).unlink()
-        except FileNotFoundError:
-            pass
+            path.unlink()
         except OSError:
-            pass  # a journal we cannot delete is replayed then re-retired
+            pass
 
-    def run_files(self) -> List[Path]:
+    def replay(self) -> Tuple[List[ReplayedRun], List[Path]]:
+        """Replay every journal in the directory.
+
+        Returns the runs in submission order, and the files that replay
+        to no run (their ``submit`` is torn or damaged, or missing).
+        """
+        runs: List[ReplayedRun] = []
+        dead: List[Path] = []
         if not self.root.is_dir():
-            return []
-        return sorted(self.root.glob("*.jsonl"))
-
-    def replay(self) -> List[ReplayedRun]:
-        """Replay every journal in the directory, in submission order."""
-        runs = []
-        for path in self.run_files():
-            state = self.replay_file(path)
-            if state is not None:
+            return runs, dead
+        for path in sorted(self.root.glob(f"*{SEGMENT_SUFFIX}")):
+            try:
+                data = path.read_bytes()
+            except OSError:
+                continue
+            state = replay_records(record for _, record in
+                                   decode_records(data) if record is not None)
+            if state is None:
+                dead.append(path)
+            else:
                 runs.append(state)
         runs.sort(key=lambda state: state.order)
-        return runs
-
-    def replay_file(self, path: Path) -> Optional[ReplayedRun]:
-        try:
-            text = path.read_text(encoding="utf-8")
-        except OSError:
-            return None
-        return replay_records(parse_lines(text))
-
-
-def parse_lines(text: str) -> List[Dict[str, object]]:
-    """Decode journal lines, stopping at the first torn/corrupt line.
-
-    A crash can only tear the *tail* of an fsynced append stream, so the
-    decodable prefix is exactly the acknowledged history.
-    """
-    records: List[Dict[str, object]] = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError:
-            break  # torn tail (or corruption): trust only the prefix
-        if not isinstance(record, dict):
-            break
-        records.append(record)
-    return records
+        return runs, dead
 
 
 def replay_records(
         records: Iterable[Dict[str, object]]) -> Optional[ReplayedRun]:
     """Fold a record sequence into a run state (``None`` without a submit).
 
-    Any prefix of a valid journal folds to a consistent state: settled
-    keys are a subset of submitted keys, charges only grow, and a missing
-    settlement simply leaves the job pending.
+    Any subsequence of a valid journal that keeps its submit folds to a
+    consistent state: settled keys are a subset of submitted keys,
+    charges only grow, and a missing settlement simply leaves the job
+    pending.
     """
     state: Optional[ReplayedRun] = None
     for record in records:
@@ -193,9 +171,7 @@ def replay_records(
         if state is None:
             break  # records before the submit: corruption, stop
         key = str(record.get("key", ""))
-        if kind == "lease":
-            state.leases += 1
-        elif kind == "charge":
+        if kind == "charge":
             attempts = int(record.get("attempts", 0))  # type: ignore[arg-type]
             state.charges[key] = max(state.charges.get(key, 0), attempts)
         elif kind == "done":

@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.runstore import RunStore
+from repro.analysis.runstore import SEGMENT_SUFFIX, RunStore
 from repro.distributed import (
     BrokerQueue,
     BrokerServer,
@@ -137,6 +137,26 @@ class TestQueueRecovery:
         queue = BrokerQueue(journal=journal_dir)
         assert queue.recover() == []
         assert not journal_dir.path_for("dead").exists()
+
+    def test_journal_without_a_run_is_reported_and_deleted(
+            self, tmp_path, capsys):
+        journal_dir = JournalDir(tmp_path / "journal")
+        journal = journal_dir.open_run("torn")
+        journal.append({"type": "submit", "run": "torn", "order": 0,
+                        "policy": {}, "jobs": [_job("a")]})
+        journal.append({"type": "done", "key": "a", "metrics": {}})
+        journal.close()
+        torn = journal_dir.path_for("torn")
+        data = torn.read_bytes()
+        torn.write_bytes(data[:20] + data[21:])  # the submit loses a byte
+        empty = journal_dir.path_for("empty")
+        empty.write_bytes(b"")
+        queue = BrokerQueue(journal=journal_dir)
+        assert queue.recover() == []
+        assert not torn.exists() and not empty.exists()
+        err = capsys.readouterr().err
+        for path in (torn, empty):
+            assert f"broker: journal {path} holds no run" in err
 
     def test_recover_without_a_journal_is_a_noop(self):
         assert BrokerQueue().recover() == []
@@ -378,7 +398,7 @@ class TestServerRecovery:
             # retired (no _Run leak) and every journal file collected.
             # Retirement races the client's run-done receipt; poll.
             assert _wait_for(lambda: server.queue.stats()["runs"] == {})
-            assert not list(journal_dir.glob("*.jsonl"))
+            assert not list(journal_dir.glob(f"*{SEGMENT_SUFFIX}"))
         finally:
             stop.set()
             server.stop()
@@ -478,7 +498,7 @@ class TestBrokerKillRestart:
             # garbage-collected its journal (the delete races the
             # client's receipt; poll briefly).
             assert _wait_for(
-                lambda: not list(journal_dir.glob("*.jsonl")))
+                lambda: not list(journal_dir.glob(f"*{SEGMENT_SUFFIX}")))
         finally:
             stop.set()
             if broker.poll() is None:

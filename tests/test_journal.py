@@ -1,24 +1,27 @@
-"""The broker's write-ahead journal: parsing, replay, prefix consistency.
+"""The broker's write-ahead journal: records, replay, prefix consistency.
 
-The durability argument rests on one property: appends are fsynced, so a
-crash leaves a *prefix* of the acknowledged history (possibly with a torn
-last line), and **any prefix of a valid journal replays to a consistent
-queue**.  The property-style tests here record a real queue journey —
-submit, lease, charge, complete, fail — then check every prefix of the
-resulting journal file: it folds to an internally consistent state, and a
-fresh :class:`BrokerQueue` recovered from it can be driven to completion
-and retired (which garbage-collects the journal file).
+The durability argument rests on one property: appends are fsynced
+checksummed records, so a crash leaves the acknowledged history (possibly
+with a torn last record), and **any prefix of a valid journal replays to
+a consistent queue**.  The property-style tests here record a real queue
+journey — submit, lease, charge, complete, fail — then check every prefix
+of the resulting journal: it folds to an internally consistent state, and
+a fresh :class:`BrokerQueue` recovered from it can be driven to
+completion and retired (which garbage-collects the journal file).  Byte-
+level damage at every offset is ``tests/test_segment_hostile.py``'s.
 """
 
-import json
+import os
+import zlib
 
 import pytest
 
+from repro.analysis.runstore import (SEGMENT_SUFFIX, decode_records,
+                                     encode_record)
 from repro.distributed import BrokerQueue, JournalDir
 from repro.distributed.journal import (
     SCHEMA_VERSION,
     RunJournal,
-    parse_lines,
     replay_records,
     run_file_name,
 )
@@ -44,9 +47,9 @@ class TestRunFileName:
         for run_id in ("../../etc/passwd", "a/b/c", "run id with spaces",
                        "ünïcode", "", "." * 10):
             name = run_file_name(run_id)
-            assert name.endswith(".jsonl")
+            assert name.endswith(SEGMENT_SUFFIX)
             assert "/" not in name and "\\" not in name
-            stem = name[:-len(".jsonl")]
+            stem = name[:-len(SEGMENT_SUFFIX)]
             assert stem == stem.strip("._-")
             assert all(c.isalnum() or c in "._-" for c in stem)
 
@@ -61,8 +64,12 @@ class TestRunFileName:
 
 
 # ----------------------------------------------------------------------
-# Append / parse
+# Append / decode
 # ----------------------------------------------------------------------
+def _records_in(path):
+    return [record for _, record in decode_records(path.read_bytes())]
+
+
 class TestRunJournal:
     def test_append_close_reopen_appends(self, tmp_path):
         journal_dir = JournalDir(tmp_path / "journal")
@@ -73,37 +80,77 @@ class TestRunJournal:
         reopened = journal_dir.open_run("r")
         reopened.append({"type": "cancel"})
         reopened.close()
-        records = parse_lines(
-            journal_dir.path_for("r").read_text(encoding="utf-8"))
+        records = _records_in(journal_dir.path_for("r"))
         assert [r["type"] for r in records] == ["submit", "done", "cancel"]
         assert records[1]["metrics"] == {"m": 1.0}
 
+    def test_each_append_is_one_encoded_record(self, tmp_path):
+        journal = RunJournal(tmp_path / f"r{SEGMENT_SUFFIX}")
+        records = [_submit_record("r", ["a"]), {"type": "cancel"}]
+        for record in records:
+            journal.append(record)
+        journal.close()
+        assert journal.path.read_bytes() == b"".join(
+            encode_record(record) for record in records)
+
     def test_append_after_close_raises(self, tmp_path):
-        journal = RunJournal(tmp_path / "r.jsonl")
+        journal = RunJournal(tmp_path / f"r{SEGMENT_SUFFIX}")
         journal.close()
         with pytest.raises(ValueError):
             journal.append({"type": "cancel"})
 
     def test_discard_missing_file_is_fine(self, tmp_path):
-        JournalDir(tmp_path / "journal").discard("never-existed")
+        journal_dir = JournalDir(tmp_path / "journal")
+        journal_dir.discard(journal_dir.path_for("never-existed"))
+
+    def test_one_fsync_per_settled_job_plus_the_submit(
+            self, tmp_path, monkeypatch):
+        fsyncs = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd),
+                                                     real_fsync(fd)))
+        queue = BrokerQueue(journal=JournalDir(tmp_path / "journal"))
+        queue.submit("r", [_job(f"k{index}") for index in range(10)],
+                     JobPolicy())
+        assert len(fsyncs) == 1
+        while True:
+            grant = queue.lease("w", wait_s=0.0)
+            if grant["type"] != "job":
+                break
+            queue.complete(grant["lease"], {"m": 1.0})
+        assert queue.stats()["runs"]["r"]["completed"] == 10
+        assert len(fsyncs) == 1 + 10
 
 
-class TestParseLines:
-    def test_torn_tail_keeps_the_prefix(self):
-        good = [json.dumps({"type": "submit", "run": "r"}),
-                json.dumps({"type": "done", "key": "a"})]
-        text = "\n".join(good) + "\n" + '{"type": "done", "key": "b", "met'
-        records = parse_lines(text)
-        assert [r["type"] for r in records] == ["submit", "done"]
+class TestRecordCodec:
+    def test_unit_records_keep_their_bytes(self):
+        # The unit-cache segment layout, byte for byte: segments written
+        # before the codec was shared with the journal still read back.
+        assert encode_record({"key": "00ab-s3",
+                              "metrics": {"m": 1.5, "a": 0.1}}) == (
+            b'\ne056653a {"key":"00ab-s3","metrics":{"a":0.1,"m":1.5}}\n')
 
-    def test_non_dict_line_stops_parsing(self):
-        text = json.dumps({"type": "submit", "run": "r"}) + "\n[1, 2, 3]\n" \
-            + json.dumps({"type": "done", "key": "a"})
-        assert len(parse_lines(text)) == 1
+    def test_torn_tail_costs_only_the_last_record(self):
+        good = [{"type": "submit", "run": "r"}, {"type": "done", "key": "a"}]
+        data = b"".join(encode_record(record) for record in good)
+        torn = encode_record({"type": "done", "key": "b", "metrics": {}})
+        decoded = [record for _, record in
+                   decode_records(data + torn[:-8])]
+        assert decoded == good + [None]
 
-    def test_blank_lines_are_skipped(self):
-        text = "\n" + json.dumps({"type": "submit", "run": "r"}) + "\n\n"
-        assert len(parse_lines(text)) == 1
+    def test_non_dict_body_is_a_bad_record(self):
+        body = b"[1, 2, 3]"
+        data = (encode_record({"type": "submit", "run": "r"})
+                + b"\n%08x %s\n" % (zlib.crc32(body), body)
+                + encode_record({"type": "done", "key": "a"}))
+        decoded = [record for _, record in decode_records(data)]
+        assert decoded == [{"type": "submit", "run": "r"}, None,
+                           {"type": "done", "key": "a"}]
+
+    def test_blank_lines_are_skipped_and_numbered(self):
+        data = b"\n\n" + encode_record({"type": "submit", "run": "r"}) + b"\n"
+        assert list(decode_records(data)) == [
+            (4, {"type": "submit", "run": "r"})]
 
 
 # ----------------------------------------------------------------------
@@ -113,7 +160,6 @@ class TestReplayRecords:
     def test_full_history_folds(self):
         state = replay_records([
             _submit_record("r", ["a", "b"], order=3),
-            {"type": "lease", "key": "a", "worker": "w", "attempt": 1},
             {"type": "charge", "key": "a", "attempts": 1},
             {"type": "done", "key": "a", "metrics": {"m": 0.5},
              "cached": True},
@@ -125,7 +171,6 @@ class TestReplayRecords:
         assert state.cached == {"a"}
         assert state.charges == {"a": 1}
         assert state.failures["b"]["kind"] == "exception"
-        assert state.leases == 1
         assert not state.cancelled
 
     def test_without_a_submit_there_is_no_state(self):
@@ -162,10 +207,20 @@ class TestJournalDir:
             journal = journal_dir.open_run(run_id)
             journal.append(_submit_record(run_id, ["a"], order=order))
             journal.close()
-        assert [s.run_id for s in journal_dir.replay()] == ["zz", "mm", "aa"]
+        runs, dead = journal_dir.replay()
+        assert [s.run_id for s in runs] == ["zz", "mm", "aa"]
+        assert dead == []
 
     def test_empty_directory_replays_to_nothing(self, tmp_path):
-        assert JournalDir(tmp_path / "missing").replay() == []
+        assert JournalDir(tmp_path / "missing").replay() == ([], [])
+
+    def test_files_of_the_old_format_are_not_replayed(self, tmp_path):
+        root = tmp_path / "journal"
+        root.mkdir()
+        (root / "r-0123456789ab.jsonl").write_text(
+            '{"type":"submit","run":"r","order":0,"jobs":[]}\n',
+            encoding="utf-8")
+        assert JournalDir(root).replay() == ([], [])
 
 
 # ----------------------------------------------------------------------
@@ -175,18 +230,16 @@ def _record_history(tmp_path):
     """Drive a real journaled queue through every record type.
 
     a fails once then completes, b completes (cached), c exhausts its
-    retry budget — the journal ends up with submit, lease, charge, done
-    and failed records in genuine interleaving.
+    retry budget — the journal ends up with submit, charge, done and
+    failed records in genuine interleaving.  Returns the decoded records.
     """
     journal_dir = JournalDir(tmp_path / "journal")
     queue = BrokerQueue(journal=journal_dir)
     policy = JobPolicy(max_retries=2, backoff_base_s=0.0)
     queue.submit("history", [_job("a"), _job("b"), _job("c")], policy)
     fail_budget = {"a": 1, "c": 3}  # scripted failures per key
-    while True:
+    while queue.stats()["runs"]["history"]["open"]:
         grant = queue.lease("w", wait_s=2.0)
-        if grant["type"] != "job":
-            break
         key = grant["key"]
         if fail_budget.get(key, 0) > 0:
             fail_budget[key] -= 1
@@ -198,35 +251,52 @@ def _record_history(tmp_path):
     # its three attempts into the manifest.
     stats = queue.stats()["runs"]["history"]
     assert stats["completed"] == 2 and stats["failed"] == 1
-    return journal_dir.path_for("history").read_text(encoding="utf-8")
+    records = _records_in(journal_dir.path_for("history"))
+    assert None not in records
+    return records
+
+
+def _write_journal(root, records):
+    root.mkdir()
+    (root / run_file_name("history")).write_bytes(
+        b"".join(encode_record(record) for record in records))
+    return JournalDir(root)
+
+
+def _assert_consistent(state):
+    submitted = {str(job["key"]) for job in state.jobs}
+    assert submitted == {"a", "b", "c"}
+    # Settled keys are submitted keys, exactly once each.
+    assert set(state.results) <= submitted
+    assert set(state.failures) <= submitted
+    assert not set(state.results) & set(state.failures)
+    assert set(state.charges) <= submitted
+    assert all(n >= 1 for n in state.charges.values())
 
 
 class TestPrefixReplayProperty:
     def test_every_prefix_folds_to_a_consistent_state(self, tmp_path):
-        lines = _record_history(tmp_path).splitlines()
-        assert len(lines) >= 10  # all record types are actually present
-        for cut in range(len(lines) + 1):
-            state = replay_records(parse_lines("\n".join(lines[:cut])))
-            if cut == 0:
-                assert state is None
-                continue
-            submitted = {str(job["key"]) for job in state.jobs}
-            assert submitted == {"a", "b", "c"}
-            # Settled keys are submitted keys, exactly once each.
-            assert set(state.results) <= submitted
-            assert set(state.failures) <= submitted
-            assert not set(state.results) & set(state.failures)
-            assert set(state.charges) <= submitted
-            assert all(n >= 1 for n in state.charges.values())
+        records = _record_history(tmp_path)
+        # All record types are actually present.
+        assert {r["type"] for r in records} == {
+            "submit", "charge", "done", "failed"}
+        assert replay_records([]) is None
+        for cut in range(1, len(records) + 1):
+            _assert_consistent(replay_records(records[:cut]))
+
+    def test_every_gap_folds_to_a_consistent_state(self, tmp_path):
+        """A damaged record costs that record only: the journal without
+        it still folds to a consistent queue."""
+        records = _record_history(tmp_path)
+        for drop in range(1, len(records)):
+            _assert_consistent(
+                replay_records(records[:drop] + records[drop + 1:]))
 
     def test_every_prefix_recovers_to_a_workable_queue(self, tmp_path):
-        lines = _record_history(tmp_path).splitlines()
-        for cut in range(1, len(lines) + 1):
-            root = tmp_path / f"cut-{cut}"
-            journal_dir = JournalDir(root)
-            root.mkdir()
-            (root / run_file_name("history")).write_text(
-                "\n".join(lines[:cut]) + "\n", encoding="utf-8")
+        records = _record_history(tmp_path)
+        for cut in range(1, len(records) + 1):
+            journal_dir = _write_journal(tmp_path / f"cut-{cut}",
+                                         records[:cut])
             queue = BrokerQueue(journal=journal_dir)
             assert queue.recover() == ["history"]
             stats = queue.stats()["runs"]["history"]
@@ -244,13 +314,12 @@ class TestPrefixReplayProperty:
             assert not journal_dir.path_for("history").exists()
 
     def test_torn_tail_still_recovers(self, tmp_path):
-        text = _record_history(tmp_path)
-        root = tmp_path / "torn"
-        root.mkdir()
-        (root / run_file_name("history")).write_text(
-            text + '{"type": "done", "key": "c", "met',
-            encoding="utf-8")
-        queue = BrokerQueue(journal=JournalDir(root))
+        journal_dir = _write_journal(tmp_path / "torn",
+                                     _record_history(tmp_path))
+        torn = encode_record({"type": "done", "key": "c", "metrics": {}})
+        with open(journal_dir.path_for("history"), "ab") as handle:
+            handle.write(torn[:len(torn) // 2])
+        queue = BrokerQueue(journal=journal_dir)
         assert queue.recover() == ["history"]
         stats = queue.stats()["runs"]["history"]
         # The torn record is ignored: c keeps its journaled failure.

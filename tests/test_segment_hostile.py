@@ -1,11 +1,14 @@
-"""The unit-cache segments under hostile conditions (ROADMAP item 7(c)).
+"""Both durable logs under hostile conditions: unit segments and journal.
 
-The contract of ``RunStore``'s ``units/`` tier is *a miss, never an error,
-never a wrong hit*.  It is exercised here the way the journal's is: a
-recorded segment cut at every byte offset and damaged at every byte, real
-processes writing one store at once, and a real process SIGKILLed in the
-middle of a grid.  ``make chaos`` runs this file next to the worker-kill
-run.
+The unit cache's ``units/`` segments and the broker's write-ahead journal
+share one record format (``runstore.encode_record``) and one torn-data
+rule: a torn or damaged record costs itself and no other.  For the unit
+cache that means *a miss, never an error, never a wrong hit*; for the
+journal, that replay equals the fold of exactly the undamaged records.
+Both logs are recorded, cut at every byte offset and damaged at every
+byte; the unit cache is also written by real processes at once and by a
+real process SIGKILLed in the middle of a grid.  ``make chaos`` runs this
+file next to the worker-kill run.
 """
 
 import multiprocessing
@@ -20,7 +23,10 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.analysis.runstore import RunStore
+from repro.analysis.runstore import RunStore, decode_records, encode_record
+from repro.distributed import BrokerQueue, JournalDir
+from repro.distributed.journal import replay_records, run_file_name
+from repro.scenarios import JobPolicy
 
 RECORDS = 20
 
@@ -90,6 +96,92 @@ def test_any_flipped_byte_costs_its_own_record_and_no_other(
                 # Line structure intact: the record sits on line 2i + 2.
                 (problem,) = problems
                 assert problem.path.endswith(f".seg:{2 * victim + 2}")
+
+
+@pytest.fixture(scope="module")
+def journaled(tmp_path_factory):
+    """``(bytes of a run's journal, [(record, start, end)] per record)``.
+
+    a completes, b is charged once then completes, c is charged once then
+    fails into the manifest.
+    """
+    journals = JournalDir(tmp_path_factory.mktemp("journaled"))
+    queue = BrokerQueue(journal=journals)
+    queue.submit("r", [{"key": key, "spec": {"name": "s"}, "seed": 1,
+                        "scenario": "s"} for key in "abc"],
+                 JobPolicy(max_retries=1, backoff_base_s=0.0))
+    failures = {"b": 1, "c": 2}
+    while queue.stats()["runs"]["r"]["open"]:
+        grant = queue.lease("w", wait_s=2.0)
+        if failures.get(grant["key"], 0) > 0:
+            failures[grant["key"]] -= 1
+            queue.fail(grant["lease"], "exception", "boom")
+        else:
+            queue.complete(grant["lease"], metrics_of(ord(grant["key"])))
+    data = journals.path_for("r").read_bytes()
+    spans, start = [], 0
+    for _, record in decode_records(data):
+        end = start + len(encode_record(record))
+        spans.append((record, start, end))
+        start = end
+    assert start == len(data)
+    assert [(record["type"], record.get("key")) for record, _, _ in spans] \
+        == [("submit", None), ("done", "a"), ("charge", "b"),
+            ("charge", "c"), ("done", "b"), ("failed", "c")]
+    return data, spans
+
+
+def journal_holding(root, data: bytes) -> JournalDir:
+    """A journal directory over ``root`` whose one run file holds ``data``."""
+    (root / run_file_name("r")).write_bytes(data)
+    return JournalDir(root)
+
+
+def test_journal_cut_at_every_byte_offset_replays_exactly_the_whole_records(
+        journaled, tmp_path):
+    data, spans = journaled
+    path = tmp_path / run_file_name("r")
+    for cut in range(len(data) + 1):
+        # A record short of nothing but its newline still carries its
+        # checksum: the journal has no in-flight tail to wait for.
+        expected = replay_records(
+            [record for record, _, end in spans if end - 1 <= cut])
+        runs, dead = journal_holding(tmp_path, data[:cut]).replay()
+        assert runs == ([] if expected is None else [expected]), cut
+        assert dead == ([path] if expected is None else []), cut
+
+
+@pytest.mark.parametrize("mask", [0x01, 0x20, 0xFF])
+def test_journal_flipped_byte_costs_its_own_record_and_no_other(
+        journaled, tmp_path, mask):
+    data, spans = journaled
+    path = tmp_path / run_file_name("r")
+    for victim, (_, start, end) in enumerate(spans):
+        expected = replay_records(
+            [record for index, (record, _, _) in enumerate(spans)
+             if index != victim])
+        for offset in range(start, end):
+            damaged = bytearray(data)
+            damaged[offset] ^= mask
+            runs, dead = journal_holding(tmp_path, bytes(damaged)).replay()
+            assert runs == ([] if expected is None else [expected]), offset
+            assert dead == ([path] if expected is None else []), offset
+
+
+def test_journal_damaged_done_leaves_the_later_settlements(
+        journaled, tmp_path):
+    data, spans = journaled
+    _, start, end = spans[1]  # a's done record
+    damaged = bytearray(data)
+    damaged[(start + end) // 2] ^= 0x01
+    queue = BrokerQueue(journal=journal_holding(tmp_path, bytes(damaged)))
+    assert queue.recover() == ["r"]
+    stats = queue.stats()["runs"]["r"]
+    # b and c stay settled; only a runs again.
+    assert (stats["completed"], stats["failed"], stats["open"]) == (1, 1, 1)
+    grant = queue.lease("w", wait_s=0.0)
+    assert grant["key"] == "a"
+    assert queue.lease("w", wait_s=0.0)["type"] == "idle"
 
 
 def _write_units(root: str, writer: int, count: int, barrier) -> None:
