@@ -100,10 +100,13 @@ distributed:
 # registration alone), plus the trimmed figure1 cross-family study — once
 # serially and once on the --jobs 2 process-pool backend (the two JSON
 # documents are byte-identical by construction; CI sees both paths).
+# Scenarios go through the `run` and `sweep` subcommands and the bare-name
+# spelling (`repro-run NAME` is `sweep NAME`); all seven are single-point,
+# so the three spellings print the same document.
 smoke:
 	PYTHONPATH=src $(PY) -m repro.run pow-baseline --set architecture.duration_blocks=20 --quiet --json -
-	PYTHONPATH=src $(PY) -m repro.run pbft-consortium --set duration=1.0 --quiet --json -
-	PYTHONPATH=src $(PY) -m repro.run fabric-consortium --set duration=1.0 --quiet --json -
+	PYTHONPATH=src $(PY) -m repro.run run pbft-consortium --set duration=1.0 --quiet --json -
+	PYTHONPATH=src $(PY) -m repro.run sweep fabric-consortium --set duration=1.0 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run kad-lookup --set workload.lookups=20 --set topology.size=150 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run kademlia-churn-100k --set topology.size=5000 --set workload.lookups=200 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run superpeer-search --set topology.size=500 --set architecture.superpeers=20 --set workload.lookups=50 --quiet --json -

@@ -57,7 +57,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from queue import Empty, Queue
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.distributed.journal import SCHEMA_VERSION, JournalDir, RunJournal
 from repro.distributed.protocol import (
@@ -140,10 +140,9 @@ class _Run:
     attach_seq: int = 0
     attached: bool = True
     detached_at: float = 0.0
-    #: key -> (metrics, cached); kept until retirement so a re-attaching
-    #: client can be replayed every settled event.
-    results: Dict[str, Tuple[Dict[str, float], bool]] = field(
-        default_factory=dict)
+    #: key -> metrics; kept until retirement so a re-attaching client can
+    #: be replayed every settled event.
+    results: Dict[str, Dict[str, float]] = field(default_factory=dict)
     failures: Dict[str, Dict[str, object]] = field(default_factory=dict)
     journal: Optional[RunJournal] = None
 
@@ -257,10 +256,9 @@ class BrokerQueue:
             events: "Queue[Dict[str, object]]" = Queue()
             for job in sorted(run.jobs.values(), key=lambda j: j.priority):
                 if job.key in run.results:
-                    metrics, was_cached = run.results[job.key]
                     events.put({"type": "job-done", "key": job.key,
-                                "metrics": dict(metrics), "worker": "",
-                                "cached": was_cached})
+                                "metrics": dict(run.results[job.key]),
+                                "worker": ""})
                 elif job.key in run.failures:
                     events.put({"type": "job-failed", "key": job.key,
                                 "failure": dict(run.failures[job.key])})
@@ -327,8 +325,7 @@ class BrokerQueue:
             return True
 
     # -- settlement ----------------------------------------------------
-    def complete(self, lease_id: str, metrics: Dict[str, float],
-                 cached: bool = False) -> bool:
+    def complete(self, lease_id: str, metrics: Dict[str, float]) -> bool:
         """Settle a lease with metrics; ``False`` drops a stale duplicate."""
         with self._lock:
             lease = self._leases.pop(lease_id, None)
@@ -337,14 +334,13 @@ class BrokerQueue:
             run = self._runs[lease.run_id]
             job = run.jobs[lease.key]
             run.ledger.succeeded(job.key)
-            run.results[job.key] = (dict(metrics), bool(cached))
+            run.results[job.key] = dict(metrics)
             self._settle_locked(
                 run, job, "done",
                 record={"type": "done", "key": job.key,
-                        "metrics": dict(metrics), "cached": bool(cached)},
+                        "metrics": dict(metrics)},
                 event={"type": "job-done", "key": job.key,
-                       "metrics": dict(metrics), "worker": lease.worker,
-                       "cached": bool(cached)})
+                       "metrics": dict(metrics), "worker": lease.worker})
             return True
 
     def fail(self, lease_id: str, kind: str, error: str) -> bool:
@@ -484,8 +480,7 @@ class BrokerQueue:
                     if key in state.results:
                         job.state = "done"
                         run.completed += 1
-                        run.results[key] = (state.results[key],
-                                            key in state.cached)
+                        run.results[key] = state.results[key]
                     elif key in state.failures:
                         job.state = "failed"
                         run.failed += 1
@@ -804,8 +799,7 @@ class BrokerServer:
                 elif kind == "complete":
                     self.queue.complete(
                         str(message.get("lease", "")),
-                        dict(message.get("metrics") or {}),  # type: ignore[arg-type]
-                        cached=bool(message.get("cached", False)))
+                        dict(message.get("metrics") or {}))  # type: ignore[arg-type]
                 elif kind == "fail":
                     self.queue.fail(str(message.get("lease", "")),
                                     str(message.get("kind", "exception")),

@@ -36,7 +36,7 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.analysis.runstore import (SEGMENT_SUFFIX, decode_records,
                                      encode_record)
@@ -95,7 +95,6 @@ class ReplayedRun:
     jobs: List[Dict[str, object]]
     charges: Dict[str, int] = field(default_factory=dict)
     results: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    cached: Set[str] = field(default_factory=set)
     failures: Dict[str, Dict[str, object]] = field(default_factory=dict)
     cancelled: bool = False
 
@@ -176,8 +175,6 @@ def replay_records(
             state.charges[key] = max(state.charges.get(key, 0), attempts)
         elif kind == "done":
             state.results[key] = dict(record.get("metrics") or {})  # type: ignore[arg-type]
-            if record.get("cached"):
-                state.cached.add(key)
         elif kind == "failed":
             state.failures[key] = dict(record.get("failure") or {})  # type: ignore[arg-type]
         elif kind == "cancel":

@@ -13,7 +13,7 @@ needs to merge byte-identically with a serial run.
 
 Before executing, the worker consults a shared
 :class:`~repro.analysis.runstore.RunStore` unit cache when one is
-configured (``--runs-dir``): a hit is reported as a (cached) completion
+configured (``--runs-dir``): a hit is reported as a completion
 without recomputation, giving cross-worker dedupe and resume for free —
 two workers pointed at the same store never run the same ``(spec, seed)``
 twice across runs.  Fresh metrics are written back to the cache before
@@ -178,7 +178,7 @@ class Worker:
             cached = self.store.get_unit(key)
             if cached is not None:
                 self._send(conn, {"type": "complete", "lease": lease,
-                                  "metrics": cached, "cached": True})
+                                  "metrics": cached})
                 return
 
         job = UnitJob(key=key,

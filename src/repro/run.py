@@ -1,39 +1,29 @@
-"""Command-line runner for the scenario framework.
+"""Command-line runner for the scenario framework (``repro-run``).
 
-::
+Each command has its own parser and takes only the flags it reads; a
+flag that another command owns is a usage error (``repro-run COMMAND
+--help`` lists them)::
 
-    python -m repro.run --list
-    python -m repro.run pow-baseline
-    python -m repro.run run pow-baseline --json -
-    python -m repro.run kad-lookup --set topology.size=800 --seed 9 --replicates 3
-    python -m repro.run sweep pbft-consortium --sweep "architecture.replicas=4,7,13"
-    python -m repro.run churn-ladder --json results.json
+    repro-run --list | --list-studies
+    repro-run run NAME   [EXECUTION] [--sweep PATH=V1,V2,...] [OUTPUT]
+    repro-run sweep NAME [EXECUTION] [--sweep PATH=V1,V2,...] [OUTPUT]
+    repro-run NAME ...   (the same as: sweep NAME ...)
+    repro-run study NAME [EXECUTION] [--members L1,L2,...] [OUTPUT]
+    repro-run ls         [--runs-dir PATH]
+    repro-run show RUN   [OUTPUT]
+    repro-run diff A B   [--tol METRIC=REL]... [--profile NAME] [--strict-ci] [OUTPUT]
+    repro-run gc         [--dry-run] [--runs-dir PATH] [--quiet]
+    repro-run verify     [--runs-dir PATH] [--quiet]
 
-    python -m repro.run --list-studies
-    python -m repro.run study figure1 --json - --replicates 3
-    python -m repro.run study figure1 --members bitcoin,fabric
-    python -m repro.run study figure1 --set bitcoin.architecture.duration_blocks=20
+    EXECUTION  [--seed N] [--replicates N] [--set PATH=VALUE]... [--save NAME]
+               [--no-resume] [--retries N] [--job-timeout S] [--keep-going]
+               [--progress] [--jobs N | --broker ADDR]
+    OUTPUT     [--runs-dir PATH] [--json PATH] [--quiet]
 
-    # Execution backends and the run store
-    python -m repro.run study figure1 --replicates 3 --jobs 4 --progress
-    python -m repro.run study figure1 --save fig1-nightly
-    python -m repro.run ls
-    python -m repro.run show fig1-nightly
-
-    # Drift verification and store lifecycle
-    python -m repro.run diff fig1-nightly fig1-tonight --tol throughput_tps=0.05
-    python -m repro.run diff results-a.json results-b.json
-    python -m repro.run study figure1 --save again --no-resume
-    python -m repro.run gc --dry-run
-    python -m repro.run verify
-
-Installed as the ``repro-run`` console script.  The first argument is a
-subcommand (``run``, ``sweep``, ``study``, ``ls``, ``show``, ``diff``,
-``gc``, ``verify``) or — for backwards compatibility — a bare registered
-scenario name.  ``run NAME`` executes the base configuration only
-(registered sweep axes are dropped; explicit ``--sweep`` flags still
-apply); ``sweep NAME`` and the bare-name form expand the scenario's
-declared variants/sweeps into one result per point.
+``run NAME`` executes the base configuration only (registered sweep axes
+are dropped; explicit ``--sweep`` flags still apply); ``sweep NAME`` and
+the bare-name form expand the scenario's declared variants/sweeps into
+one result per point.
 
 ``diff A B`` compares two ResultSets through
 :mod:`repro.analysis.diff` — A and B are saved run names, paths to result
@@ -48,38 +38,33 @@ cross-seed latency percentiles, ``cross-substrate`` compares scalar vs
 ``kad-fast`` Kademlia runs at overlapping N across their deliberate
 spec difference) with ``--tol`` entries layered on top.
 CI-overlap failures of replicated runs warn by default and fail only
-under ``--strict-ci``.  ``gc`` drops store objects and cached
-units unreachable from any saved name (``--dry-run`` lists them without
-deleting) and compacts the units it keeps into one segment, ``verify``
+under ``--strict-ci``.  ``gc`` drops store objects and cached units
+unreachable from any saved name (``--dry-run`` lists them without
+deleting) and compacts the units it keeps into one segment; ``verify``
 re-hashes every stored object, checks every cached unit's checksum and
-flags corruption,
-and ``--no-resume`` forces every unit job to re-execute, overwriting the
-cache, instead of resuming from it.
+flags corruption.
 
-``--jobs N`` fans the plan's unit jobs out over N worker processes; the
-output is byte-identical to the serial run at the same seed (results merge
-by content-addressed job key, not completion order).  ``--backend
-distributed --broker ADDR`` ships the same unit jobs to ``repro-worker``
-processes attached to a ``repro-broker`` (see :mod:`repro.distributed`)
-with the same byte-identity guarantee; retries, backoff and timeouts
-(``--retries``/``--job-timeout``/``--keep-going``) apply broker-side with
-the same deterministic schedule, and a worker that dies mid-job only
-costs time, never an attempt.  ``--save NAME``
-persists the ResultSet into the run store (``runs/`` by default;
-``--runs-dir``/``$REPRO_RUNS_DIR`` override) and enables spec-hash-based
-resume: unit jobs already recorded in the store are skipped on re-run.
-``repro-run ls`` lists saved runs and ``repro-run show NAME`` reloads one.
+Without ``--jobs``/``--broker`` the unit jobs run serially.  ``--jobs N``
+fans them out over N worker processes, and ``--broker ADDR`` ships them
+to ``repro-worker`` processes attached to a ``repro-broker`` (see
+:mod:`repro.distributed`), re-attaching to the journaled run if the
+connection drops.  Both merge results by content-addressed job key, so
+the output is byte-identical to the serial run at the same seed.
+``--save NAME`` persists the ResultSet into the run store (``runs/`` by
+default; ``--runs-dir``/``$REPRO_RUNS_DIR`` override) and enables
+spec-hash-based resume: unit jobs already recorded in the store are
+skipped on re-run, unless ``--no-resume`` forces them to re-execute.
 
 ``--retries N``/``--job-timeout S``/``--keep-going`` supervise the unit
-jobs: a failed or timed-out job is retried up to N extra times (with
-deterministic exponential backoff), and under ``--keep-going`` a job that
-exhausts its budget is recorded in the saved ResultSet's failure manifest
-instead of aborting the run — the partial results are printed/saved, a
-failure table goes to stderr, and the process exits 3.  Because failed
-jobs never enter the unit cache, re-running the same ``--save`` command
-executes only the failed units.  Exit codes: 0 success, 1 drift
-(``diff``, and damage found by ``verify``), 2 usage error (one line on
-stderr), 3 partial failure.
+jobs on every backend: a failed or timed-out job is retried up to N
+extra times (with deterministic exponential backoff), and under
+``--keep-going`` a job that exhausts its budget is recorded in the saved
+ResultSet's failure manifest instead of aborting the run — the partial
+results are printed/saved, a failure table goes to stderr, and the
+process exits 3.  Because failed jobs never enter the unit cache,
+re-running the same ``--save`` command executes only the failed units.
+Exit codes: 0 success, 1 drift (``diff``, and damage found by
+``verify``), 2 usage error (one line on stderr), 3 partial failure.
 
 ``--set``/``--sweep`` values are parsed as JSON where possible (``none`` →
 null), so ``--set churn=none`` and ``--set 'churn={"mean_session": 600}'``
@@ -132,6 +117,20 @@ EXIT_USAGE = 2
 EXIT_PARTIAL = 3
 
 EPILOG = """\
+flags by command (repro-run COMMAND --help describes them):
+  run|sweep NAME  EXECUTION --sweep OUTPUT   (repro-run NAME = sweep NAME)
+  study NAME      EXECUTION --members OUTPUT
+  ls              --runs-dir
+  show RUN        OUTPUT
+  diff A B        --tol --profile --strict-ci OUTPUT
+  gc              --dry-run --runs-dir --quiet
+  verify          --runs-dir --quiet
+  EXECUTION       --seed --replicates --set --save --no-resume --retries
+                  --job-timeout --keep-going --progress, and --jobs N
+                  (process pool) or --broker ADDR (repro-broker), not both;
+                  neither runs the unit jobs serially
+  OUTPUT          --runs-dir --json --quiet
+
 examples:
   repro-run pow-baseline                         run one scenario
   repro-run run selfish-mining                   base configuration, sweeps dropped
@@ -139,13 +138,9 @@ examples:
   repro-run sweep bft-committee-sweep --jobs 4   fan the sweep out over 4 processes
   repro-run study figure1 --json - --replicates 3 --jobs 4
   repro-run study figure1 --save fig1-nightly    persist + resume via the run store
-  repro-run ls                                   list saved runs
-  repro-run show fig1-nightly                    reload a saved run
   repro-run diff fig1-nightly fig1-tonight       drift check two saved runs
   repro-run diff golden.json - --tol '*'=0.05    file vs stdin, 5% everywhere
   repro-run study figure1 --save redo --no-resume  re-execute cached unit jobs
-  repro-run gc --dry-run                         list unreachable objects/units
-  repro-run verify                               re-hash every stored object
   repro-run study figure1 --jobs 4 --retries 2   retry failed/crashed unit jobs
   repro-run sweep kad-lookup --job-timeout 60    kill unit jobs stuck past 60s
   repro-run study figure1 --retries 1 --keep-going --save partial
@@ -154,21 +149,13 @@ examples:
                                                  the failed units
 
 distributed execution (see repro.distributed):
-  repro-broker --listen 127.0.0.1:7480           start the job broker (its
-                                                 queue is journaled under
-                                                 <runs>/journal and replayed
-                                                 on restart; --no-journal
-                                                 disables)
+  repro-broker --listen 127.0.0.1:7480           start the job broker (queue
+                                                 journaled under <runs>/journal)
   repro-worker --broker 127.0.0.1:7480 --runs-dir runs   (repeat per host/core)
-  repro-run study figure1 --backend distributed --broker 127.0.0.1:7480
+  repro-run study figure1 --broker 127.0.0.1:7480
                                                  same bytes as the serial run,
-                                                 at any worker count, even if
-                                                 workers die mid-run; with the
-                                                 default --journal the client
-                                                 also rides out a broker
-                                                 kill -9 + restart by
-                                                 re-attaching to the run
-                                                 (--no-journal fails fast)
+                                                 even if workers die or the
+                                                 broker is killed and restarted
 """
 
 
@@ -225,68 +212,6 @@ def _emit_json(payload: str, destination: str, quiet: bool) -> None:
             print(f"\nwrote {destination}")
 
 
-def _store_for(args, required: bool = False) -> Optional[RunStore]:
-    """The run store, when the invocation needs one.
-
-    ``--save`` (and the ``ls``/``show`` commands, via ``required``) open the
-    store; a bare ``--runs-dir`` alone does not trigger persistence.
-    """
-    if required or args.save:
-        return RunStore(args.runs_dir)
-    return None
-
-
-def _save_results(store: Optional[RunStore], results, args) -> None:
-    if store is None or not args.save:
-        return
-    record = store.save(results, args.save)
-    if not args.quiet:
-        print(f"\nsaved run {record.name!r} "
-              f"({record.results} results, object {record.object_hash[:12]}) "
-              f"under {store.root}")
-
-
-def _backend_from_args(args):
-    """The execution backend from ``--backend``/``--broker``/``--jobs``.
-
-    Returns whatever :func:`execute_plan` accepts: ``None``/int for the
-    serial and process-pool paths, or a
-    :class:`~repro.distributed.DistributedBackend` when ``--backend
-    distributed`` (or a bare ``--broker ADDR``) selects the queue-backed
-    path.  All three produce byte-identical output for the same plan.
-    """
-    choice = args.backend
-    if choice is None and args.broker:
-        choice = "distributed"
-    if choice == "distributed":
-        if not args.broker:
-            raise SystemExit(
-                "--backend distributed needs --broker ADDR (HOST:PORT or "
-                "unix:/path) pointing at a running repro-broker with "
-                "workers attached")
-        from repro.distributed import DistributedBackend
-
-        # --journal (default) rides out a broker restart: the backend
-        # reconnects and re-submits the same run id, which re-attaches
-        # to the journal-replayed run; --no-journal fails fast instead.
-        return DistributedBackend(args.broker,
-                                  reattach=args.journal is not False)
-    if args.broker:
-        raise SystemExit(f"--broker only applies to --backend distributed, "
-                         f"not --backend {choice}")
-    if args.journal is not None:
-        raise SystemExit("--journal/--no-journal only apply to "
-                         "--backend distributed")
-    if choice == "serial":
-        if args.jobs and args.jobs > 1:
-            raise SystemExit("--backend serial contradicts --jobs N; drop one")
-        return None
-    if choice == "pool":
-        return args.jobs if args.jobs and args.jobs > 1 \
-            else (os.cpu_count() or 2)
-    return args.jobs
-
-
 def _policy_from_args(args) -> JobPolicy:
     """The run's JobPolicy from ``--retries/--job-timeout/--keep-going``."""
     if args.retries < 0:
@@ -299,9 +224,19 @@ def _policy_from_args(args) -> JobPolicy:
                      keep_going=args.keep_going)
 
 
-def _report_failures(results, args) -> int:
+def _backend_from_args(args):
+    """``--broker`` is the distributed backend, ``--jobs N`` the pool,
+    neither the serial path; all three give byte-identical output."""
+    if args.broker:
+        from repro.distributed import DistributedBackend
+
+        return DistributedBackend(args.broker)
+    return args.jobs
+
+
+def _report_failures(results) -> int:
     """Render the failure manifest to stderr; the command's exit code."""
-    if not getattr(results, "failures", None):
+    if not results.failures:
         return EXIT_OK
     table = ResultTable(
         ["scenario", "label", "kind", "attempts", "error"],
@@ -315,6 +250,35 @@ def _report_failures(results, args) -> int:
           f"{len(results.failures)} unit job(s) failed (exit {EXIT_PARTIAL}); "
           f"a rerun re-executes only the failed units", file=sys.stderr)
     return EXIT_PARTIAL
+
+
+def _execute(args, plan, render, payload) -> int:
+    """Execute a compiled plan, then print, save and emit its results.
+
+    ``render`` prints the tables and ``payload`` makes the ``--json``
+    document.  Only compilation is a usage error: an exception raised
+    here is a real bug and keeps its traceback.
+    """
+    store = RunStore(args.runs_dir) if args.save else None
+    try:
+        results = execute_plan(plan, backend=_backend_from_args(args),
+                               store=store, progress=args.progress,
+                               resume=not args.no_resume,
+                               policy=_policy_from_args(args))
+    except JobExecutionError as error:
+        print(error.args[0], file=sys.stderr)
+        return EXIT_PARTIAL
+    if not args.quiet:
+        render(results)
+    if store is not None:
+        record = store.save(results, args.save)
+        if not args.quiet:
+            print(f"\nsaved run {record.name!r} "
+                  f"({record.results} results, object {record.object_hash[:12]}) "
+                  f"under {store.root}")
+    if args.json_out:
+        _emit_json(payload(results), args.json_out, args.quiet)
+    return _report_failures(results)
 
 
 def _print_resultset(results, compare_metrics=None, title=None) -> None:
@@ -336,7 +300,7 @@ def _parse_tolerances(args) -> Dict[str, Tolerance]:
     never does — ``tolerance_for`` resolves ``"*"`` last regardless).
     """
     tolerances: Dict[str, Tolerance] = {}
-    if getattr(args, "profile", None):
+    if args.profile:
         try:
             tolerances = tolerance_profile(args.profile)
         except ValueError as error:
@@ -396,14 +360,11 @@ def _load_diff_operand(operand: str, args) -> Tuple[ResultSet, str]:
 
 
 def _run_diff_command(args) -> int:
-    if not args.name or not args.name2:
-        raise SystemExit("diff expects two runs: repro-run diff A B "
-                         "(saved run names, JSON paths, or '-' for stdin)")
-    if args.name == "-" and args.name2 == "-":
+    if args.a == "-" and args.b == "-":
         raise SystemExit("only one diff operand can read stdin")
     tolerances = _parse_tolerances(args)
-    results_a, label_a = _load_diff_operand(args.name, args)
-    results_b, label_b = _load_diff_operand(args.name2, args)
+    results_a, label_a = _load_diff_operand(args.a, args)
+    results_b, label_b = _load_diff_operand(args.b, args)
     report = diff_resultsets(results_a, results_b, tolerances=tolerances,
                              a_label=label_a, b_label=label_b,
                              spec_changed_ok=args.profile in SPEC_DRIFT_PROFILES)
@@ -424,10 +385,7 @@ def _run_diff_command(args) -> int:
 
 
 def _run_gc_command(args) -> int:
-    if args.name:
-        raise SystemExit(f"gc takes no positional name (got {args.name!r}); "
-                         f"use --runs-dir to pick a store")
-    store = _store_for(args, required=True)
+    store = RunStore(args.runs_dir)
     report = store.gc(dry_run=args.dry_run)
     if not args.quiet:
         removed = report.objects_removed + report.units_removed
@@ -438,10 +396,7 @@ def _run_gc_command(args) -> int:
 
 
 def _run_verify_command(args) -> int:
-    if args.name:
-        raise SystemExit(f"verify takes no positional name (got {args.name!r}); "
-                         f"use --runs-dir to pick a store")
-    store = _store_for(args, required=True)
+    store = RunStore(args.runs_dir)
     problems = store.verify()
     if not problems:
         if not args.quiet:
@@ -455,7 +410,7 @@ def _run_verify_command(args) -> int:
 
 
 def _run_ls_command(args) -> int:
-    store = _store_for(args, required=True)
+    store = RunStore(args.runs_dir)
     records = store.list()
     if not records:
         print(f"no saved runs under {store.root} "
@@ -476,9 +431,7 @@ def _run_ls_command(args) -> int:
 
 
 def _run_show_command(args) -> int:
-    if not args.name:
-        raise SystemExit("show expects a saved run name (see: repro-run ls)")
-    store = _store_for(args, required=True)
+    store = RunStore(args.runs_dir)
     try:
         results = store.load(args.name)
     except (KeyError, ValueError) as error:
@@ -499,9 +452,6 @@ def _run_study_command(args) -> int:
         study = get_study(args.name)
     except KeyError as error:
         raise SystemExit(error.args[0])
-    if args.sweeps:
-        raise SystemExit("--sweep applies to scenarios; studies declare their "
-                         "sweeps on swept members")
 
     member_overrides: Dict[str, Dict[str, object]] = {}
     for assignment in args.overrides:
@@ -519,43 +469,29 @@ def _run_study_command(args) -> int:
 
     members = [label.strip() for label in args.members.split(",")] \
         if args.members else None
-    store = _store_for(args)
     # Only *compilation* (name lookup, member selection, dotted-path
-    # overrides) is a usage error worth a one-line exit; once the plan
-    # exists, an exception is a real bug and keeps its traceback.
+    # overrides) is a usage error worth a one-line exit.
     try:
         plan = compile_study(study, seed=args.seed,
                              replicates=args.replicates, members=members,
                              member_overrides=member_overrides)
     except (KeyError, ValueError) as error:
         raise SystemExit(str(error.args[0] if error.args else error))
+    return _execute(
+        args, plan,
+        render=lambda results: _print_resultset(
+            results, compare_metrics=study.compare_metrics,
+            title=f"study {study.name}: {study.description}"),
+        payload=lambda results: results.to_json())
+
+
+def _run_scenario_command(args) -> int:
     try:
-        results = execute_plan(plan, backend=_backend_from_args(args),
-                               store=store, progress=args.progress,
-                               resume=not args.no_resume,
-                               policy=_policy_from_args(args))
-    except JobExecutionError as error:
-        print(error.args[0], file=sys.stderr)
-        return EXIT_PARTIAL
-
-    if not args.quiet:
-        _print_resultset(results, compare_metrics=study.compare_metrics,
-                         title=f"study {study.name}: {study.description}")
-    _save_results(store, results, args)
-    if args.json_out:
-        _emit_json(results.to_json(), args.json_out, args.quiet)
-    return _report_failures(results, args)
-
-
-def _run_scenario_command(args, name: str, base_only: bool = False) -> int:
-    if args.members:
-        raise SystemExit("--members applies to studies (repro-run study <name>)")
-    try:
-        spec = get_scenario(name)
+        spec = get_scenario(args.name)
     except KeyError as error:
         raise SystemExit(error.args[0])
 
-    if base_only:
+    if args.base_only:
         # `repro-run run NAME`: the base configuration only — registered
         # expansion axes are dropped (explicit --sweep flags still apply).
         spec.sweeps = {}
@@ -570,49 +506,181 @@ def _run_scenario_command(args, name: str, base_only: bool = False) -> int:
             raise SystemExit(f"--sweep expects PATH=V1,V2,..., got {assignment!r}")
         spec.sweeps[path] = [_parse_value(value) for value in values.split(",")]
 
-    store = _store_for(args)
     # A bad --set/--sweep dotted path (unknown spec field, path through a
     # non-dict) surfaces at plan compilation: one line on stderr, not a
-    # traceback.  Execution stays outside the try so a genuine adapter or
-    # engine failure is never masked as a usage error.
+    # traceback.
     try:
         plan = compile_sweep(spec, overrides=overrides, seed=args.seed,
                              replicates=args.replicates)
     except (KeyError, ValueError) as error:
         raise SystemExit(str(error.args[0] if error.args else error))
-    try:
-        results = execute_plan(plan, backend=_backend_from_args(args),
-                               store=store, progress=args.progress,
-                               resume=not args.no_resume,
-                               policy=_policy_from_args(args))
-    except JobExecutionError as error:
-        print(error.args[0], file=sys.stderr)
-        return EXIT_PARTIAL
 
-    if not args.quiet:
+    def render(results) -> None:
         for result in results:
             print()
             print(result.table().render())
-    _save_results(store, results, args)
 
-    if args.json_out:
-        # NOTE: the scenario-path JSON shapes (single result object /
-        # bare result list) predate the failure manifest and cannot
-        # carry it; study output (a full ResultSet document) does.
-        if len(results) == 1:
-            payload = results[0].to_json()
-        else:
-            payload = results_to_json(results.results)
-        _emit_json(payload, args.json_out, args.quiet)
-    return _report_failures(results, args)
+    # NOTE: the scenario-path JSON shapes (single result object / bare
+    # result list) predate the failure manifest and cannot carry it;
+    # study output (a full ResultSet document) does.
+    return _execute(
+        args, plan, render,
+        payload=lambda results: results[0].to_json() if len(results) == 1
+        else results_to_json(results.results))
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors keep the one-line usage contract."""
+
+    def error(self, message: str):
+        raise SystemExit(f"{self.prog}: error: {message}")
+
+
+def _broker_address(text: str) -> str:
+    from repro.distributed.protocol import parse_address
+
+    try:
+        parse_address(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
+    return text
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """``repro-run``'s parser: one subparser per command.
+
+    A command's flags come from the shared parent parsers it names, so a
+    flag another command owns is a usage error, not silently ignored.
+    """
+    execution = _Parser(add_help=False)
+    execution.add_argument("--seed", type=int, default=None,
+                           help="override the base seed")
+    execution.add_argument("--replicates", type=int, default=None,
+                           help="seeds per point (seed, seed+1, ...)")
+    execution.add_argument("--set", dest="overrides", action="append",
+                           default=[], metavar="PATH=VALUE",
+                           help="override a spec field by dotted path "
+                                "(repeatable); for studies the first "
+                                "segment is the member label")
+    execution.add_argument("--save", metavar="NAME",
+                           help="persist the ResultSet under NAME in the run "
+                                "store and resume finished unit jobs from it")
+    execution.add_argument("--no-resume", action="store_true",
+                           help="re-execute every unit job even when cached "
+                                "in the run store (fresh results overwrite "
+                                "the cache)")
+    execution.add_argument("--retries", type=int, default=0, metavar="N",
+                           help="retry a failed/crashed unit job up to N "
+                                "extra times with deterministic exponential "
+                                "backoff (default: 0, fail fast)")
+    execution.add_argument("--job-timeout", type=float, default=None,
+                           metavar="S",
+                           help="per-unit-job wall-clock budget in seconds; a "
+                                "job past it counts as failed (and is "
+                                "retried under --retries)")
+    execution.add_argument("--keep-going", action="store_true",
+                           help="do not abort when a unit job exhausts its "
+                                "retries: assemble the remaining results, "
+                                "list the failures, and exit 3")
+    execution.add_argument("--progress", action="store_true",
+                           help="print one stderr line per finished unit job")
+    backend = execution.add_mutually_exclusive_group()
+    backend.add_argument("--jobs", type=int, default=None, metavar="N",
+                         help="execute unit jobs on a process pool of N "
+                              "workers (default: serial; output is "
+                              "byte-identical)")
+    backend.add_argument("--broker", type=_broker_address, default=None,
+                         metavar="ADDR",
+                         help="ship unit jobs to repro-worker processes via "
+                              "the repro-broker at ADDR (HOST:PORT or "
+                              "unix:/path); output is byte-identical, and a "
+                              "lost connection re-attaches to the run")
+
+    # --runs-dir < --quiet < --json: each command takes the prefix it reads.
+    store = _Parser(add_help=False)
+    store.add_argument("--runs-dir", metavar="PATH", default=None,
+                       help="run-store directory (default: ./runs or "
+                            "$REPRO_RUNS_DIR)")
+    quiet = _Parser(add_help=False, parents=[store])
+    quiet.add_argument("--quiet", action="store_true",
+                       help="suppress the metric tables")
+    output = _Parser(add_help=False, parents=[quiet])
+    output.add_argument("--json", dest="json_out", metavar="PATH",
+                        help="write the result JSON to PATH ('-' for stdout)")
+
+    parser = _Parser(
+        prog="repro-run",
+        description="Run a named scenario (or study) through the architecture adapters.",
+        epilog=EPILOG,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("--list", action="store_true", help="list registered scenarios")
+    parser.add_argument("--list-studies", action="store_true",
+                        help="list registered cross-family studies")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    def command(name, handler, parents, text, **defaults):
+        sub = commands.add_parser(name, parents=parents, help=text,
+                                  description=text)
+        sub.set_defaults(handler=handler, **defaults)
+        return sub
+
+    for name, text in (("run", "run a scenario's base configuration "
+                               "(registered sweep axes dropped)"),
+                       ("sweep", "run every declared variant/sweep point of "
+                                 "a scenario (also: repro-run NAME)")):
+        sub = command(name, _run_scenario_command, [execution, output], text,
+                      base_only=name == "run")
+        sub.add_argument("name", metavar="SCENARIO",
+                         help="registered scenario name (see --list)")
+        sub.add_argument("--sweep", dest="sweeps", action="append",
+                         default=[], metavar="PATH=V1,V2,...",
+                         help="add a sweep axis over comma-separated values "
+                              "(repeatable)")
+    sub = command("study", _run_study_command, [execution, output],
+                  "run a registered cross-family study")
+    sub.add_argument("name", nargs="?", metavar="STUDY",
+                     help="registered study name (omitted: list them)")
+    sub.add_argument("--members", metavar="L1,L2,...",
+                     help="run only these members of the study")
+    command("ls", _run_ls_command, [store], "list saved runs")
+    sub = command("show", _run_show_command, [output], "reload a saved run")
+    sub.add_argument("name", metavar="RUN", help="saved run name (see ls)")
+    sub = command("diff", _run_diff_command, [output],
+                  "compare two ResultSets; exit 1 on drift")
+    for side in ("A", "B"):
+        sub.add_argument(side.lower(), metavar=side,
+                         help="saved run name, result JSON path, or '-' "
+                              "for stdin")
+    sub.add_argument("--tol", dest="tolerances", action="append", default=[],
+                     metavar="METRIC=REL",
+                     help="tolerance for one metric or fnmatch pattern "
+                          "('*_latency_s'; '*' for all; abs:X and "
+                          "rel:X,abs:Y forms; default exact)")
+    sub.add_argument("--profile", metavar="NAME", default=None,
+                     help="named tolerance profile (sketch, latency, "
+                          "cross-substrate); --tol entries override it")
+    sub.add_argument("--strict-ci", action="store_true",
+                     help="fail (exit 1) on CI-overlap failures instead of "
+                          "warning")
+    sub = command("gc", _run_gc_command, [quiet],
+                  "drop store objects and cached units no saved run "
+                  "reaches, and compact the units kept")
+    sub.add_argument("--dry-run", action="store_true",
+                     help="list unreachable objects/units without deleting "
+                          "anything")
+    command("verify", _run_verify_command, [quiet],
+            "re-hash every stored object and check every cached unit; "
+            "exit 1 on damage")
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     """``repro-run``: a usage error is one line on stderr and exit 2.
 
-    Every usage error is raised as ``SystemExit("message")``; this maps it
-    to :data:`EXIT_USAGE`.  argparse's own exits (``--help``, a bad
-    flag) carry their code and pass through.
+    Every usage error — ours and argparse's, through :class:`_Parser` —
+    is raised as ``SystemExit("message")``; this maps it to
+    :data:`EXIT_USAGE`.  ``--help`` exits 0 and passes through.
     """
     try:
         return _main(argv)
@@ -624,154 +692,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _main(argv: Optional[List[str]]) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro-run",
-        description="Run a named scenario (or study) through the architecture adapters.",
-        epilog=EPILOG,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", nargs="?", metavar="COMMAND",
-                        help="run (base config) | sweep (expand axes) | "
-                             "study | ls | show, or a bare registered "
-                             "scenario name (implies 'sweep')")
-    parser.add_argument("name", nargs="?", metavar="NAME",
-                        help="scenario name (run/sweep), study name (study), "
-                             "saved run name (show), or diff's A side")
-    parser.add_argument("name2", nargs="?", metavar="B",
-                        help="diff's B side: saved run name, JSON path, or '-'")
-    parser.add_argument("--list", action="store_true", help="list registered scenarios")
-    parser.add_argument("--list-studies", action="store_true",
-                        help="list registered cross-family studies")
-    parser.add_argument("--seed", type=int, default=None, help="override the base seed")
-    parser.add_argument("--replicates", type=int, default=None,
-                        help="seeds per point (seed, seed+1, ...)")
-    parser.add_argument("--set", dest="overrides", action="append", default=[],
-                        metavar="PATH=VALUE",
-                        help="override a spec field by dotted path (repeatable); "
-                             "for studies the first segment is the member label")
-    parser.add_argument("--sweep", dest="sweeps", action="append", default=[],
-                        metavar="PATH=V1,V2,...",
-                        help="add a sweep axis over comma-separated values (repeatable)")
-    parser.add_argument("--members", metavar="L1,L2,...",
-                        help="run only these members of a study")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="execute unit jobs on a process pool of N workers "
-                             "(default: serial; output is byte-identical)")
-    parser.add_argument("--backend", choices=("serial", "pool", "distributed"),
-                        default=None,
-                        help="execution backend (default: serial, or pool "
-                             "when --jobs N is given); 'distributed' ships "
-                             "unit jobs to repro-worker processes via a "
-                             "repro-broker (needs --broker)")
-    parser.add_argument("--broker", metavar="ADDR", default=None,
-                        help="broker address for --backend distributed "
-                             "(HOST:PORT or unix:/path); implies the "
-                             "distributed backend when given alone")
-    journal_group = parser.add_mutually_exclusive_group()
-    journal_group.add_argument("--journal", dest="journal",
-                               action="store_true", default=None,
-                               help="ride out a broker restart (default): on "
-                                    "a lost connection, reconnect and "
-                                    "re-attach to the journaled run by id")
-    journal_group.add_argument("--no-journal", dest="journal",
-                               action="store_false",
-                               help="fail fast when the broker connection "
-                                    "drops instead of re-attaching")
-    parser.add_argument("--save", metavar="NAME",
-                        help="persist the ResultSet under NAME in the run "
-                             "store and resume finished unit jobs from it")
-    parser.add_argument("--no-resume", action="store_true",
-                        help="re-execute every unit job even when cached in "
-                             "the run store (fresh results overwrite the cache)")
-    parser.add_argument("--retries", type=int, default=0, metavar="N",
-                        help="retry a failed/crashed unit job up to N extra "
-                             "times with deterministic exponential backoff "
-                             "(default: 0, fail fast)")
-    parser.add_argument("--job-timeout", type=float, default=None, metavar="S",
-                        help="per-unit-job wall-clock budget in seconds; a "
-                             "job past it counts as failed (and is retried "
-                             "under --retries)")
-    parser.add_argument("--keep-going", action="store_true",
-                        help="do not abort when a unit job exhausts its "
-                             "retries: assemble the remaining results, list "
-                             "the failures, and exit 3")
-    parser.add_argument("--tol", dest="tolerances", action="append", default=[],
-                        metavar="METRIC=REL",
-                        help="diff tolerance for one metric or fnmatch "
-                             "pattern ('*_latency_s'; '*' for all; abs:X and "
-                             "rel:X,abs:Y forms; default exact)")
-    parser.add_argument("--profile", metavar="NAME", default=None,
-                        help="named diff tolerance profile ('sketch' for "
-                             "streaming-vs-exact metrics, 'latency' for "
-                             "noisy cross-seed percentiles, "
-                             "'cross-substrate' for scalar-vs-kad-fast "
-                             "Kademlia runs at overlapping N); --tol "
-                             "entries override the profile's")
-    parser.add_argument("--strict-ci", action="store_true",
-                        help="make diff fail (exit 1) on CI-overlap failures "
-                             "instead of warning")
-    parser.add_argument("--dry-run", action="store_true",
-                        help="gc: list unreachable objects/units without "
-                             "deleting anything")
-    parser.add_argument("--runs-dir", metavar="PATH", default=None,
-                        help="run-store directory (default: ./runs or "
-                             "$REPRO_RUNS_DIR)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print one stderr line per finished unit job")
-    parser.add_argument("--json", dest="json_out", metavar="PATH",
-                        help="write the result JSON to PATH ('-' for stdout)")
-    parser.add_argument("--quiet", action="store_true",
-                        help="suppress the metric tables")
-    args = parser.parse_args(argv)
-    if args.broker:
-        from repro.distributed.protocol import parse_address
-
-        try:
-            parse_address(args.broker)
-        except ValueError as error:
-            raise SystemExit(f"--broker: {error}")
-
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # The bare-name spelling: `repro-run NAME ...` is `sweep NAME ...`.
+    if argv and argv[0] not in COMMANDS and not argv[0].startswith("-"):
+        argv.insert(0, "sweep")
+    args = _build_parser().parse_args(argv)
     if args.list_studies:
         _list_studies()
         return EXIT_OK
     if args.list or not args.command:
         _list_scenarios()
         return EXIT_OK if args.list else EXIT_USAGE
-
-    if args.command != "diff" and args.name2:
-        raise SystemExit(
-            f"unexpected extra argument {args.name2!r}; only diff takes two "
-            f"positional names"
-        )
-
-    if args.command in COMMANDS:
-        if args.command == "ls":
-            return _run_ls_command(args)
-        if args.command == "show":
-            return _run_show_command(args)
-        if args.command == "diff":
-            return _run_diff_command(args)
-        if args.command == "gc":
-            return _run_gc_command(args)
-        if args.command == "verify":
-            return _run_verify_command(args)
-        if args.command == "study":
-            return _run_study_command(args)
-        # run (base configuration only) / sweep (expand registered axes).
-        if not args.name:
-            raise SystemExit(f"{args.command} expects a registered scenario "
-                             f"name (see: repro-run --list)")
-        return _run_scenario_command(args, args.name,
-                                     base_only=args.command == "run")
-
-    # Legacy spelling: a bare scenario name expands its registered
-    # sweeps/variants, like `sweep <name>` always did.
-    if args.name:
-        raise SystemExit(
-            f"unexpected extra argument {args.name!r}; did you mean "
-            f"'study {args.command}'?"
-        )
-    return _run_scenario_command(args, args.command)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

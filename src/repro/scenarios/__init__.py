@@ -96,7 +96,8 @@ unit jobs so interrupted or re-run grids resume instead of recomputing::
     store.save(results, "fig1-nightly")
     again = store.load("fig1-nightly")            # identical ResultSet
 
-The same registry drives the command line (installed as ``repro-run``)::
+The same registry drives the command line (installed as ``repro-run``;
+``repro-run COMMAND --help`` lists the flags each command takes)::
 
     python -m repro.run --list
     python -m repro.run --list-studies

@@ -1,11 +1,16 @@
 """repro-run error paths: one-line nonzero exits, never a traceback.
 
 Every usage error here returns exit 2 (``EXIT_USAGE``) with a single
-explanatory line on stderr.  An uncaught adapter/spec exception would
-surface as a plain Python exception and fail these tests, so passing
-means no traceback.
+explanatory line on stderr, argparse's own errors included.  An uncaught
+adapter/spec exception would surface as a plain Python exception and
+fail these tests, so passing means no traceback.
 """
 
+import argparse
+
+import pytest
+
+from repro import run as run_module
 from repro.run import EXIT_DRIFT, EXIT_OK, EXIT_PARTIAL, EXIT_USAGE
 from repro.run import main as run_main
 
@@ -124,7 +129,7 @@ class TestMalformedSweeps:
         assert "replicates must be >= 1" in err and one_line(err)
 
     def test_sweep_on_study_rejected(self, capsys):
-        assert "studies declare" in usage_error(
+        assert "unrecognized arguments: --sweep" in usage_error(
             capsys, ["study", "figure1", "--sweep", "seed=1,2"])
 
 
@@ -135,7 +140,7 @@ class TestStoreCommands:
         assert "no saved run" in err and one_line(err)
 
     def test_diff_needs_two_operands(self, tmp_path, capsys):
-        assert "two runs" in usage_error(
+        assert "required: B" in usage_error(
             capsys, ["diff", "only-one", "--runs-dir", str(tmp_path)])
 
     def test_diff_missing_run(self, tmp_path, capsys):
@@ -158,21 +163,102 @@ class TestStoreCommands:
             capsys, ["diff", "a", "b", "--tol", "tps", "--runs-dir", str(tmp_path)])
 
     def test_gc_rejects_positional(self, tmp_path, capsys):
-        assert "no positional" in usage_error(
+        assert "unrecognized arguments: extra" in usage_error(
             capsys, ["gc", "extra", "--runs-dir", str(tmp_path)])
 
     def test_verify_rejects_positional(self, tmp_path, capsys):
-        assert "no positional" in usage_error(
+        assert "unrecognized arguments: extra" in usage_error(
             capsys, ["verify", "extra", "--runs-dir", str(tmp_path)])
 
 
 class TestArgumentShape:
     def test_extra_positional_for_non_diff(self, capsys):
-        assert "only diff" in usage_error(capsys, ["show", "name", "surplus"])
+        assert "unrecognized arguments: surplus" in usage_error(
+            capsys, ["show", "name", "surplus"])
 
-    def test_bare_second_name_suggests_study(self, capsys):
-        assert "did you mean" in usage_error(capsys, ["figure1", "extra"])
+    def test_bare_name_takes_one_positional(self, capsys):
+        assert "unrecognized arguments: extra" in usage_error(
+            capsys, ["figure1", "extra"])
 
     def test_members_on_scenario_rejected(self, capsys):
-        assert "--members applies to studies" in usage_error(
+        assert "unrecognized arguments: --members" in usage_error(
             capsys, ["kad-lookup", "--members", "a,b"])
+
+    def test_bad_flag_value_is_one_line(self, capsys):
+        # argparse's own error, without its usage block.
+        err = usage_error(capsys, ["run", "pos-slashing", "--jobs", "abc"])
+        assert "--jobs" in err and "'abc'" in err
+
+
+def _subparsers():
+    """``{command: subparser}`` of repro-run's parser."""
+    (action,) = [action for action in run_module._build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction)]
+    return action.choices
+
+
+def _options(parser):
+    return {option for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"}
+
+
+#: Positional arguments that satisfy each command's parser.
+POSITIONALS = {"run": ["pos-slashing"], "sweep": ["pos-slashing"],
+               "study": ["figure1"], "ls": [], "show": ["demo"],
+               "diff": ["a", "b"], "gc": [], "verify": []}
+
+FOREIGN_FLAGS = sorted(
+    (command, option)
+    for command, parser in _subparsers().items()
+    for option in set().union(*map(_options, _subparsers().values()))
+    - _options(parser))
+
+
+class TestFlagOwnership:
+    """A flag is accepted only by the commands whose parser defines it."""
+
+    def test_every_command_is_covered(self):
+        assert sorted(_subparsers()) == sorted(run_module.COMMANDS) \
+            == sorted(POSITIONALS)
+        assert ("run", "--dry-run") in FOREIGN_FLAGS
+        assert ("ls", "--quiet") in FOREIGN_FLAGS
+
+    @staticmethod
+    def rejected(tmp_path, monkeypatch, capsys, argv) -> str:
+        """Run argv; assert a one-line usage error that executes and
+        stores nothing."""
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path / "runs"))
+        monkeypatch.chdir(tmp_path)
+
+        def executed(*args, **kwargs):
+            raise AssertionError(f"{argv} executed a plan")
+
+        monkeypatch.setattr(run_module, "execute_plan", executed)
+        assert run_main(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == "" and one_line(captured.err), captured
+        assert list(tmp_path.iterdir()) == []
+        return captured.err
+
+    @pytest.mark.parametrize("command, option", FOREIGN_FLAGS,
+                             ids=[" ".join(pair) for pair in FOREIGN_FLAGS])
+    def test_a_flag_another_command_owns_is_rejected(
+            self, tmp_path, monkeypatch, capsys, command, option):
+        err = self.rejected(tmp_path, monkeypatch, capsys,
+                            [command] + POSITIONALS[command] + [option])
+        assert f"unrecognized arguments: {option}" in err
+
+    def test_diff_flags_on_run(self, tmp_path, monkeypatch, capsys):
+        err = self.rejected(tmp_path, monkeypatch, capsys,
+                            ["run", "pos-slashing", "--dry-run",
+                             "--strict-ci", "--profile", "sketch"])
+        assert "--dry-run" in err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "study"])
+    def test_jobs_and_broker_exclude_each_other(
+            self, tmp_path, monkeypatch, capsys, command):
+        err = self.rejected(tmp_path, monkeypatch, capsys,
+                            [command] + POSITIONALS[command]
+                            + ["--jobs", "2", "--broker", "127.0.0.1:1"])
+        assert "--broker" in err and "--jobs" in err

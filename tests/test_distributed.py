@@ -708,10 +708,6 @@ class TestWorkerWatch:
 # CLI wiring
 # ----------------------------------------------------------------------
 class TestCli:
-    def test_backend_distributed_requires_broker(self, capsys):
-        assert "needs --broker" in usage_error(
-            capsys, ["study", "figure1", "--backend", "distributed"])
-
     @pytest.mark.parametrize("address", ["127.0.0.1:abc", "127.0.0.1:99999"])
     def test_run_rejects_a_bad_broker_address(self, capsys, address):
         assert "--broker" in usage_error(

@@ -195,11 +195,23 @@ class TestCliSubcommands:
             "multi_vote_fraction=0.5", "multi_vote_fraction=1.0"]
 
     def test_run_without_name_fails(self, capsys):
-        assert "registered scenario" in usage_error(capsys, ["run"])
+        assert "required: SCENARIO" in usage_error(capsys, ["run"])
 
     def test_help_documents_jobs_and_save(self, capsys):
         with pytest.raises(SystemExit):
-            run_main(["--help"])
+            run_main(["study", "--help"])
         out = capsys.readouterr().out
         assert "--jobs" in out and "--save" in out
-        assert "repro-run study figure1 --save fig1-nightly" in out
+        with pytest.raises(SystemExit):
+            run_main(["--help"])
+        assert "repro-run study figure1 --save fig1-nightly" in \
+            capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", [[], ["run"], ["sweep"], ["study"],
+                                         ["ls"], ["show"], ["diff"], ["gc"],
+                                         ["verify"]])
+    def test_each_command_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run_main(command + ["--help"])
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: repro-run")

@@ -390,7 +390,7 @@ class TestCliFaultTolerance:
 
     def test_help_documents_fault_flags(self, capsys):
         with pytest.raises(SystemExit):
-            run_main(["--help"])
+            run_main(["study", "--help"])
         out = capsys.readouterr().out
         assert "--retries" in out and "--job-timeout" in out
         assert "--keep-going" in out

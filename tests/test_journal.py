@@ -162,13 +162,12 @@ class TestReplayRecords:
             _submit_record("r", ["a", "b"], order=3),
             {"type": "charge", "key": "a", "attempts": 1},
             {"type": "done", "key": "a", "metrics": {"m": 0.5},
-             "cached": True},
+             "cached": True},  # older journals carry it; replay ignores it
             {"type": "failed", "key": "b",
              "failure": {"key": "b", "kind": "exception"}},
         ])
         assert state.run_id == "r" and state.order == 3
         assert state.results == {"a": {"m": 0.5}}
-        assert state.cached == {"a"}
         assert state.charges == {"a": 1}
         assert state.failures["b"]["kind"] == "exception"
         assert not state.cancelled
@@ -229,7 +228,7 @@ class TestJournalDir:
 def _record_history(tmp_path):
     """Drive a real journaled queue through every record type.
 
-    a fails once then completes, b completes (cached), c exhausts its
+    a fails once then completes, b completes, c exhausts its
     retry budget — the journal ends up with submit, charge, done and
     failed records in genuine interleaving.  Returns the decoded records.
     """
@@ -245,9 +244,8 @@ def _record_history(tmp_path):
             fail_budget[key] -= 1
             queue.fail(grant["lease"], "exception", "boom")
         else:
-            queue.complete(grant["lease"], {"m": 0.5},
-                           cached=(key == "b"))
-    # a retried once then completed, b completed from cache, c exhausted
+            queue.complete(grant["lease"], {"m": 0.5})
+    # a retried once then completed, b completed, c exhausted
     # its three attempts into the manifest.
     stats = queue.stats()["runs"]["history"]
     assert stats["completed"] == 2 and stats["failed"] == 1

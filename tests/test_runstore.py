@@ -436,5 +436,5 @@ class TestCli:
         assert "no saved run" in capsys.readouterr().err
 
     def test_show_without_name_fails(self, tmp_path, capsys):
-        assert "saved run name" in usage_error(
+        assert "required: RUN" in usage_error(
             capsys, ["show", "--runs-dir", str(tmp_path)])
