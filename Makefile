@@ -102,7 +102,9 @@ distributed:
 # documents are byte-identical by construction; CI sees both paths).
 # Scenarios go through the `run` and `sweep` subcommands and the bare-name
 # spelling (`repro-run NAME` is `sweep NAME`); all seven are single-point,
-# so the three spellings print the same document.
+# so the three spellings print the same document.  Last, one multi-point
+# sweep (3 points x 2 replicates) runs serially and on --jobs 2, and the
+# two JSON files must be identical byte for byte.
 smoke:
 	PYTHONPATH=src $(PY) -m repro.run pow-baseline --set architecture.duration_blocks=20 --quiet --json -
 	PYTHONPATH=src $(PY) -m repro.run run pbft-consortium --set duration=1.0 --quiet --json -
@@ -119,3 +121,9 @@ smoke:
 	  --set bitcoin.architecture.duration_blocks=20 \
 	  --set ethereum.architecture.duration_blocks=60 \
 	  --set pbft.duration=1.0 --set fabric.duration=1.0 --set edge.duration=1.0
+	dir=$$(mktemp -d) && \
+	sweep="sweep pos-slashing --set architecture.rounds=50 --replicates 2 \
+	  --sweep architecture.multi_vote_fraction=0,0.5,1 --quiet" && \
+	PYTHONPATH=src $(PY) -m repro.run $$sweep --json $$dir/serial.json && \
+	PYTHONPATH=src $(PY) -m repro.run $$sweep --jobs 2 --json $$dir/pool.json && \
+	cmp $$dir/serial.json $$dir/pool.json; status=$$?; rm -rf $$dir; exit $$status

@@ -56,7 +56,6 @@ for stdin; explicit ``--tol`` entries override the profile's.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
@@ -483,7 +482,7 @@ def result_key(result) -> str:
     try:
         return ScenarioSpec.from_dict(spec).spec_hash()
     except (TypeError, ValueError, KeyError):
-        payload = json.dumps(spec, sort_keys=True, separators=(",", ":"))
+        payload = jsonfmt.compact(spec)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 

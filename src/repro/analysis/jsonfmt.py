@@ -1,12 +1,17 @@
-"""The package's one indented JSON layout, rendered by the C encoder.
+"""The package's two JSON layouts, rendered by the C encoder.
 
-:func:`dumps` returns exactly the text of the stdlib's ``json.dumps`` with
-``sort_keys=True`` and an ``indent`` of 2 — the layout of saved ResultSets,
-RunStore records, scenario, diff and lint reports.  A saved object's
-address is the sha256 of this text, so the output must never drift from
-that oracle by a byte (``tests/test_jsonfmt.py`` holds it to the stdlib).
-The stdlib uses its C encoder only when ``indent is None``; with an indent
-it falls back to the pure-Python one, several times slower.
+Both are byte-identical to a stdlib ``json.dumps`` with ``sort_keys=True``
+(``tests/test_jsonfmt.py`` holds each to that oracle):
+
+* :func:`compact` — ``separators=(",", ":")``, no whitespace: unit-cache
+  and journal records, wire frames and the text a ``spec_hash`` digests.
+  One C encoder is built once and reused, so a call skips the stdlib's
+  per-call ``JSONEncoder`` construction.
+* :func:`dumps` — an ``indent`` of 2: saved ResultSets, RunStore records,
+  scenario, diff and lint reports.  A saved object's address is the
+  sha256 of this text.  The stdlib uses its C encoder only when ``indent
+  is None``; with an indent it falls back to the pure-Python one, several
+  times slower.
 
 At nesting depth ``d`` the indented form of a container whose values are
 all scalars or empty containers is the C encoder's output with item
@@ -16,6 +21,11 @@ per depth, so a flat container costs one C call; Python code runs only for
 containers that hold non-empty containers.  A caller that knows a
 subtree's shape may render it itself at the depth where it sits and place
 it as a :class:`Fragment`.
+
+The cached encoders keep no circular-reference markers (a shared marker
+dict would be neither reentrant nor thread-safe): a self-containing value
+raises ``RecursionError`` where the stdlib raises ``ValueError``.  Every
+other input, rejected ones included, behaves as in the stdlib.
 """
 
 from __future__ import annotations
@@ -64,6 +74,15 @@ def level(depth: int) -> _Level:
 
 #: Scalars encode the same at every depth.
 _SCALAR = level(0)[0]
+
+_COMPACT = _make_encoder(None, _unserialisable, _encode_string, None,
+                         ":", ",", True, False, True)
+
+
+def compact(obj: Any) -> str:
+    """The stdlib's ``json.dumps(obj, sort_keys=True, separators=(",",
+    ":"))``, byte for byte."""
+    return "".join(_COMPACT(obj, 0))
 
 
 def _scalar(value: Any) -> str:

@@ -133,8 +133,7 @@ def encode_record(record: Dict[str, object]) -> bytes:
     precedes it (a torn tail, a damaged terminator) ends there, so one bad
     byte costs the record it sits in and no other.
     """
-    body = json.dumps(record, sort_keys=True,
-                      separators=(",", ":")).encode("utf-8")
+    body = jsonfmt.compact(record).encode("utf-8")
     return b"\n%08x %s\n" % (zlib.crc32(body), body)
 
 

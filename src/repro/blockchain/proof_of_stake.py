@@ -62,7 +62,14 @@ class NothingAtStakeModel:
     def __init__(self, params: Optional[ProofOfStakeParams] = None) -> None:
         self.params = params or ProofOfStakeParams()
         rng = SeededRNG(self.params.seed)
-        raw = [rng.pareto(self.params.stake_pareto_shape, 1.0) for _ in range(self.params.validators)]
+        shape = self.params.stake_pareto_shape
+        if self.params.validators > 0 and shape <= 0:
+            raise ValueError("pareto shape and scale must be positive")
+        # Pareto(shape) stakes of minimum 1, drawn as the stdlib's
+        # ``paretovariate`` draws them: one uniform per validator.
+        draw = rng.random
+        raw = [(1.0 - draw()) ** (-1.0 / shape)
+               for _ in range(self.params.validators)]
         total = sum(raw)
         self.stakes = [value / total for value in raw]
         self.rng = rng
@@ -74,28 +81,34 @@ class NothingAtStakeModel:
         *single* branch (because it refuses to multi-vote, or because slashing
         makes multi-voting irrational) exceeds half of all stake; otherwise
         both branches keep collecting signatures and the split persists.
+
+        Draws, in order: one per validator (does it multi-vote?), then per
+        round one fork draw while no fork is open and one branch-split draw
+        while one is.
         """
         params = self.params
         multi_vote = (
             0.0 if params.slashing_enabled else params.multi_vote_fraction
         )
+        fork_probability = params.fork_probability
+        if params.validators > 0 and not 0.0 <= multi_vote <= 1.0:
+            raise ValueError("probability must be in [0, 1]")
+        if params.rounds > 0 and not 0.0 <= fork_probability <= 1.0:
+            raise ValueError("probability must be in [0, 1]")
+        draw = self.rng.random
         fork_open = False
         fork_started_round = 0
         forks_started = 0
         durations: List[int] = []
         rounds_open = 0
 
-        # Which validators multi-vote is fixed per run (it is a behaviour).
-        multi_voters = set()
-        for index in range(params.validators):
-            if self.rng.bernoulli(multi_vote):
-                multi_voters.add(index)
-        single_branch_stake = sum(
-            stake for index, stake in enumerate(self.stakes) if index not in multi_voters
-        )
+        # Which validators multi-vote is fixed per run (it is a behaviour);
+        # the rest commit their stake to a single branch.
+        single_branch_stake = sum([
+            stake for stake in self.stakes if draw() >= multi_vote])
 
         for round_index in range(params.rounds):
-            if not fork_open and self.rng.bernoulli(params.fork_probability):
+            if not fork_open and draw() < fork_probability:
                 fork_open = True
                 fork_started_round = round_index
                 forks_started += 1
@@ -104,7 +117,8 @@ class NothingAtStakeModel:
                 # The committed (single-branch) stake splits between the two
                 # branches; the fork resolves when one branch's exclusive
                 # support exceeds half of the total stake.
-                branch_support = single_branch_stake * self.rng.uniform(0.4, 0.6)
+                branch_support = single_branch_stake * (
+                    0.4 + (0.6 - 0.4) * draw())
                 decisive = max(branch_support, single_branch_stake - branch_support)
                 if decisive > 0.5:
                     durations.append(round_index - fork_started_round + 1)

@@ -37,6 +37,8 @@ import socket
 import struct
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.analysis.jsonfmt import compact
+
 #: Upper bound on one frame's payload; a length prefix past this is a
 #: protocol violation (corruption or a non-frame peer), not a big message.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -53,8 +55,7 @@ class FrameError(RuntimeError):
 
 def send_frame(sock: socket.socket, message: Dict[str, object]) -> None:
     """Serialise one message dict and write it as a single frame."""
-    payload = json.dumps(message, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
+    payload = compact(message).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(
             f"refusing to send a {len(payload)}-byte frame "

@@ -64,7 +64,8 @@ results are printed/saved, a failure table goes to stderr, and the
 process exits 3.  Because failed jobs never enter the unit cache,
 re-running the same ``--save`` command executes only the failed units.
 Exit codes: 0 success, 1 drift (``diff``, and damage found by
-``verify``), 2 usage error (one line on stderr), 3 partial failure.
+``verify``), 2 usage error (one line on stderr), 3 partial failure, 141
+stdout closed by its reader (as for a tool killed by ``SIGPIPE``).
 
 ``--set``/``--sweep`` values are parsed as JSON where possible (``none`` →
 null), so ``--set churn=none`` and ``--set 'churn={"mean_session": 600}'``
@@ -79,6 +80,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -681,14 +683,26 @@ def main(argv: Optional[List[str]] = None) -> int:
     Every usage error — ours and argparse's, through :class:`_Parser` —
     is raised as ``SystemExit("message")``; this maps it to
     :data:`EXIT_USAGE`.  ``--help`` exits 0 and passes through.
+
+    A reader that closes stdout early (``repro-run ... | head``) ends the
+    run without a traceback and with the exit status of a tool killed by
+    ``SIGPIPE`` (141); stdout is pointed at ``os.devnull`` so the
+    interpreter's final flush cannot fail again.
     """
     try:
-        return _main(argv)
+        code = _main(argv)
+        sys.stdout.flush()
+        return code
     except SystemExit as error:
         if error.code is None or isinstance(error.code, int):
             raise
         print(error.code, file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 128 + signal.SIGPIPE
 
 
 def _main(argv: Optional[List[str]]) -> int:

@@ -50,34 +50,53 @@ def _expect_workload_kind(spec: ScenarioSpec, allowed: tuple, default: str) -> s
     return kind
 
 
-def _pick(source: Dict[str, object], *names: str,
-          **renamed: str) -> Dict[str, object]:
-    """The config fields one spec section sets: ``names`` are spelled like
-    their spec key, ``renamed`` maps ``field=spec_key``.  Keys the spec
-    leaves out are left out here, so the model's own default applies."""
-    picked = {name: source[name] for name in names if name in source}
+def _pick(spec: ScenarioSpec, section: str, *names: str,
+          **renamed: str) -> Dict[str, Tuple[str, object]]:
+    """The config fields one spec ``section`` sets, as ``{field: (spec key,
+    value)}``: ``names`` are spelled like their spec key, ``renamed`` maps
+    ``field=spec_key``.  Keys the spec leaves out are left out here, so the
+    model's own default applies."""
+    source = getattr(spec, section)
+    picked = {name: (f"{section}.{name}", source[name])
+              for name in names if name in source}
     for name, key in renamed.items():
         if key in source:
-            picked[name] = source[key]
+            picked[name] = (f"{section}.{key}", source[key])
     return picked
 
 
-def _config(cls, *picked: Dict[str, object], **fixed):
+def _config(cls, *picked: Dict[str, Tuple[str, object]], **fixed):
     """Build a model's config dataclass from what the spec sets.
 
     Each ``picked`` value (see :func:`_pick`; later dicts win) is coerced
-    to the type of the field's own default — a JSON ``3`` for a float field
-    arrives as ``3.0`` — and fields nothing picks keep that default, so the
-    model is the one home of its defaults.  ``fixed`` are the fields the
-    experiment owns (replicate seed, nested configs) and win over any pick.
+    to the type of the field's own default (:func:`_coerce`) and fields
+    nothing picks keep that default, so the model is the one home of its
+    defaults.  ``fixed`` are the fields the experiment owns (replicate
+    seed, nested configs) and win over any pick.
     """
     fields = cls.__dataclass_fields__
     kwargs: Dict[str, object] = {}
     for values in picked:
-        for name, value in values.items():
-            kwargs[name] = type(fields[name].default)(value)
+        for name, (key, value) in values.items():
+            kwargs[name] = _coerce(fields[name].default, key, value)
     kwargs.update(fixed)
     return cls(**kwargs)
+
+
+def _coerce(default: object, key: str, value: object) -> object:
+    """``value`` as the type of a field's ``default``: a JSON ``3`` for a
+    float field arrives as ``3.0``, and ``3.0`` for an int field as ``3``.
+
+    A value the conversion would change rather than convert — a fractional
+    float for an int field, anything but a JSON bool for a bool field — is
+    a ``ValueError`` naming the spec ``key``.
+    """
+    kind = type(default)
+    if kind is bool and not isinstance(value, bool):
+        raise ValueError(f"{key} expects true or false, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} expects an integer, got {value!r}")
+    return kind(value)
 
 
 def _lookup_environment(spec: ScenarioSpec, seed: int, client: str) -> Dict[str, object]:
@@ -266,15 +285,15 @@ class ProofOfWorkNetwork(Experiment):
         # so "plus any other PoWNetworkConfig field" holds without a
         # duplicate-keyword TypeError.
         arch.pop("seed", None)
-        offered = _pick(spec.workload, tx_arrival_rate="rate_tps")
-        if "tx_arrival_rate" in arch:
-            offered["tx_arrival_rate"] = arch.pop("tx_arrival_rate")
+        arch.pop("tx_arrival_rate", None)
         if spec.topology.get("network") is not None:
             from repro.sim.network import NetworkParams
 
             arch["network_params"] = NetworkParams.from_spec(
                 spec.topology["network"])
-        config = _config(PoWNetworkConfig, offered,
+        config = _config(PoWNetworkConfig,
+                         _pick(spec, "workload", tx_arrival_rate="rate_tps"),
+                         _pick(spec, "architecture", "tx_arrival_rate"),
                          protocol=protocol, seed=seed, **arch)
         return {"model": PoWNetwork(config), "protocol": protocol}
 
@@ -332,7 +351,7 @@ class NothingAtStake(Experiment):
 
         params = _config(
             ProofOfStakeParams,
-            _pick(spec.architecture, "validators", "stake_pareto_shape",
+            _pick(spec, "architecture", "validators", "stake_pareto_shape",
                   "multi_vote_fraction", "rounds", "fork_probability",
                   slashing_enabled="slashing"),
             seed=seed,
@@ -364,8 +383,8 @@ class ProviderMarket(Experiment):
         from repro.economics.market import MarketModel, MarketParams
 
         arch = spec.architecture
-        params = _config(MarketParams,
-                         _pick(arch, *MarketParams.__dataclass_fields__))
+        params = _config(MarketParams, _pick(
+            spec, "architecture", *MarketParams.__dataclass_fields__))
         return {
             "model": MarketModel(params, seed=seed),
             "steps": int(arch.get("steps", 250)),
@@ -399,7 +418,8 @@ class MiningPools(Experiment):
 
         config = _config(
             PoolFormationConfig,
-            _pick(spec.architecture, *PoolFormationConfig.__dataclass_fields__),
+            _pick(spec, "architecture",
+                  *PoolFormationConfig.__dataclass_fields__),
             seed=seed,
         )
         return {"model": PoolFormationModel(config)}
@@ -518,8 +538,8 @@ class ConsensusCluster(Experiment):
         _expect_workload_kind(spec, ("payment",), default="payment")
         config = _config(
             ConsensusBenchmarkConfig,
-            _pick(spec.architecture, "protocol", "replicas", "batch_size"),
-            _pick(spec.workload, request_rate="rate_tps"),
+            _pick(spec, "architecture", "protocol", "replicas", "batch_size"),
+            _pick(spec, "workload", request_rate="rate_tps"),
             duration=float(spec.duration or 5.0),
             seed=seed,
         )
@@ -558,7 +578,7 @@ class FabricConsortium(Experiment):
         arch = spec.architecture
         network = FabricNetwork(_config(
             FabricNetworkConfig,
-            _pick(arch, "organizations", "peers_per_org"),
+            _pick(spec, "architecture", "organizations", "peers_per_org"),
             seed=seed,
         ))
         chaincode = str(arch.get("chaincode", "asset-transfer"))
@@ -631,8 +651,8 @@ class KademliaLookups(Experiment):
         _expect_workload_kind(spec, ("lookup",), default="lookup")
         config = _config(
             LookupExperimentConfig,
-            _pick(spec.topology, network_size="size"),
-            _pick(spec.workload, "lookups", lookup_interval="interval_s"),
+            _pick(spec, "topology", network_size="size"),
+            _pick(spec, "workload", "lookups", lookup_interval="interval_s"),
             **_lookup_environment(spec, seed, client="overlay"),
         )
         return {"model": LookupExperiment(config)}
@@ -659,8 +679,8 @@ class FastKademliaLookups(Experiment):
         _expect_workload_kind(spec, ("lookup",), default="lookup")
         config = _config(
             FastKademliaConfig,
-            _pick(spec.topology, network_size="size"),
-            _pick(spec.workload, "lookups", "wave_size",
+            _pick(spec, "topology", network_size="size"),
+            _pick(spec, "workload", "lookups", "wave_size",
                   lookup_interval="interval_s", warmup="warmup_s"),
             **_lookup_environment(spec, seed, client="client"),
         )
@@ -699,9 +719,10 @@ class SybilAttack(Experiment):
             targeted_key = random_id(SeededRNG(seed).fork("eclipse-target"))
         config = _config(
             SybilAttackConfig,
-            _pick(spec.topology, honest_nodes="size"),
-            _pick(arch, "attacker_machines", "identities_per_machine"),
-            _pick(spec.workload, "lookups"),
+            _pick(spec, "topology", honest_nodes="size"),
+            _pick(spec, "architecture", "attacker_machines",
+                  "identities_per_machine"),
+            _pick(spec, "workload", "lookups"),
             targeted_key=targeted_key if targeted_key is None else int(targeted_key),
             kademlia=KademliaConfig.by_name(arch.get("overlay", "kad")),
             seed=seed,
@@ -807,8 +828,8 @@ class OneHopLookups(Experiment):
         arch = spec.architecture
         config = _config(
             OneHopConfig,
-            _pick(spec.topology, "size"),
-            _pick(arch, "dissemination_delay", "lookup_timeout"),
+            _pick(spec, "topology", "size"),
+            _pick(spec, "architecture", "dissemination_delay", "lookup_timeout"),
             churn=_churn(spec),
         )
         return {
@@ -861,8 +882,8 @@ class GnutellaSearch(Experiment):
         availability = churn.availability if churn is not None else 1.0
         config = _config(
             GnutellaConfig,
-            _pick(spec.topology, "size"),
-            _pick(spec.architecture, "degree", "ttl", "objects",
+            _pick(spec, "topology", "size"),
+            _pick(spec, "architecture", "degree", "ttl", "objects",
                   "replicas_per_object", "zipf_exponent", "sharing_fraction",
                   "hop_latency_mean"),
         )
@@ -918,8 +939,8 @@ class SuperpeerSearch(Experiment):
         _expect_workload_kind(spec, ("lookup",), default="lookup")
         config = _config(
             SuperpeerConfig,
-            _pick(spec.topology, leaves="size"),
-            _pick(spec.architecture, "superpeers", "leaves_per_superpeer",
+            _pick(spec, "topology", leaves="size"),
+            _pick(spec, "architecture", "superpeers", "leaves_per_superpeer",
                   "superpeer_neighbors", "objects", "replicas_per_object",
                   "hop_latency_mean"),
         )

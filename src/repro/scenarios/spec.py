@@ -24,9 +24,10 @@ from __future__ import annotations
 import copy as _copy
 import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+
+from repro.analysis.jsonfmt import compact
 
 #: The five architecture families the paper compares.
 FAMILIES = ("permissionless", "consensus", "permissioned", "overlay", "edge")
@@ -263,7 +264,7 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
     def canonical_json(self) -> str:
         """The minimal, key-sorted JSON form used for hashing and caching."""
-        return _canonical(self.to_dict(_value=_live))
+        return compact(self.to_dict(_value=_live))
 
     def canonical_around_seed(self) -> Tuple[str, str]:
         """``(head, tail)`` with ``canonical_json() == head + str(seed) +
@@ -275,10 +276,10 @@ class ScenarioSpec:
         keys sort around ``"seed"`` — the text is never searched.
         """
         live = self.to_dict(_value=_live)
-        head = _canonical({key: value for key, value in live.items()
-                           if key < "seed"})
-        tail = _canonical({key: value for key, value in live.items()
-                           if key > "seed"})
+        head = compact({key: value for key, value in live.items()
+                         if key < "seed"})
+        tail = compact({key: value for key, value in live.items()
+                         if key > "seed"})
         # ``name`` and ``workload`` are baseline fields: neither is empty.
         return head[:-1] + ',"seed":', "," + tail[1:]
 
@@ -296,7 +297,3 @@ class ScenarioSpec:
 
 def _live(value: Any) -> Any:
     return value
-
-
-def _canonical(data: Mapping[str, object]) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))

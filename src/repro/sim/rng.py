@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import Dict, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -22,14 +22,24 @@ class SeededRNG:
     def __init__(self, seed: Optional[int] = 0) -> None:
         self.seed = seed
         self._random = random.Random(seed)
+        #: Uniform float in ``[0, 1)``: the generator's own C method, so a
+        #: draw is one call with no Python frame in between.
+        self.random = self._random.random
+
+    def __getstate__(self) -> Dict[str, object]:
+        # ``copy.deepcopy`` copies a bound C method by reference: a copy
+        # rebinds ``random`` to its own generator instead.
+        state = dict(self.__dict__)
+        del state["random"]
+        return state
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.__dict__.update(state)
+        self.random = self._random.random
 
     # ------------------------------------------------------------------
     # Core draws
     # ------------------------------------------------------------------
-    def random(self) -> float:
-        """Uniform float in ``[0, 1)``."""
-        return self._random.random()
-
     def uniform(self, low: float, high: float) -> float:
         """Uniform float in ``[low, high]``."""
         return self._random.uniform(low, high)

@@ -1,6 +1,10 @@
 """Tests for the PoW network simulator and the blockchain analytical models."""
 
+import itertools
+import math
+import random
 import time
+from typing import List
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from repro.blockchain.network import (
 from repro.blockchain.pools import PoolFormationConfig, PoolFormationModel
 from repro.blockchain.primitives import Block
 from repro.blockchain.proof_of_stake import (
+    ForkPersistenceResult,
     NothingAtStakeModel,
     ProofOfStakeParams,
     attack_cost_comparison,
@@ -32,6 +37,7 @@ from repro.blockchain.selfish import (
 )
 from repro.blockchain.throughput import REFERENCE_SYSTEMS, ThroughputModel
 from repro.blockchain.trilemma import evaluate_designs, built_in_designs, score_design
+from repro.sim.rng import SeededRNG
 
 
 class TestProtocolParams:
@@ -373,6 +379,129 @@ class TestProofOfStake:
         costs = attack_cost_comparison()
         assert costs["naive_pos"]["total_usd"] < costs["slashing_pos"]["total_usd"]
         assert costs["naive_pos"]["total_usd"] < costs["pow"]["total_usd"] / 10.0
+
+
+class WrappedNothingAtStake:
+    """The nothing-at-stake model as written against :class:`SeededRNG`'s
+    checked draw helpers (``pareto``, ``bernoulli``, ``uniform``): the
+    oracle of :class:`NothingAtStakeModel`'s draw stream and its errors."""
+
+    def __init__(self, params: ProofOfStakeParams) -> None:
+        self.params = params
+        rng = SeededRNG(params.seed)
+        raw = [rng.pareto(params.stake_pareto_shape, 1.0)
+               for _ in range(params.validators)]
+        total = sum(raw)
+        self.stakes = [value / total for value in raw]
+        self.rng = rng
+
+    def run(self) -> ForkPersistenceResult:
+        params = self.params
+        multi_vote = 0.0 if params.slashing_enabled else params.multi_vote_fraction
+        fork_open = False
+        fork_started_round = 0
+        forks_started = 0
+        durations: List[int] = []
+        rounds_open = 0
+        multi_voters = set()
+        for index in range(params.validators):
+            if self.rng.bernoulli(multi_vote):
+                multi_voters.add(index)
+        single_branch_stake = sum(
+            stake for index, stake in enumerate(self.stakes)
+            if index not in multi_voters)
+        for round_index in range(params.rounds):
+            if not fork_open and self.rng.bernoulli(params.fork_probability):
+                fork_open = True
+                fork_started_round = round_index
+                forks_started += 1
+            if fork_open:
+                rounds_open += 1
+                branch_support = single_branch_stake * self.rng.uniform(0.4, 0.6)
+                decisive = max(branch_support, single_branch_stake - branch_support)
+                if decisive > 0.5:
+                    durations.append(round_index - fork_started_round + 1)
+                    fork_open = False
+        if fork_open:
+            durations.append(params.rounds - fork_started_round)
+        return ForkPersistenceResult(
+            forks_started=forks_started,
+            mean_fork_duration_rounds=(
+                sum(durations) / len(durations) if durations else 0.0),
+            max_fork_duration_rounds=max(durations) if durations else 0,
+            rounds_with_open_fork=rounds_open,
+            total_rounds=params.rounds,
+        )
+
+
+def _stdlib_pareto_is_inline() -> bool:
+    """Whether this Python's ``paretovariate`` computes the model's inline
+    ``(1 - u) ** (-1 / shape)`` (another spelling may round differently)."""
+    stdlib, inline = random.Random(5), random.Random(5)
+    return all(stdlib.paretovariate(1.16)
+               == (1.0 - inline.random()) ** (-1.0 / 1.16)
+               for _ in range(2000))
+
+
+def _outcome(model_class, params: ProofOfStakeParams):
+    """``(stakes, result, rng state)``, or the ``ValueError`` message with
+    the phase (``"build"``/``"run"``) that raised it."""
+    try:
+        model = model_class(params)
+    except ValueError as error:
+        return ("build", str(error))
+    try:
+        result = model.run()
+    except ValueError as error:
+        return ("run", str(error))
+    return model.stakes, result, model.rng._random.getstate()
+
+
+class TestNothingAtStakeDrawStream:
+    """:class:`NothingAtStakeModel` draws from the bound generator with the
+    stdlib's formulas inline; :class:`WrappedNothingAtStake` pins it to the
+    same draws, in the same order, with the same errors."""
+
+    EXACT_STAKES = _stdlib_pareto_is_inline()
+
+    def assert_same(self, params: ProofOfStakeParams) -> None:
+        got = _outcome(NothingAtStakeModel, params)
+        want = _outcome(WrappedNothingAtStake, params)
+        if len(want) == 2 or self.EXACT_STAKES:
+            assert got == want, params
+            return
+        assert got[0] == pytest.approx(want[0], rel=1e-15, abs=0.0), params
+        assert got[1:] == want[1:], params
+
+    @pytest.mark.parametrize("validators", [0, 1, 100])
+    @pytest.mark.parametrize("rounds", [0, 1, 50, 400])
+    def test_matches_the_wrapped_model_over_the_grid(self, validators, rounds):
+        for fraction, slashing, fork, seed in itertools.product(
+                [0.0, 0.3, 1.0], [False, True], [0.0, 0.05, 1.0], range(8)):
+            self.assert_same(ProofOfStakeParams(
+                validators=validators, rounds=rounds,
+                multi_vote_fraction=fraction, slashing_enabled=slashing,
+                fork_probability=fork, seed=seed))
+
+    @pytest.mark.parametrize("field,value", [
+        ("stake_pareto_shape", 0.0),
+        ("stake_pareto_shape", -1.16),
+        ("multi_vote_fraction", -0.1),
+        ("multi_vote_fraction", 1.5),
+        ("multi_vote_fraction", math.nan),
+        ("fork_probability", -0.1),
+        ("fork_probability", 1.5),
+        ("fork_probability", math.nan),
+    ])
+    @pytest.mark.parametrize("validators,rounds", [
+        (0, 0), (0, 1), (1, 0), (1, 1), (20, 20)])
+    @pytest.mark.parametrize("slashing", [False, True])
+    def test_raises_exactly_where_the_wrapped_model_raises(
+            self, field, value, validators, rounds, slashing):
+        params = ProofOfStakeParams(validators=validators, rounds=rounds,
+                                    slashing_enabled=slashing, seed=3,
+                                    **{field: value})
+        self.assert_same(params)
 
 
 class TestThroughputModelAndTrilemma:

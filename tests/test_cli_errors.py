@@ -7,6 +7,10 @@ fail these tests, so passing means no traceback.
 """
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +192,27 @@ class TestArgumentShape:
         # argparse's own error, without its usage block.
         err = usage_error(capsys, ["run", "pos-slashing", "--jobs", "abc"])
         assert "--jobs" in err and "'abc'" in err
+
+
+def test_a_reader_that_closes_stdout_ends_the_run_quietly(tmp_path):
+    """``repro-run ... --json - | head``: the reader is gone before the
+    document is written.  The run ends like a tool killed by SIGPIPE, with
+    no traceback on stderr."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to the pipe now fails with EPIPE
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.run", "run", "pos-slashing",
+             "--set", "architecture.rounds=50", "--quiet", "--json", "-"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+            timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 141
 
 
 def _subparsers():

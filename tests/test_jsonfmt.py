@@ -1,13 +1,18 @@
-"""``repro.analysis.jsonfmt`` writes the stdlib's indented JSON, byte for byte.
+"""``repro.analysis.jsonfmt`` writes the stdlib's JSON, byte for byte.
 
-The oracle is ``json.dumps(value, indent=2, sort_keys=True)``: saved
-ResultSets are addressed by the sha256 of this text and the golden corpus
-is compared byte for byte, so the C-encoder renderer must never differ
-from it — not on empty or nested-empty containers, special floats, big
-ints, numpy scalars or escaped characters.
+The oracles are ``json.dumps(value, indent=2, sort_keys=True)`` for
+:func:`~repro.analysis.jsonfmt.dumps` and ``json.dumps(value,
+sort_keys=True, separators=(",", ":"))`` for
+:func:`~repro.analysis.jsonfmt.compact`: saved ResultSets are addressed by
+the sha256 of the first, spec hashes by the second, and the golden corpus,
+unit records and wire frames are compared byte for byte, so the C-encoder
+renderers must never differ from them — not on empty or nested-empty
+containers, special floats, big ints, numpy scalars or escaped characters.
 """
 
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +27,10 @@ from repro.scenarios.result import ReplicateResult, ScenarioResult, results_to_j
 
 def oracle(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
+
+
+def compact_oracle(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
 TEXT = st.text(st.one_of(st.sampled_from('"\\/\n\r\t\b\f\x00\x1f\x7f'
@@ -68,6 +77,7 @@ JSON_VALUES = st.recursive(SCALARS, containers, max_leaves=40)
 @example([np.float64(0.1), {"k": np.float64(-0.0)}, 10 ** 40])
 def test_matches_the_stdlib(value):
     assert jsonfmt.dumps(value) == oracle(value)
+    assert jsonfmt.compact(value) == compact_oracle(value)
 
 
 @pytest.mark.parametrize("value", [
@@ -82,6 +92,51 @@ def test_rejects_what_the_stdlib_rejects(value):
         oracle(value)
     with pytest.raises(TypeError):
         jsonfmt.dumps(value)
+    with pytest.raises(TypeError):
+        jsonfmt.compact(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1: "a", -2: "b"},
+    {2.5: 1, -0.0: 2, float("inf"): 3, float("-inf"): 4},
+    {float("nan"): 1},
+    {True: 1, False: 2},
+    {None: [None]},
+    {np.float64(0.1): 1},
+    float("nan"), float("inf"), float("-inf"), np.float64(-0.0),
+    "plain é \u2603 \x00", 10 ** 40, True, None,
+])
+def test_compact_accepts_what_the_stdlib_accepts(value):
+    assert jsonfmt.compact(value) == compact_oracle(value)
+
+
+@pytest.mark.parametrize("value", [
+    {1, 2},
+    b"bytes",
+    object(),
+    {"a": [1, object()]},
+    {(1, 2): 1},
+    {1: "int", "a": "str"},
+])
+def test_compact_rejects_what_the_stdlib_rejects(value):
+    with pytest.raises(TypeError) as stdlib:
+        compact_oracle(value)
+    with pytest.raises(TypeError) as ours:
+        jsonfmt.compact(value)
+    assert str(ours.value) == str(stdlib.value)
+
+
+def test_a_self_containing_value_is_rejected():
+    """The cached encoders keep no circular-reference markers: where the
+    stdlib raises ``ValueError`` they raise ``RecursionError``."""
+    loop = []
+    loop.append(loop)
+    with pytest.raises(ValueError):
+        compact_oracle(loop)
+    with pytest.raises(RecursionError):
+        jsonfmt.compact(loop)
+    with pytest.raises(RecursionError):
+        jsonfmt.dumps(loop)
 
 
 METRICS = st.dictionaries(TEXT, st.one_of(
@@ -116,3 +171,24 @@ def test_every_golden_re_renders_to_its_bytes(path):
     text = path.read_text(encoding="utf-8")
     assert jsonfmt.dumps(json.loads(text)) + "\n" == text
     assert ResultSet.from_json(text).to_json() + "\n" == text
+    assert jsonfmt.compact(json.loads(text)) == compact_oracle(json.loads(text))
+
+
+SOURCES = Path(jsonfmt.__file__).resolve().parents[1]
+
+
+def test_compact_json_is_only_written_by_jsonfmt():
+    """No ``json.dumps(..., separators=...)`` is left in ``src/repro``
+    outside :mod:`~repro.analysis.jsonfmt`: compact JSON has one encoder."""
+    found = []
+    for path in sorted(SOURCES.rglob("*.py")):
+        if path.name == "jsonfmt.py" and path.parent.name == "analysis":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "dumps"
+                    and any(keyword.arg == "separators"
+                            for keyword in node.keywords)):
+                found.append(f"{path.relative_to(SOURCES)}:{node.lineno}")
+    assert found == []

@@ -225,12 +225,50 @@ class TestConfigDefaults:
 
     def test_set_keys_are_coerced_to_the_field_type(self):
         spec = ScenarioSpec(name="json-pos", family="permissionless",
-                            architecture={"consensus": "pos", "slashing": 1,
+                            architecture={"consensus": "pos", "slashing": True,
                                           "fork_probability": 1, "seed": 99})
         params = adapter_for("permissionless").setup(spec, seed=7)["model"].params
         assert params.slashing_enabled is True
         assert isinstance(params.fork_probability, float)
         assert params.seed == 7  # the replicate seed owns its key
+
+    @staticmethod
+    def pos_params(key, value):
+        spec = ScenarioSpec(name="json-pos", family="permissionless",
+                            architecture={"consensus": "pos", key: value})
+        return adapter_for("permissionless").setup(spec, seed=7)["model"].params
+
+    @pytest.mark.parametrize("key,value,field,expected", [
+        ("validators", 3.0, "validators", 3),        # integral float -> int
+        ("validators", 3, "validators", 3),
+        ("fork_probability", 1, "fork_probability", 1.0),  # int -> float
+        ("stake_pareto_shape", 2, "stake_pareto_shape", 2.0),
+        ("slashing", True, "slashing_enabled", True),
+        ("slashing", False, "slashing_enabled", False),
+    ])
+    def test_lossless_values_are_accepted(self, key, value, field, expected):
+        got = getattr(self.pos_params(key, value), field)
+        assert got == expected and type(got) is type(expected)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("validators", 2.7, "architecture.validators expects an integer"),
+        ("rounds", -0.5, "architecture.rounds expects an integer"),
+        ("rounds", float("inf"), "architecture.rounds expects an integer"),
+        ("slashing", "no", "architecture.slashing expects true or false"),
+        ("slashing", 1, "architecture.slashing expects true or false"),
+        ("slashing", 0.0, "architecture.slashing expects true or false"),
+        ("slashing", None, "architecture.slashing expects true or false"),
+    ])
+    def test_lossy_values_are_rejected_naming_the_key(self, key, value,
+                                                       message):
+        with pytest.raises(ValueError, match=message):
+            self.pos_params(key, value)
+
+    def test_renamed_keys_are_named_as_the_spec_spells_them(self):
+        # topology.size fills LookupExperimentConfig.network_size.
+        spec = get_scenario("kad-lookup").with_overrides({"topology.size": 99.5})
+        with pytest.raises(ValueError, match="topology.size expects an integer"):
+            adapter_for("overlay").setup(spec, seed=1)
 
 
 class TestNewScenarioModes:

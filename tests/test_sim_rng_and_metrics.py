@@ -1,6 +1,8 @@
 """Tests for the seeded RNG, metrics and statistics helpers."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,16 @@ class TestSeededRNG:
         other = parent.fork("beta")
         assert child_a.random() == child_b.random()
         assert SeededRNG(7).fork("alpha").random() != other.random()
+
+    @pytest.mark.parametrize("clone", [
+        copy.deepcopy, lambda rng: pickle.loads(pickle.dumps(rng))])
+    def test_a_copy_draws_from_its_own_generator(self, clone):
+        original = SeededRNG(11)
+        original.random()
+        twin = clone(original)
+        ahead = [twin.random(), twin.uniform(0.0, 1.0), twin.random()]
+        assert [original.random(), original.random(),
+                original.random()] == ahead
 
     def test_exponential_mean(self):
         rng = SeededRNG(3)
