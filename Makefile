@@ -1,6 +1,6 @@
 PY := python
 
-.PHONY: test bench bench-update experiments goldens smoke chaos distributed lint typecheck
+.PHONY: test bench bench-update experiments goldens smoke chaos distributed lint typecheck e2e-check
 
 # Correctness gates, quickest first:
 #   make lint       reprolint determinism/purity contract (RL001-RL006);
@@ -38,6 +38,17 @@ typecheck:
 # the baselines are host-dependent (run manually / nightly).
 bench:
 	PYTHONPATH=src $(PY) -m benchmarks.perf_report
+
+# Full-scale output check of the end-to-end benchmark: each workload runs
+# once at seed 0 with no measuring window and must print the "full" hash
+# that benchmarks/e2e/expected.json pins (tier-1 checks only the "tiny"
+# hashes).  Any non-zero exit fails the target; ~25 s on a 2-core host.
+E2E_WORKLOADS := figure1-serial kad-fast sweep-cold sweep-resume broker-tcp
+e2e-check:
+	@set -e; for workload in $(E2E_WORKLOADS); do \
+		$(PY) benchmarks/e2e/run.py --workload $$workload --seed 0 \
+		  --seconds 0 --trace 0; \
+	done
 
 # Refresh the results section of BENCH_core.json (seed_baseline is kept).
 bench-update:

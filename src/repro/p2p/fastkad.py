@@ -75,7 +75,7 @@ class FastKademliaConfig:
         Lookups driven concurrently per batch.  Bigger waves amortize
         the per-hop array operations better; membership is frozen
         within a wave, so ``wave_size * lookup_interval`` is the churn
-        granularity.
+        granularity.  At least 1.
     metrics:
         ``"exact"`` or ``"streaming"`` —
         :class:`~repro.sim.metrics.MetricsRegistry` mode for the
@@ -83,7 +83,7 @@ class FastKademliaConfig:
         ``metrics`` field).
     max_hops:
         Safety bound on iterative descent (never reached in practice:
-        greedy XOR descent halves the distance every hop).
+        greedy XOR descent halves the distance every hop).  At least 1.
     """
 
     network_size: int = 100_000
@@ -97,6 +97,13 @@ class FastKademliaConfig:
     wave_size: int = 1024
     metrics: str = "exact"
     max_hops: int = 64
+
+    def __post_init__(self) -> None:
+        # A wave of zero lookups would never advance the workload.
+        for name in ("wave_size", "max_hops"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 class FastKademliaOverlay:

@@ -230,7 +230,9 @@ class VecRoutingTable:
     ``stale`` marks entries that point at departed peers without the
     owner knowing (``initial_stale_fraction`` at bootstrap); they cost a
     timeout when tried and are only removed by maintenance
-    (:meth:`evict_offline`), matching the scalar model's semantics.
+    (:meth:`evict_offline`), matching the scalar model's semantics.  A
+    stale flag is only ever set on a filled slot (stale implies filled),
+    which the sentinel gather of :meth:`_dead_entries` relies on.
     """
 
     def __init__(self, space: VecIdSpace, k: int = 8,
@@ -260,36 +262,50 @@ class VecRoutingTable:
             self.range_len[:, bucket] = hi - lo
 
         # Bootstrap: fill every bucket with up to k distinct members of
-        # its range (all of them when the range is small, a hashed
-        # sample when it is large).
-        self.table = np.full((n, self.bucket_count, k), EMPTY, dtype=np.int32)
+        # its range — all of them when the range holds at most k, else k
+        # hashed draws with duplicates cleared — each row in ascending
+        # order with its empty slots first.  Only the sampled rows draw:
+        # a draw is a pure function of (node, bucket, slot), so drawing
+        # that subset gives exactly the values a whole-bucket draw
+        # would, and a whole row never reads its draw.  A whole row is
+        # written straight in its sorted layout; only drawn rows sort.
+        self.table = np.empty((n, self.bucket_count, k), dtype=np.int32)
         fill_key = stream_key(seed, "table-bootstrap")
-        nodes = np.arange(n, dtype=np.uint64)[:, None]
+        slot = np.arange(k, dtype=np.int64)
         for bucket in range(self.bucket_count):
-            lo = self.range_lo[:, bucket][:, None]
-            count = self.range_len[:, bucket][:, None]
-            slots = np.arange(k, dtype=np.uint64)[None, :]
-            u = hashed_uniform(fill_key, nodes, np.uint64(bucket), slots)
-            sampled = lo + np.minimum(
-                (u * count).astype(np.int64), np.maximum(count - 1, 0))
-            sequential = lo + np.arange(k, dtype=np.int64)[None, :]
-            contacts = np.where(count > k, sampled, sequential)
-            contacts = np.where(np.arange(k)[None, :] < count, contacts,
-                                np.int64(EMPTY))
-            self.table[:, bucket, :] = contacts.astype(np.int32)
-        self._dedupe_rows()
+            lo = self.range_lo[:, bucket]
+            count = self.range_len[:, bucket]
+            rows = self.table[:, bucket, :]
+            whole = np.flatnonzero(count <= k)
+            if len(whole):
+                shift = slot - (k - count[whole])[:, None]
+                rows[whole] = np.where(shift >= 0, lo[whole][:, None] + shift,
+                                       np.int64(EMPTY))
+            sampled = np.flatnonzero(count > k)
+            if len(sampled):
+                u = hashed_uniform(fill_key, sampled.astype(_U64)[:, None],
+                                   _U64(bucket), slot.astype(_U64))
+                span = count[sampled][:, None]
+                rows[sampled] = _distinct_rows(
+                    lo[sampled][:, None]
+                    + np.minimum((u * span).astype(np.int64), span - 1))
 
         stale = np.zeros_like(self.table, dtype=bool)
         if stale_fraction > 0.0:
             stale_key = stream_key(seed, "table-stale")
-            # Bucket-sized draws keep the hash temporaries at n*k
-            # elements instead of the whole n*buckets*k table.
-            entry = np.arange(n * k, dtype=np.uint64)
+            # Only filled slots draw (an empty slot is never stale); the
+            # draw of slot ``(node, bucket, s)`` is a pure function of
+            # ``(node * k + s, bucket)``, so skipping the empty ones
+            # changes no value.  Bucket-sized draws keep the hash
+            # temporaries at n*k elements instead of the whole table.
+            marks = np.empty(n * k, dtype=bool)
             for bucket in range(self.bucket_count):
-                u = hashed_uniform(stale_key, entry,
-                                   np.uint64(bucket)).reshape(n, k)
-                stale[:, bucket, :] = (self.table[:, bucket, :] != EMPTY) & (
-                    u < stale_fraction)
+                entry = np.flatnonzero(self.table[:, bucket, :] != EMPTY)
+                marks[:] = False
+                marks[entry] = hashed_uniform(
+                    stale_key, entry.astype(_U64),
+                    _U64(bucket)) < stale_fraction
+                stale[:, bucket, :] = marks.reshape(n, k)
         self.stale = stale
 
     # -- queries -------------------------------------------------------
@@ -309,15 +325,29 @@ class VecRoutingTable:
         Counts both marked-stale entries and contacts that are currently
         offline — the same "entry that will cost you a timeout" measure
         :meth:`repro.p2p.kademlia.KademliaNetwork.routing_table_staleness`
-        reports for the scalar tables.
+        reports for the scalar tables.  The dead entries come from the
+        same sentinel gather as :meth:`evict_offline`'s candidates
+        (:meth:`_dead_entries`, which needs stale to imply filled).
         """
-        filled = self.table != EMPTY
-        total = int(filled.sum())
+        total = int(np.count_nonzero(self.table != EMPTY))
         if not total:
             return 0.0
-        alive = online[np.where(filled, self.table, np.int32(0))]
-        dead = filled & (self.stale | ~alive)
-        return float(dead.sum()) / total
+        return float(np.count_nonzero(self._dead_entries(online))) / total
+
+    def _dead_entries(self, online: np.ndarray) -> np.ndarray:
+        """Mask of filled slots whose contact is offline or marked stale.
+
+        One gather through the offline flags ``~online`` with a
+        ``False`` sentinel appended: :data:`EMPTY` (-1) indexes the
+        sentinel, so an empty slot reads as not offline without a
+        separate ``filled`` mask.  That relies on the invariant *stale
+        implies filled* — bootstrap only marks filled slots, eviction
+        clears both flags together and refresh only fills — so the
+        ``| stale`` cannot flag an empty slot either.
+        """
+        dead = np.append(~online, False)[self.table]
+        dead |= self.stale
+        return dead
 
     # -- maintenance ---------------------------------------------------
     def evict_offline(self, online: np.ndarray,
@@ -327,12 +357,12 @@ class VecRoutingTable:
         Each entry whose contact is offline (or marked stale) is detected
         and cleared with probability ``detection`` — one vectorized
         maintenance pass over every node at once, standing in for the
-        scalar model's per-node refresh probes.
+        scalar model's per-node refresh probes.  The candidates come
+        from one sentinel gather (:meth:`_dead_entries`): an empty slot
+        reads as not offline and, since stale implies filled, is never
+        a candidate.
         """
-        filled = self.table != EMPTY
-        alive = online[np.where(filled, self.table, np.int32(0))]
-        candidates = filled & (self.stale | ~alive)
-        flat = np.flatnonzero(candidates)
+        flat = np.flatnonzero(self._dead_entries(online))
         if len(flat) == 0:
             return 0
         key = stream_key(self.seed, "table-evict")
@@ -354,54 +384,68 @@ class VecRoutingTable:
         separates aggressive-refresh KAD from lazy Mainline tables.
         Returns the number of slots filled.
 
-        The pass works at (node, bucket)-row granularity, not per slot:
-        an ``argmax`` finds each row's first empty slot and a k-wide
-        comparison rejects duplicates, so nothing ever scans or re-sorts
-        the full slot axis — the pass stays O(n * buckets) plus the
-        selected rows.
+        The pass works on the table as ``n * buckets`` rows of ``k``
+        slots and scans it once: one ``== EMPTY``, read back as a few
+        wide unsigned lanes per row, says which rows have room without
+        a per-row reduction along the short slot axis.  Everything after
+        that touches only the selected rows, through flat indices: their
+        ranges are gathered, a live candidate is checked against its row
+        one slot at a time (``k`` compares), an ``argmax`` over just the
+        rows that take a contact finds each one's first empty slot, and
+        the fills are scattered straight into the flat table.
         """
-        is_empty = self.table == EMPTY
-        has_room = is_empty.any(axis=2)
-        first_empty = is_empty.argmax(axis=2)
-        order = np.cumsum(has_room, axis=1, dtype=np.int32)
-        allowed = has_room & (order <= samples)
-        node_idx, bucket_idx = np.nonzero(allowed)
-        if len(node_idx) == 0:
+        n, buckets, k = self.table.shape
+        rows = self.table.reshape(-1, k)
+        # A row's k empty-flags, read as k/width unsigned lanes of
+        # ``width`` bytes: the row has room iff a lane is non-zero.
+        width = math.gcd(k, 8)
+        lanes = (rows == EMPTY).view(f"u{width}")
+        has_room = lanes[:, 0] != 0
+        for lane in range(1, k // width):
+            has_room |= lanes[:, lane] != 0
+        order = np.cumsum(has_room.reshape(n, buckets), axis=1,
+                          dtype=np.int32).reshape(-1)
+        selected = np.flatnonzero(has_room & (order <= samples))
+        if len(selected) == 0:
             self._maintenance_passes += 1
             return 0
-        lo = self.range_lo[node_idx, bucket_idx]
-        count = self.range_len[node_idx, bucket_idx]
+        lo = self.range_lo.reshape(-1)[selected]
+        count = self.range_len.reshape(-1)[selected]
+        node, bucket = np.divmod(selected, buckets)
         key = stream_key(self.seed, "table-refresh")
-        u = hashed_uniform(key, node_idx.astype(np.uint64),
-                           bucket_idx.astype(np.uint64),
+        u = hashed_uniform(key, node.astype(np.uint64),
+                           bucket.astype(np.uint64),
                            np.uint64(self._maintenance_passes))
         candidate = lo + np.minimum((u * count).astype(np.int64),
                                     np.maximum(count - 1, 0))
-        rows = self.table[node_idx, bucket_idx]            # (sel, k) copy
-        duplicate = (rows == candidate[:, None].astype(np.int32)).any(axis=1)
         # An empty range may start one past the last node; clamp so the
         # row (discarded by ``count > 0`` anyway) is never dereferenced.
-        live = online[np.minimum(candidate, len(online) - 1)]
-        viable = (count > 0) & live & ~duplicate
-        self.table[node_idx[viable], bucket_idx[viable],
-                   first_empty[node_idx[viable], bucket_idx[viable]]] = (
-            candidate[viable].astype(np.int32))
+        live = np.flatnonzero(
+            (count > 0) & online[np.minimum(candidate, len(online) - 1)])
+        row = selected[live]
+        contact = candidate[live].astype(np.int32)
+        picked = np.take(rows, row, axis=0)                # (live, k) copy
+        fresh = picked[:, 0] != contact
+        for slot in range(1, k):
+            fresh &= picked[:, slot] != contact
+        first_empty = (picked[fresh] == EMPTY).argmax(axis=1)
+        self.table.reshape(-1)[row[fresh] * k + first_empty] = contact[fresh]
         self._maintenance_passes += 1
-        return int(viable.sum())
+        return len(first_empty)
 
-    def _dedupe_rows(self) -> None:
-        """Clear duplicate contacts within each (node, bucket) row.
 
-        Sorting each k-wide row groups duplicates adjacently (slot order
-        inside a bucket carries no meaning), so one vectorized
-        equal-to-predecessor comparison finds them all.
-        """
-        ordered = np.sort(self.table, axis=2)
-        dup = np.zeros_like(ordered, dtype=bool)
-        dup[:, :, 1:] = (ordered[:, :, 1:] == ordered[:, :, :-1]) & (
-            ordered[:, :, 1:] != EMPTY)
-        ordered[dup] = EMPTY
-        self.table = ordered
+def _distinct_rows(drawn: np.ndarray) -> np.ndarray:
+    """Sort each row of drawn contacts and clear repeats to :data:`EMPTY`.
+
+    Sorting groups duplicates adjacently (slot order inside a bucket
+    carries no meaning), so one equal-to-predecessor comparison finds
+    them all; a cleared repeat keeps its sorted position.
+    """
+    drawn.sort(axis=1)
+    repeat = np.zeros(drawn.shape, dtype=bool)
+    repeat[:, 1:] = drawn[:, 1:] == drawn[:, :-1]
+    drawn[repeat] = EMPTY
+    return drawn
 
 
 # ----------------------------------------------------------------------

@@ -136,9 +136,12 @@ class TestXorClosest:
 
 
 def table_invariants(table: VecRoutingTable) -> None:
-    """No self-contacts, no in-bucket duplicates, contacts in-subtree."""
+    """No self-contacts, no in-bucket duplicates, contacts in-subtree,
+    and stale implies filled (the sentinel gather reads an EMPTY slot as
+    live, so a stale flag there would make it an eviction candidate)."""
     ids = table.space.ids
     n, buckets, k = table.table.shape
+    assert not (table.stale & (table.table == EMPTY)).any()
     for bucket in range(buckets):
         rows = table.table[:, bucket, :]
         filled = rows != EMPTY
@@ -224,6 +227,21 @@ class TestRoutingTable:
         filled = table.table != EMPTY
         assert np.all(online[np.where(filled, table.table, np.int32(0))]
                       | ~filled)
+
+    def test_churned_maintenance_keeps_every_invariant(self):
+        n = 2000
+        space = VecIdSpace(n, seed=6)
+        table = VecRoutingTable(space, k=8, seed=6, stale_fraction=0.1)
+        churn = VecChurn(n, ChurnModel.kad_like(), seed=6)
+        table_invariants(table)
+        evicted = added = 0
+        for step in range(1, 21):
+            churn.advance(60.0 * step)
+            evicted += table.evict_offline(churn.online, detection=0.9)
+            table_invariants(table)
+            added += table.refresh(churn.online, samples=8)
+            table_invariants(table)
+        assert evicted > 0 and added > 0
 
     def test_staleness_counts_stale_and_offline(self):
         space = VecIdSpace(200, seed=4)
@@ -361,6 +379,21 @@ class TestScenarioIntegration:
                               overrides={"topology.size": 2000,
                                          "workload.lookups": 100})
         assert result.metrics["lookups"] == 100.0
+
+    @pytest.mark.parametrize("wave_size", [0, -5])
+    def test_a_wave_without_lookups_is_a_named_error(self, wave_size):
+        from repro.scenarios.runner import run_sweep
+
+        with pytest.raises(ValueError,
+                           match=f"wave_size must be at least 1, got {wave_size}"):
+            run_sweep("kademlia-churn-100k",
+                      overrides={"topology.size": 1500,
+                                 "workload.lookups": 100,
+                                 "workload.wave_size": wave_size})
+
+    def test_max_hops_below_one_is_a_named_error(self):
+        with pytest.raises(ValueError, match="max_hops must be at least 1"):
+            FastKademliaConfig(max_hops=0)
 
     def test_metrics_knob_only_appears_when_non_default(self):
         from repro.scenarios.registry import get_scenario
