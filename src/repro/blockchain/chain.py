@@ -19,8 +19,8 @@ genesis-to-tip list to answer a question about two blocks:
   switches it for free; otherwise :meth:`BlockTree.add` walks the old and
   the new head back by height to their common ancestor, ``O(reorg depth)``
   — never ``O(chain length)``.
-* **A depth query costs the depth.**  :meth:`BlockTree.confirmations` walks
-  from the head down to the block's height.
+* **A fork costs a counter.**  The tree keeps how many children each parent
+  has, not the children themselves: a parent's second child is a fork.
 
 Only the whole-chain reports (:meth:`BlockTree.main_chain`,
 :meth:`BlockTree.stale_blocks`, :meth:`BlockTree.stats`) are linear in the
@@ -55,9 +55,8 @@ class BlockTree:
     def __init__(self, genesis: Optional[Block] = None) -> None:
         self.genesis = genesis or Block.genesis()
         self.blocks: Dict[str, Block] = {self.genesis.hash: self.genesis}
-        self.children: Dict[str, List[str]] = {self.genesis.hash: []}
-        self.arrival_order: Dict[str, int] = {self.genesis.hash: 0}
-        self._arrival_counter = 1
+        # parent hash -> number of children seen (absent = none).
+        self._child_counts: Dict[str, int] = {}
         self.head: Block = self.genesis
         self.forks_observed = 0
         self.max_reorg_depth = 0
@@ -75,27 +74,27 @@ class BlockTree:
         Blocks whose parent is unknown are rejected (the network layer is
         responsible for delivering parents first or re-requesting them).
         """
-        if block.hash in self.blocks:
+        blocks = self.blocks
+        block_hash = block.hash
+        if block_hash in blocks:
             return False
-        if block.parent_hash not in self.blocks:
-            raise KeyError(f"unknown parent {block.parent_hash[:12]} for block {block.hash[:12]}")
-        self.blocks[block.hash] = block
-        self.children[block.hash] = []
-        self.children[block.parent_hash].append(block.hash)
-        self.arrival_order[block.hash] = self._arrival_counter
-        self._arrival_counter += 1
-        if len(self.children[block.parent_hash]) == 2:
+        parent_hash = block.parent_hash
+        if parent_hash not in blocks:
+            raise KeyError(f"unknown parent {parent_hash[:12]} for block {block_hash[:12]}")
+        blocks[block_hash] = block
+        counts = self._child_counts
+        siblings = counts.get(parent_hash, 0) + 1
+        counts[parent_hash] = siblings
+        if siblings == 2:
             # The parent now has a second child: a fork came into existence.
             self.forks_observed += 1
-        return self._maybe_switch_head(block)
-
-    def _maybe_switch_head(self, candidate: Block) -> bool:
-        if candidate.height > self.head.height:
-            if candidate.parent_hash != self.head.hash:
+        head = self.head
+        if block.height > head.height:
+            if parent_hash != head.hash:
                 # Extending the head abandons nothing; anything else is a reorg.
-                reorg_depth = self._reorg_depth(self.head, candidate)
+                reorg_depth = self._reorg_depth(head, block)
                 self.max_reorg_depth = max(self.max_reorg_depth, reorg_depth)
-            self.head = candidate
+            self.head = block
             return True
         return False
 

@@ -177,22 +177,24 @@ class _MinerNode(Node):
         self.spec = spec
         self.powsim = powsim
         self.tree = BlockTree(powsim.genesis)
+        self._propagation = powsim.metrics.sample("propagation_delay")
         # Blocks waiting for an unknown parent, by parent hash, in arrival order.
         self.orphans: Dict[str, List[Block]] = {}
 
     # -- message handling ------------------------------------------------
     def on_block(self, message) -> None:
         block: Block = message.payload
-        self.powsim.metrics.sample("propagation_delay").observe(message.latency)
+        self._propagation.observe(message.latency)
         validation = self.powsim.config.validation_seconds_per_mb * (
             block.size_bytes / 1_000_000.0
         )
         self.sim.schedule(validation, self._accept_block, block)
 
     def _accept_block(self, block: Block) -> None:
-        if self.tree.contains(block.hash):
+        blocks = self.tree.blocks
+        if block.hash in blocks:
             return
-        if not self.tree.contains(block.parent_hash):
+        if block.parent_hash not in blocks:
             self.orphans.setdefault(block.parent_hash, []).append(block)
             return
         self.tree.add(block)

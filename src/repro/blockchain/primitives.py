@@ -85,7 +85,13 @@ GENESIS_PARENT = "0" * 64
 
 @dataclass
 class Block:
-    """A block: header plus the transactions it confirms."""
+    """A block: header plus the transactions it confirms.
+
+    ``hash`` and the header fields the simulators read on every delivery —
+    ``height`` (genesis = 0), ``parent_hash``, ``miner`` and ``timestamp``
+    (the virtual time the block was found) — are plain attributes, copied
+    once from the frozen header when the block is built.
+    """
 
     header: BlockHeader
     transactions: List[Transaction] = field(default_factory=list)
@@ -101,27 +107,12 @@ class Block:
     fluid_final_accounted: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self.hash = block_hash(self.header)
-
-    @property
-    def height(self) -> int:
-        """Height of the block in the chain (genesis = 0)."""
-        return self.header.height
-
-    @property
-    def parent_hash(self) -> str:
-        """Hash of the parent block."""
-        return self.header.parent_hash
-
-    @property
-    def miner(self) -> str:
-        """Identifier of the miner that created the block."""
-        return self.header.miner
-
-    @property
-    def timestamp(self) -> float:
-        """Virtual time at which the block was found."""
-        return self.header.timestamp
+        header = self.header
+        self.hash = block_hash(header)
+        self.height = header.height
+        self.parent_hash = header.parent_hash
+        self.miner = header.miner
+        self.timestamp = header.timestamp
 
     @property
     def size_bytes(self) -> int:

@@ -92,20 +92,11 @@ class CpuBoundNode(Node):
         """Queue the message through the CPU before dispatching it."""
         if not self.online:
             return
-        cost = self.params.cpu_time_per_message
-        payload_bytes = getattr(message, "size_bytes", 0)
-        cost += self.params.cpu_time_per_request_byte * payload_bytes
-        start = max(self.sim.now, self._busy_until)
+        params = self.params
+        now = self.sim.now
+        cost = params.cpu_time_per_message
+        cost += params.cpu_time_per_request_byte * message.size_bytes
+        start = max(now, self._busy_until)
         self._busy_until = start + cost
         self.cpu_busy_time += cost
-        delay = self._busy_until - self.sim.now
-        self.sim.schedule(delay, self._dispatch, message)
-
-    def _dispatch(self, message: Message) -> None:
-        if not self.online:
-            return
-        handler = getattr(self, f"on_{message.msg_type}", None)
-        if handler is not None:
-            handler(message)
-        else:
-            self.on_unknown(message)
+        self.sim.schedule(self._busy_until - now, self._dispatch, message)

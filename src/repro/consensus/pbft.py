@@ -96,7 +96,10 @@ class PBFTReplica(CpuBoundNode):
         return self.index == self.view % self.cluster.config.replicas
 
     def _batch(self, view: int, sequence: int) -> _BatchState:
-        return self.batches.setdefault((view, sequence), _BatchState())
+        state = self.batches.get((view, sequence))
+        if state is None:
+            state = self.batches[(view, sequence)] = _BatchState()
+        return state
 
     def _peers(self) -> List[str]:
         return [

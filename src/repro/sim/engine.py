@@ -32,6 +32,12 @@ Every change must preserve these; the determinism tests pin them down:
   ``[time, seq, callback, args, sim]`` so ``heapq`` compares them with the
   C list comparison (time first, then the unique ``seq`` — the callback is
   never compared).
+* **One broadcast, one call.** ``schedule_each(callback, pairs)`` queues
+  ``callback(arg)`` for every ``(delay, arg)`` pair in one call.  It is a
+  loop of :meth:`Simulator.schedule`, not a second kind of entry: the same
+  ``seq`` numbers in pair order, the same two queues, the same ``pending``
+  count and the same ``SimulationError`` for a negative delay.  It hands
+  back no handles, so its entries cannot be cancelled one by one.
 * **O(1) accounting.** ``Simulator.pending`` is a live counter maintained by
   ``schedule``/``cancel``/the run loop — never a queue scan.  Cancellation
   sets the entry's callback slot to ``None``; the loop skips such entries
@@ -43,7 +49,7 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Deque, List, Optional
+from typing import Any, Callable, Deque, Iterable, List, Optional, Tuple
 
 __all__ = ["SimulationError", "Simulator"]
 
@@ -146,6 +152,35 @@ class Simulator:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._live += 1
         return entry
+
+    def schedule_each(
+        self, callback: Callable[[Any], Any], pairs: Iterable[Tuple[float, Any]]
+    ) -> None:
+        """Schedule ``callback(arg)`` ``delay`` seconds from now for every
+        ``(delay, arg)`` pair, in order.
+
+        The same as calling :meth:`schedule` once per pair — same ``seq``
+        order, same ``pending`` count — without a call and a handle per
+        entry.  A negative delay raises :class:`SimulationError`; the pairs
+        before it stay scheduled, as they would in the loop.
+        """
+        now = self.now
+        queue = self._queue
+        bucket = self._bucket
+        seq = self._seq
+        try:
+            for delay, arg in pairs:
+                if delay > 0:
+                    seq += 1
+                    heappush(queue, _ScheduledCall((now + delay, seq, callback, (arg,), self)))
+                elif delay == 0:
+                    seq += 1
+                    bucket.append(_ScheduledCall((now, seq, callback, (arg,), self)))
+                else:
+                    raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        finally:
+            self._live += seq - self._seq
+            self._seq = seq
 
     # ------------------------------------------------------------------
     # Execution

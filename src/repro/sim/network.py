@@ -18,19 +18,41 @@ runs once per pair instead of once per message; ``register``/``unregister``
 invalidate it, and :attr:`Network.params` must not be mutated once traffic
 has started.  The RNG draw sequence (optional loss Bernoulli, then jitter
 log-normal, per recipient in order) is part of the determinism contract and
-must not change.
+must not change.  Both draws come straight from the generator's bound
+``random``: the loss test is ``random() < loss_rate`` and the jitter is
+:func:`_lognormal_factor`, the stdlib's ``lognormvariate(0, sigma)`` written
+out — the same operations on the same uniforms, so the same floats.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Set, Tuple
+from math import exp, isfinite, log, sqrt
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 from repro.sim.rng import SeededRNG
 
 NodeId = Hashable
 Handler = Callable[["Message"], None]
+
+#: The stdlib's ``random.NV_MAGICCONST``, by the same expression.
+_NV_MAGICCONST = 4 * exp(-0.5) / sqrt(2.0)
+
+
+def _lognormal_factor(draw: Callable[[], float], sigma: float) -> float:
+    """``random.lognormvariate(0.0, sigma)`` drawing through ``draw``.
+
+    The Kinderman–Monahan loop of ``random.normalvariate`` with the same
+    operations in the same order, so it consumes the same uniforms and
+    returns the same float as the stdlib — without the two method frames.
+    """
+    while True:
+        u1 = draw()
+        u2 = 1.0 - draw()
+        z = _NV_MAGICCONST * (u1 - 0.5) / u2
+        if z * z / 4.0 <= -log(u2):
+            return exp(0.0 + z * sigma)
 
 
 @dataclass
@@ -69,6 +91,13 @@ class NetworkParams:
     to wide-area Bitcoin measurements with a 100 ms base latency) — so
     ``"network": "wan"`` is an explicit choice of these values, not
     necessarily a no-op.
+
+    Validation
+    ----------
+    Construction rejects, with a ``ValueError`` naming the field, a
+    latency, jitter or bandwidth that is negative or not finite, and a
+    ``loss_rate`` outside ``[0, 1]``.  A bandwidth of 0 is valid and means
+    no serialisation delay.
     """
 
     base_latency: float = 0.05
@@ -76,6 +105,17 @@ class NetworkParams:
     bandwidth_bps: float = 10_000_000.0
     loss_rate: float = 0.0
     inter_region_latency: float = 0.15
+
+    def __post_init__(self) -> None:
+        for name in ("base_latency", "inter_region_latency", "latency_jitter",
+                     "bandwidth_bps"):
+            value = getattr(self, name)
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"NetworkParams.{name} must be finite and >= 0, got {value!r}")
+        if not 0.0 <= self.loss_rate <= 1.0:
+            raise ValueError(
+                f"NetworkParams.loss_rate must be in [0, 1], got {self.loss_rate!r}")
 
     @classmethod
     def by_name(cls, name: str) -> "NetworkParams":
@@ -266,13 +306,13 @@ class Network:
             self.messages_dropped += 1
             return message
         mean_latency, bandwidth, loss = self._resolve_link(sender, recipient)
-        rng = self.rng
-        if loss > 0 and rng.bernoulli(loss):
+        draw = self.rng.random
+        if loss > 0 and draw() < loss:
             self.messages_dropped += 1
             return message
         jitter_sigma = self.params.latency_jitter
         if jitter_sigma > 0:
-            latency = mean_latency * rng.lognormal(0.0, jitter_sigma)
+            latency = mean_latency * _lognormal_factor(draw, jitter_sigma)
         else:
             latency = mean_latency
         if bandwidth > 0:
@@ -293,51 +333,58 @@ class Network:
         """Send the same payload to every recipient; returns the count sent.
 
         Batch fast path: per-message bookkeeping is identical to
-        :meth:`send` (same counters, same per-recipient RNG draw order) but
-        the lookups that are loop-invariant — simulator, params, offline set,
-        cache — are hoisted out of the loop.
+        :meth:`send` (same counters, same per-recipient RNG draw order, the
+        sender itself skipped) but the loop-invariant lookups — simulator,
+        params, offline set, link cache, the generator's ``random`` — are
+        hoisted out of the loop, and every delivery is queued by one
+        :meth:`~repro.sim.engine.Simulator.schedule_each` call, which numbers
+        them in recipient order as a loop of ``schedule`` would.
         """
         sim = self.sim
         now = sim.now
-        schedule = sim.schedule
-        deliver = self._deliver
         offline = self._offline
-        resolve = self._resolve_link
-        rng = self.rng
+        resolved = self._resolved
+        draw = self.rng.random
         jitter_sigma = self.params.latency_jitter
         serial_bits = size_bytes * 8.0
         sender_offline = sender in offline
+        deliveries: List[Tuple[float, Message]] = []
         count = 0
         dropped = 0
         for recipient in recipients:
             if recipient == sender:
                 continue
             count += 1
-            message = Message(sender, recipient, msg_type, payload, size_bytes, now)
             if sender_offline or recipient in offline:
                 dropped += 1
                 continue
-            mean_latency, bandwidth, loss = resolve(sender, recipient)
-            if loss > 0 and rng.bernoulli(loss):
+            link = resolved.get((sender, recipient))
+            if link is None:
+                link = self._resolve_link(sender, recipient)
+            mean_latency, bandwidth, loss = link
+            if loss > 0 and draw() < loss:
                 dropped += 1
                 continue
             if jitter_sigma > 0:
-                latency = mean_latency * rng.lognormal(0.0, jitter_sigma)
+                latency = mean_latency * _lognormal_factor(draw, jitter_sigma)
             else:
                 latency = mean_latency
             if bandwidth > 0:
                 latency += serial_bits / bandwidth
             if latency < 1e-6:
                 latency = 1e-6
-            schedule(latency, deliver, message)
+            deliveries.append(
+                (latency, Message(sender, recipient, msg_type, payload, size_bytes, now)))
+        sim.schedule_each(self._deliver, deliveries)
         self.messages_sent += count
         self.bytes_sent += count * size_bytes
         self.messages_dropped += dropped
         return count
 
     def _deliver(self, message: Message) -> None:
-        handler = self._handlers.get(message.recipient)
-        if handler is None or message.recipient in self._offline:
+        recipient = message.recipient
+        handler = self._handlers.get(recipient)
+        if handler is None or recipient in self._offline:
             self.messages_dropped += 1
             return
         message.delivered_at = self.sim.now

@@ -4,11 +4,15 @@ A :class:`Node` owns an identifier, a reference to the simulator and the
 network, and dispatches incoming messages to ``on_<msg_type>`` methods.  The
 protocol simulators (DHTs, blockchain nodes, BFT replicas, Fabric peers)
 subclass it.
+
+:meth:`Node._dispatch` is the one dispatch site.  It resolves a message type
+to its bound handler once per node and caches it, so a delivery costs one
+dict lookup, not a string format and an attribute search.
 """
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterable, Optional
+from typing import Any, Callable, Dict, Hashable, Iterable, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.network import Message, Network
@@ -29,6 +33,8 @@ class Node:
         self.network = network
         self.region = region
         self.online = True
+        # msg_type -> bound ``on_<msg_type>`` (or ``on_unknown``), filled lazily.
+        self._handler_cache: Dict[str, Callable[[Message], None]] = {}
         network.register(node_id, self.receive, region=region)
 
     # ------------------------------------------------------------------
@@ -82,14 +88,19 @@ class Node:
         return self.network.broadcast(self.node_id, recipients, msg_type, payload, size_bytes)
 
     def receive(self, message: Message) -> None:
-        """Dispatch an incoming message to ``on_<msg_type>`` if it exists."""
+        """Handle a message the network delivered: dispatch it now."""
+        self._dispatch(message)
+
+    def _dispatch(self, message: Message) -> None:
+        """Run ``on_<msg_type>`` (``on_unknown`` if there is none) while online."""
         if not self.online:
             return
-        handler = getattr(self, f"on_{message.msg_type}", None)
-        if handler is not None:
-            handler(message)
-        else:
-            self.on_unknown(message)
+        msg_type = message.msg_type
+        handler = self._handler_cache.get(msg_type)
+        if handler is None:
+            handler = getattr(self, f"on_{msg_type}", None) or self.on_unknown
+            self._handler_cache[msg_type] = handler
+        handler(message)
 
     def on_unknown(self, message: Message) -> None:
         """Hook for unhandled message types; default is to ignore them."""

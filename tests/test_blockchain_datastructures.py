@@ -101,23 +101,43 @@ class TestBlockTree:
         assert tree.stats().mean_interblock_time == pytest.approx(1.0)
 
 
-class _DefinitionTree(BlockTree):
-    """The definitions the walks must agree with: whole-chain sets and lists."""
+class _DefinitionTree:
+    """The definitions the tree must agree with, written independently of
+    :class:`BlockTree`: full children lists for forks, whole-chain sets for
+    the head switch and the reorg depth."""
 
-    def _maybe_switch_head(self, candidate):
-        if candidate.height > self.head.height:
-            reorg_depth = self._reorg_depth(self.head, candidate)
-            self.max_reorg_depth = max(self.max_reorg_depth, reorg_depth)
-            self.head = candidate
-            return True
-        return False
+    def __init__(self, genesis):
+        self.genesis = genesis
+        self.blocks = {genesis.hash: genesis}
+        self.children = {genesis.hash: []}
+        self.head = genesis
+        self.forks_observed = 0
+        self.max_reorg_depth = 0
 
-    def _reorg_depth(self, old_head, new_head):
-        old_chain = set(self.chain_hashes(old_head))
-        cursor = new_head
-        while cursor.hash not in old_chain:
-            cursor = self.blocks[cursor.parent_hash]
-        return old_head.height - cursor.height
+    def chain(self, tip):
+        """Hashes from ``tip`` back to genesis."""
+        hashes = []
+        while tip is not None:
+            hashes.append(tip.hash)
+            tip = self.blocks.get(tip.parent_hash)
+        return hashes
+
+    def add(self, block):
+        if block.hash in self.blocks:
+            return False
+        self.blocks[block.hash] = block
+        self.children[block.hash] = []
+        self.children[block.parent_hash].append(block.hash)
+        self.forks_observed = sum(
+            1 for kids in self.children.values() if len(kids) >= 2)
+        if len(self.chain(block)) <= len(self.chain(self.head)):
+            return False      # not longer: the first-received head stays
+        old_chain = set(self.chain(self.head))
+        common = next(h for h in self.chain(block) if h in old_chain)
+        abandoned = self.head.height - self.blocks[common].height
+        self.max_reorg_depth = max(self.max_reorg_depth, abandoned)
+        self.head = block
+        return True
 
 
 class TestBlockTreeMatchesDefinition:
@@ -162,6 +182,18 @@ class TestBlockTreeMatchesDefinition:
         assert tree.head is branch_b[-1]
         assert tree.max_reorg_depth == 5             # all of branch a, at b's sixth block
         assert tree.forks_observed == 1
+
+    def test_a_parent_with_three_children_is_one_fork(self):
+        tree = BlockTree()
+        reference = _DefinitionTree(tree.genesis)
+        kids = [Block.create(tree.genesis, miner=m, timestamp=1.0) for m in "abc"]
+        grandchild = Block.create(kids[2], miner="c", timestamp=2.0)
+        for block in kids + [grandchild]:
+            assert tree.add(block) == reference.add(block)
+        assert tree.forks_observed == reference.forks_observed == 1
+        assert tree.head is reference.head is grandchild
+        assert tree.max_reorg_depth == reference.max_reorg_depth == 1
+        assert tree.stats().stale_blocks == 2
 
 
 class TestDifficultyAdjustment:

@@ -27,6 +27,13 @@ class TestPBFT:
         with pytest.raises(ValueError):
             PBFTCluster(PBFTConfig(replicas=3))
 
+    def test_batch_state_is_created_once_per_view_and_sequence(self):
+        replica = PBFTCluster(PBFTConfig(replicas=4)).replicas[1]
+        state = replica._batch(0, 7)
+        assert replica._batch(0, 7) is state
+        assert replica._batch(1, 7) is not state
+        assert list(replica.batches) == [(0, 7), (1, 7)]
+
     def test_fault_tolerance_formula(self):
         assert PBFTConfig(replicas=4).f == 1
         assert PBFTConfig(replicas=7).f == 2

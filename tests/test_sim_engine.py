@@ -300,3 +300,84 @@ class TestOneLoop:
         assert sim.now == 2.0
         assert sim.run(until=5.0) == 1
         assert sim.now == 5.0
+
+
+class TestScheduleEach:
+    """``schedule_each(callback, pairs)`` is a loop of ``schedule``."""
+
+    @staticmethod
+    def run_twin(batched):
+        """A workload that queues batches among single entries, at ``t=0``
+        and from inside callbacks (where zero delays meet the now-bucket);
+        returns the run order and the pending counts seen on the way."""
+        sim = Simulator()
+        trace, pending = [], []
+
+        def record(label):
+            trace.append((sim.now, label))
+
+        def queue(pairs):
+            if batched:
+                sim.schedule_each(record, pairs)
+            else:
+                for delay, label in pairs:
+                    sim.schedule(delay, record, label)
+            pending.append(sim.pending)
+
+        def cascade(tag):
+            record(tag)
+            sim.schedule(0.0, record, f"{tag}-zero-before")
+            queue([(0.0, f"{tag}-b0"), (1.0, f"{tag}-b1"), (0.0, f"{tag}-b2"),
+                   (0.5, f"{tag}-b3"), (1.0, f"{tag}-b4")])
+            sim.schedule(0.0, record, f"{tag}-zero-after")
+            sim.schedule(1.0, record, f"{tag}-tie")
+
+        sim.schedule(1.0, record, "first")
+        queue([(1.0, "a"), (2.0, "b"), (1.0, "c"), (0.0, "now")])
+        sim.schedule(1.0, cascade, "x")
+        sim.schedule(1.5, cascade, "y")
+        queue([])
+        sim.schedule(2.0, record, "last")
+        pending.append(sim.pending)
+        processed = sim.run()
+        return trace, pending, processed, sim.pending
+
+    def test_same_order_and_pending_as_a_schedule_loop(self):
+        got = self.run_twin(batched=True)
+        assert got == self.run_twin(batched=False)
+        trace = [label for _, label in got[0]]
+        # Ties at t=1: earlier seq first, the now-bucket merged by seq.
+        assert trace[:4] == ["now", "first", "a", "c"]
+        assert trace[4:9] == ["x", "x-zero-before", "x-b0", "x-b2", "x-zero-after"]
+
+    def test_a_later_cancel_of_an_unrelated_entry_still_works(self):
+        sim = Simulator()
+        fired = []
+        before = sim.schedule(1.0, fired.append, "before")
+        sim.schedule_each(fired.append, [(1.0, "p"), (0.5, "q")])
+        after = sim.schedule(0.75, fired.append, "after")
+        assert sim.pending == 4
+        before.cancel()
+        after.cancel()
+        assert sim.pending == 2
+        assert sim.run() == 2
+        assert fired == ["q", "p"]
+        assert sim.pending == 0
+
+    @pytest.mark.parametrize("bad", [-1.0, -1e-12, float("nan")])
+    def test_a_negative_delay_raises_and_keeps_what_came_before(self, bad):
+        sim, loop = Simulator(), Simulator()
+        fired, looped = [], []
+        pairs = [(2.0, "a"), (0.0, "b"), (bad, "c"), (1.0, "d")]
+        with pytest.raises(SimulationError, match="cannot schedule in the past"):
+            sim.schedule_each(fired.append, pairs)
+        with pytest.raises(SimulationError):
+            for delay, label in pairs:
+                loop.schedule(delay, looped.append, label)
+        assert sim.pending == loop.pending == 2
+        tail = sim.schedule(2.0, fired.append, "e")
+        loop.schedule(2.0, looped.append, "e")
+        assert tail.seq == 3
+        sim.run()
+        loop.run()
+        assert fired == looped == ["b", "a", "e"]

@@ -1,10 +1,22 @@
 """Tests for the network model, node dispatch and churn processes."""
 
+import itertools
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.analysis.runstore import RunStore
+from repro.consensus.base import CpuBoundNode
+from repro.run import main as run_main
+from repro.scenarios import run_scenario
 from repro.sim.churn import ChurnModel, ChurnProcess
 from repro.sim.engine import Simulator
-from repro.sim.network import Network, NetworkParams
+from repro.sim.network import Message, Network, NetworkParams
 from repro.sim.node import Node
 from repro.sim.rng import SeededRNG
 
@@ -249,3 +261,250 @@ class TestNetworkPresets:
             return sum(latencies) / len(latencies)
 
         assert mean_latency("lan") < mean_latency("wan") < mean_latency("geo")
+
+
+class WrappedNetwork(Network):
+    """The network as written against :class:`SeededRNG`'s checked draw
+    helpers (``bernoulli``, ``lognormal``) with one ``schedule`` call per
+    delivery: the oracle of :class:`Network`'s draw stream and its
+    delivery order."""
+
+    def send(self, sender, recipient, msg_type, payload=None, size_bytes=256):
+        sim = self.sim
+        message = Message(sender, recipient, msg_type, payload, size_bytes, sim.now)
+        self.messages_sent += 1
+        self.bytes_sent += size_bytes
+        if sender in self._offline or recipient in self._offline:
+            self.messages_dropped += 1
+            return message
+        mean_latency, bandwidth, loss = self._resolve_link(sender, recipient)
+        rng = self.rng
+        if loss > 0 and rng.bernoulli(loss):
+            self.messages_dropped += 1
+            return message
+        jitter_sigma = self.params.latency_jitter
+        if jitter_sigma > 0:
+            latency = mean_latency * rng.lognormal(0.0, jitter_sigma)
+        else:
+            latency = mean_latency
+        if bandwidth > 0:
+            latency += (size_bytes * 8.0) / bandwidth
+        if latency < 1e-6:
+            latency = 1e-6
+        sim.schedule(latency, self._deliver, message)
+        return message
+
+    def broadcast(self, sender, recipients, msg_type, payload=None, size_bytes=256):
+        count = 0
+        for recipient in recipients:
+            if recipient != sender:
+                count += 1
+                self.send(sender, recipient, msg_type, payload, size_bytes)
+        return count
+
+
+class ScriptedRandom(random.Random):
+    """A generator whose ``random()`` replays ``script``, then draws normally."""
+
+    script = ()
+
+    def random(self):
+        if self.script:
+            return self.script.pop(0)
+        return super().random()
+
+
+def drive(network_class, params, regions, seed, script=None, send_first=False):
+    """Mixed unicast/broadcast traffic over 6 nodes, one offline and one
+    unregistered; returns every delivery, the counters and the RNG state."""
+    sim = Simulator()
+    rng = SeededRNG(seed)
+    if script is not None:
+        rng._random = ScriptedRandom(seed)
+        rng._random.script = list(script)
+        rng.random = rng._random.random
+    network = network_class(sim, params, rng=rng)
+    delivered = []
+
+    def handler(message):
+        delivered.append((message.sender, message.recipient, message.msg_type,
+                          message.payload, message.delivered_at))
+
+    names = [f"n{index}" for index in range(6)]
+    for index, name in enumerate(names):
+        network.register(name, handler, region=f"r{index % regions}")
+    network.set_offline("n5")
+    everyone = names + ["ghost"]
+    for step in range(12):
+        sender = names[step % len(names)]
+        calls = [
+            lambda: network.broadcast(sender, everyone, "block", step,
+                                      size_bytes=100 + 997 * step),
+            lambda: network.send(sender, names[(step * 7 + 1) % len(names)],
+                                 "ping", step, size_bytes=64 * (step + 1)),
+        ]
+        for call in calls[::-1] if send_first else calls:
+            call()
+        sim.run(until=sim.now + 0.05)
+    sim.run()
+    counters = (network.messages_sent, network.messages_delivered,
+                network.messages_dropped, network.bytes_sent,
+                sim.processed, sim.pending)
+    return delivered, counters, rng._random.getstate()
+
+
+class TestInlineDrawMatchesTheWrappedNetwork:
+    """``send``/``broadcast`` draw loss and jitter from the bound generator
+    with the stdlib formula inline; :class:`WrappedNetwork` pins them to the
+    same draws, in the same order, with the same delivery times."""
+
+    @pytest.mark.parametrize("regions", [1, 2])
+    @pytest.mark.parametrize("bandwidth", [0.0, 1e6])
+    @pytest.mark.parametrize("loss", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("jitter", [0.0, 0.3, 1.5])
+    def test_matches_over_the_grid(self, jitter, loss, bandwidth, regions):
+        params = NetworkParams(base_latency=0.02, inter_region_latency=0.11,
+                               latency_jitter=jitter, bandwidth_bps=bandwidth,
+                               loss_rate=loss)
+        for seed in range(8):
+            got = drive(Network, params, regions, seed)
+            assert got == drive(WrappedNetwork, params, regions, seed), seed
+            assert got[0] or loss == 1.0
+
+    def test_matches_on_the_boundary_draws(self):
+        # A draw equal to the loss rate keeps the message (``<``, not
+        # ``<=``).  ``u1 = 0.5`` with a first jitter draw of 0.0 gives
+        # ``z = 0`` and ``-log(u2) = -0.0``: the stdlib accepts it (``<=``).
+        script = [0.3, 0.5, 0.0, 0.9, 0.3, 0.25, 0.5, 0.0] * 4
+        params = NetworkParams(latency_jitter=0.4, loss_rate=0.3)
+        for regions, send_first in itertools.product((1, 2), (False, True)):
+            got = drive(Network, params, regions, 5, script, send_first)
+            assert got == drive(WrappedNetwork, params, regions, 5, script,
+                                send_first)
+
+
+class TestNetworkParamsValidation:
+    BAD = [
+        ("base_latency", -0.2),
+        ("inter_region_latency", -1.0),
+        ("latency_jitter", -0.5),
+        ("bandwidth_bps", -5),
+        ("base_latency", math.inf),
+        ("latency_jitter", math.nan),
+        ("bandwidth_bps", math.inf),
+        ("loss_rate", 1.5),
+        ("loss_rate", -0.1),
+        ("loss_rate", math.nan),
+    ]
+
+    @pytest.mark.parametrize("field,value", BAD)
+    def test_rejects_nonsense_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"NetworkParams.{field} "):
+            NetworkParams(**{field: value})
+
+    def test_edges_stay_valid(self):
+        NetworkParams(base_latency=0.0, inter_region_latency=0.0,
+                      latency_jitter=0.0, loss_rate=0.0)
+        NetworkParams(loss_rate=1.0)
+
+    def test_zero_bandwidth_means_no_serialisation_delay(self):
+        sim = Simulator()
+        network = Network(sim, NetworkParams(latency_jitter=0.0, bandwidth_bps=0),
+                          rng=SeededRNG(0))
+        network.register("b", lambda message: None)
+        message = network.send("a", "b", "ping", size_bytes=10**6)
+        sim.run()
+        assert message.latency == 0.05
+
+    TRIM = {"architecture.duration_blocks": 5}
+
+    @pytest.mark.parametrize("field,value", [
+        ("bandwidth_bps", -5), ("latency_jitter", -0.5),
+        ("base_latency", -0.2), ("loss_rate", 1.5)])
+    def test_run_scenario_names_the_field(self, field, value):
+        overrides = {**self.TRIM, "topology.network": {field: value}}
+        with pytest.raises(ValueError, match=f"NetworkParams.{field} "):
+            run_scenario("pow-baseline", overrides=overrides)
+
+    @pytest.mark.parametrize("field,value", [
+        ("latency_jitter", -0.5), ("base_latency", -0.2), ("loss_rate", 1.5)])
+    def test_cli_run_fails_before_saving(self, tmp_path, field, value):
+        argv = ["pow-baseline", "--quiet", "--runs-dir", str(tmp_path),
+                "--save", "bad", "--set", "architecture.duration_blocks=5",
+                "--set", f'topology.network={{"{field}": {value}}}']
+        with pytest.raises(ValueError, match=f"NetworkParams.{field} "):
+            run_main(argv)
+        assert RunStore(tmp_path).list() == []
+
+    def test_cli_exit_is_nonzero_and_names_the_field(self, tmp_path):
+        argv = [sys.executable, "-m", "repro.run", "pow-baseline", "--quiet",
+                "--runs-dir", str(tmp_path), "--save", "bad",
+                "--set", "architecture.duration_blocks=5",
+                "--set", 'topology.network={"bandwidth_bps": -5}']
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(argv, capture_output=True, text=True, env=env,
+                              cwd=tmp_path, timeout=120)
+        assert done.returncode != 0
+        assert "NetworkParams.bandwidth_bps must be finite and >= 0" in done.stderr
+        assert RunStore(tmp_path).list() == []
+
+
+class Recorder(CpuBoundNode):
+    """A CPU-bound node that records what it handles."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pings = []
+        self.unknown = []
+
+    def on_ping(self, message):
+        self.pings.append((self.node_id, message.payload))
+
+    def on_unknown(self, message):
+        self.unknown.append(message.msg_type)
+
+
+class TestDispatch:
+    """One cached dispatch site for :class:`Node` and :class:`CpuBoundNode`."""
+
+    def test_unknown_type_reaches_on_unknown_on_both(self):
+        sim = Simulator()
+        network = Network(sim, rng=SeededRNG(0))
+        plain = EchoNode("plain", sim, network)
+        cpu = Recorder("cpu", sim, network)
+        for _ in range(2):   # the second message hits the cached entry
+            network.send("x", "plain", "mystery")
+            network.send("x", "cpu", "mystery")
+        sim.run()
+        assert [m.msg_type for m in plain.unknown] == ["mystery", "mystery"]
+        assert cpu.unknown == ["mystery", "mystery"]
+
+    def test_offline_between_receive_and_dispatch_drops(self):
+        sim = Simulator()
+        network = Network(sim, rng=SeededRNG(0))
+        node = Recorder("cpu", sim, network)
+        node.receive(Message("x", "cpu", "ping", 1, sent_at=sim.now))
+        assert sim.pending == 1           # queued behind the CPU
+        node.go_offline()
+        sim.run()
+        assert node.pings == [] and node.unknown == []
+
+    def test_each_instance_dispatches_to_its_own_handler(self):
+        sim = Simulator()
+        network = Network(sim, rng=SeededRNG(0))
+        first, second = (Recorder(name, sim, network) for name in ("a", "b"))
+        network.send("x", "a", "ping", 1)
+        sim.run()
+        network.send("x", "b", "ping", 2)
+        network.send("x", "a", "ping", 3)
+        sim.run()
+        assert first.pings == [("a", 1), ("a", 3)]
+        assert second.pings == [("b", 2)]
+        plain = [EchoNode(name, sim, network) for name in ("c", "d")]
+        network.send("x", "d", "pong", 4)
+        network.send("x", "c", "pong", 5)
+        sim.run()
+        assert [m.payload for m in plain[0].pongs] == [5]
+        assert [m.payload for m in plain[1].pongs] == [4]
