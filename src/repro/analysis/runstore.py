@@ -137,11 +137,18 @@ def encode_record(record: Dict[str, object]) -> bytes:
     return b"\n%08x %s\n" % (zlib.crc32(body), body)
 
 
+#: One C scanner for every record body: ``(value, end index)`` of the JSON
+#: value starting at an index, without ``json.loads``' encoding detection
+#: and trailing-whitespace pass.
+_SCAN = json.JSONDecoder().scan_once
+
+
 def decode_records(data: bytes) -> Iterator[
         Tuple[int, Optional[Dict[str, Any]]]]:
     """``(line number, record)`` per non-blank line of ``data``; the record
-    is ``None`` when the line is torn, fails its checksum or is not a
-    JSON object."""
+    is ``None`` when the line is torn, fails its checksum or its body is
+    not exactly one JSON object in strict UTF-8 (no BOM, no surrounding
+    whitespace: :func:`encode_record` writes neither)."""
     for number, line in enumerate(data.split(b"\n"), start=1):
         if not line:
             continue
@@ -150,9 +157,13 @@ def decode_records(data: bytes) -> Iterator[
             yield number, None
             continue
         try:
-            record = json.loads(body)
-        except ValueError:
+            text = body.decode("utf-8")
+            record, end = _SCAN(text, 0)
+        except (ValueError, StopIteration):
             record = None
+        else:
+            if end != len(text):
+                record = None
         yield number, record if isinstance(record, dict) else None
 
 

@@ -24,17 +24,19 @@ found and, per other miner, its delivery and its acceptance once validated.
 * **A new head costs the finality window.**  Confirmation accounting walks
   back from the head only to the first block already accounted as final;
   every ancestor of such a block is final too.
-* **The backlog is a function of time, not an event.**  Arrival cohorts are
-  materialised when a block draws on the backlog and once when the run
-  ends, by the same ``t += interval`` recurrence a periodic timer would
-  follow.
+* **The backlog is a function of time, not an event, and O(1) state.**
+  Arrival cohorts are materialised when a block draws on the backlog and
+  once when the run ends, by the same ``t += interval`` recurrence a
+  periodic timer would follow.  Every cohort behind the head holds the
+  same count and its tick is the next step of that recurrence, so the
+  backlog is kept as the head cohort's tick and remaining count plus the
+  number of cohorts pending, however long it grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
-from collections import deque
+from typing import Dict, List, Optional, Tuple
 
 from repro.blockchain.chain import BlockTree, ChainStats
 from repro.blockchain.mining import DifficultyAdjuster, MinerSpec, MiningProcess
@@ -255,9 +257,13 @@ class PoWNetwork:
                 self._on_block_found,
             )
 
-        # Fluid transaction backlog: FIFO cohorts of [arrival time, remaining
-        # count], one per arrival interval from the start of the run on.
-        self.backlog: Deque[List[float]] = deque()
+        # Fluid transaction backlog: FIFO cohorts of (arrival time, remaining
+        # count), one per arrival interval from the start of the run on.  Only
+        # the head cohort is stored: the ``_pending - 1`` behind it each hold
+        # a full interval's arrivals at the recurrence's next ticks.
+        self._head_tick = 0.0
+        self._head_remaining = 0.0
+        self._pending = 0
         self.backlog_total = 0.0
         self._arrival_interval = max(1.0, protocol.target_block_interval / 10.0)
         self._next_arrival: Optional[float] = None   # set when the run starts
@@ -272,7 +278,7 @@ class PoWNetwork:
     # Transaction workload (fluid)
     # ------------------------------------------------------------------
     def _materialise_arrivals(self) -> None:
-        """Append the cohorts that have arrived by ``sim.now``, one per interval.
+        """Count the cohorts that have arrived by ``sim.now``, one per interval.
 
         Arrival times advance by repeated addition, as a periodic timer's
         would: they feed the latency sums, which the goldens pin bit for bit.
@@ -283,13 +289,17 @@ class PoWNetwork:
         now = self.sim.now
         interval = self._arrival_interval
         arrivals = self.config.tx_arrival_rate * interval
-        backlog = self.backlog
+        pending = self._pending
+        if not pending:
+            self._head_tick = tick
+            self._head_remaining = arrivals
         total = self.backlog_total
         while tick <= now:
             if arrivals > 0:
-                backlog.append([tick, arrivals])
+                pending += 1
                 total += arrivals
             tick = tick + interval
+        self._pending = pending
         self.backlog_total = total
         self._next_arrival = tick
 
@@ -298,21 +308,31 @@ class PoWNetwork:
 
         Returns the number actually taken and the (arrival time, count)
         cohorts consumed, so confirmation latency can be recorded when the
-        containing block is buried deep enough.
+        containing block is buried deep enough.  A cohort is used up once at
+        most ``1e-9`` of it remains; the next one's tick is the recurrence's
+        next step and its count a full interval's arrivals.
         """
         self._materialise_arrivals()
         taken = 0.0
         cohorts: List[Tuple[float, float]] = []
-        while self.backlog and taken < count:
-            cohort = self.backlog[0]
-            available = cohort[1]
+        pending = self._pending
+        interval = self._arrival_interval
+        arrivals = self.config.tx_arrival_rate * interval
+        tick = self._head_tick
+        remaining = self._head_remaining
+        while pending and taken < count:
             need = count - taken
-            used = min(available, need)
-            cohorts.append((cohort[0], used))
-            cohort[1] -= used
+            used = min(remaining, need)
+            cohorts.append((tick, used))
+            remaining -= used
             taken += used
-            if cohort[1] <= 1e-9:
-                self.backlog.popleft()
+            if remaining <= 1e-9:
+                pending -= 1
+                tick = tick + interval
+                remaining = arrivals
+        self._head_tick = tick
+        self._head_remaining = remaining
+        self._pending = pending
         self.backlog_total -= taken
         return taken, cohorts
 

@@ -97,7 +97,8 @@ class NetworkParams:
     Construction rejects, with a ``ValueError`` naming the field, a
     latency, jitter or bandwidth that is negative or not finite, and a
     ``loss_rate`` outside ``[0, 1]``.  A bandwidth of 0 is valid and means
-    no serialisation delay.
+    no serialisation delay.  Building a :class:`Network` checks the fields
+    again, so a value assigned after construction is rejected too.
     """
 
     base_latency: float = 0.05
@@ -107,6 +108,9 @@ class NetworkParams:
     inter_region_latency: float = 0.15
 
     def __post_init__(self) -> None:
+        self._validate()
+
+    def _validate(self) -> None:
         for name in ("base_latency", "inter_region_latency", "latency_jitter",
                      "bandwidth_bps"):
             value = getattr(self, name)
@@ -222,6 +226,7 @@ class Network:
     ) -> None:
         self.sim = sim
         self.params = params or NetworkParams()
+        self.params._validate()
         self.rng = rng or SeededRNG(0)
         self._handlers: Dict[NodeId, Handler] = {}
         self._regions: Dict[NodeId, str] = {}

@@ -4,10 +4,12 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
+from collections import deque
 from typing import List
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.blockchain.attacks import (
@@ -104,7 +106,76 @@ class TestPoWNetwork:
         result = net.run(max_sim_time=6000.0)
         assert 1 <= result.chain.main_chain_length - 1 < 1000
         assert result.duration == 6000.0
-        assert net.backlog[-1][0] == 6000.0            # a cohort arrives at the horizon
+        assert _pending_ticks(net)[-1] == 6000.0       # a cohort arrives at the horizon
+
+
+def _pending_cohorts(net):
+    """The backlog's (arrival, remaining) cohorts, rebuilt from its head state
+    by the same ``t = t + interval`` recurrence that materialised them."""
+    interval = net._arrival_interval
+    arrivals = net.config.tx_arrival_rate * interval
+    cohorts, tick, remaining = [], net._head_tick, net._head_remaining
+    for _ in range(net._pending):
+        cohorts.append((tick, remaining))
+        tick, remaining = tick + interval, arrivals
+    return cohorts
+
+
+def _pending_ticks(net):
+    return [tick for tick, _ in _pending_cohorts(net)]
+
+
+class ListBacklog:
+    """The list-per-cohort backlog that the O(1) head state replaced: one
+    ``[tick, remaining]`` list per arrival interval, kept as the oracle."""
+
+    def __init__(self, rate: float, interval: float) -> None:
+        self.rate = rate
+        self.interval = interval
+        self.backlog = deque()
+        self.backlog_total = 0.0
+        self.next_arrival = 0.0
+
+    def materialise(self, now: float) -> None:
+        tick = self.next_arrival
+        interval = self.interval
+        arrivals = self.rate * interval
+        while tick <= now:
+            if arrivals > 0:
+                self.backlog.append([tick, arrivals])
+                self.backlog_total += arrivals
+            tick = tick + interval
+        self.next_arrival = tick
+
+    def take(self, now: float, count: int):
+        self.materialise(now)
+        taken = 0.0
+        cohorts = []
+        while self.backlog and taken < count:
+            cohort = self.backlog[0]
+            available = cohort[1]
+            need = count - taken
+            used = min(available, need)
+            cohorts.append((cohort[0], used))
+            cohort[1] -= used
+            taken += used
+            if cohort[1] <= 1e-9:
+                self.backlog.popleft()
+        self.backlog_total -= taken
+        return taken, cohorts
+
+
+def _started_network(protocol, rate):
+    """A network whose backlog runs from t = 0, as ``run`` starts it."""
+    net = PoWNetwork(PoWNetworkConfig(
+        protocol=protocol, miner_count=2, tx_arrival_rate=rate, seed=0,
+    ))
+    net._next_arrival = net.sim.now
+    return net
+
+
+def _bits(value: float) -> str:
+    return value.hex()
 
 
 class TestFluidBacklog:
@@ -141,7 +212,7 @@ class TestFluidBacklog:
 
         assert net.sim.now == 40 * BITCOIN_PROTOCOL.target_block_interval * 4.0
         assert result.backlog_transactions == net.backlog_total == total
-        seen = {cohort[0] for cohort in net.backlog}
+        seen = set(_pending_ticks(net))
         for block in blocks:
             seen.update(arrival for arrival, _ in block.fluid_cohorts)
         if rate:
@@ -149,6 +220,59 @@ class TestFluidBacklog:
             assert total > 0
         else:
             assert not seen and total == 0.0 and result.throughput_tps == 0.0
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        protocol=st.sampled_from([BITCOIN_PROTOCOL, ETHEREUM_PROTOCOL]),
+        rate=st.one_of(
+            st.sampled_from([0.0, 1e-12, 1.0 / 3.0, 4.0, 10.0 + 1e-11, 25.0]),
+            st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
+        ),
+        steps=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=2000.0, allow_nan=False),
+                st.integers(min_value=0, max_value=3000),
+            ),
+            max_size=25,
+        ),
+    )
+    # Cohorts of 13 + 1.3e-11: whole-cohort takes leave a remainder below
+    # the 1e-9 threshold, which must retire the cohort.
+    @example(protocol=ETHEREUM_PROTOCOL, rate=10.0 + 1e-11, steps=[(13.0, 13), (0.0, 26)])
+    def test_head_state_equals_the_list_backlog(self, protocol, rate, steps):
+        net = _started_network(protocol, rate)
+        oracle = ListBacklog(rate, net._arrival_interval)
+        for advance, count in steps:
+            net.sim.now += advance
+            taken, cohorts = net._take_transactions(count)
+            expected_taken, expected_cohorts = oracle.take(net.sim.now, count)
+            assert _bits(taken) == _bits(expected_taken)
+            assert [(_bits(t), _bits(n)) for t, n in cohorts] == [
+                (_bits(t), _bits(n)) for t, n in expected_cohorts
+            ]
+            assert _bits(net.backlog_total) == _bits(oracle.backlog_total)
+        net._materialise_arrivals()
+        oracle.materialise(net.sim.now)
+        assert [(_bits(t), _bits(n)) for t, n in _pending_cohorts(net)] == [
+            (_bits(t), _bits(n)) for t, n in oracle.backlog
+        ]
+        assert _bits(net.backlog_total) == _bits(oracle.backlog_total)
+
+    def test_a_long_overload_holds_no_memory_per_interval(self):
+        # 10^5 Ethereum arrival intervals at 25 tps, above its ~15 tps
+        # capacity: nothing draws on the backlog, so every cohort stays.
+        net = _started_network(ETHEREUM_PROTOCOL, 25.0)
+        intervals = 100_000
+        net.sim.now = intervals * net._arrival_interval
+        tracemalloc.start()
+        try:
+            net._materialise_arrivals()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert net.backlog_total >= intervals * 25.0 * net._arrival_interval
+        assert peak < 64 * 1024
 
 
 def _chain_of(parent, length, miner):

@@ -11,11 +11,15 @@ completion and retired (which garbage-collects the journal file).  Byte-
 level damage at every offset is ``tests/test_segment_hostile.py``'s.
 """
 
+import json
 import os
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis import jsonfmt
 from repro.analysis.runstore import (SEGMENT_SUFFIX, decode_records,
                                      encode_record)
 from repro.distributed import BrokerQueue, JournalDir
@@ -151,6 +155,71 @@ class TestRecordCodec:
         data = b"\n\n" + encode_record({"type": "submit", "run": "r"}) + b"\n"
         assert list(decode_records(data)) == [
             (4, {"type": "submit", "run": "r"})]
+
+
+#: JSON values without NaN (which equals nothing, itself included).
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(),
+              st.floats(allow_nan=False), st.text(max_size=8)),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=20)
+RECORDS = st.dictionaries(st.text(max_size=8), JSON_VALUES, max_size=5)
+_JSON_WHITESPACE = " \t\r\n"
+
+
+def _line(body: bytes) -> bytes:
+    """One record line around ``body``, with a checksum that matches it."""
+    return b"%08x %s" % (zlib.crc32(body), body)
+
+
+class TestRecordDecoder:
+    """A body is one JSON object in strict UTF-8, as ``encode_record``
+    writes it; any other body is a damaged record."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(RECORDS)
+    def test_every_encoded_record_round_trips(self, record):
+        assert list(decode_records(encode_record(record))) == [(2, record)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        RECORDS.map(jsonfmt.compact),
+        JSON_VALUES.map(json.dumps),
+        st.text(),
+        st.binary().map(lambda raw: raw.decode("utf-8", "replace")),
+    ))
+    def test_a_strict_utf8_body_decodes_as_json_loads(self, text):
+        if "\n" in text or text[:1] == "\ufeff" or (
+                text and (text[0] in _JSON_WHITESPACE
+                          or text[-1] in _JSON_WHITESPACE)):
+            return
+        try:
+            expected = json.loads(text)
+        except ValueError:
+            expected = None
+        if not isinstance(expected, dict):
+            expected = None
+        assert list(decode_records(_line(text.encode("utf-8")))) == [
+            (1, expected)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(RECORDS, st.sampled_from(_JSON_WHITESPACE))
+    def test_bom_utf16_and_padded_bodies_are_damaged(self, record, space):
+        text = jsonfmt.compact(record)
+        body = text.encode("utf-8")
+        pad = space.encode()
+        for variant in (b"\xef\xbb\xbf" + body, text.encode("utf-16"),
+                        text.encode("utf-16-le"), pad + body, body + pad):
+            assert json.loads(variant) == record     # what json.loads allows
+            assert [decoded for _, decoded in
+                    decode_records(_line(variant))] in ([None], [None, None])
+
+    def test_invalid_utf8_is_damaged(self):
+        body = b'{"key":"\xed\xa0\x80"}'              # an encoded surrogate
+        assert json.loads(body) == {"key": "\ud800"}
+        assert list(decode_records(_line(body))) == [(1, None)]
 
 
 # ----------------------------------------------------------------------

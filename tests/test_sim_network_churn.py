@@ -402,6 +402,17 @@ class TestNetworkParamsValidation:
         with pytest.raises(ValueError, match=f"NetworkParams.{field} "):
             NetworkParams(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("base_latency", -0.2), ("inter_region_latency", -1.0),
+        ("latency_jitter", math.nan), ("bandwidth_bps", math.inf),
+        ("loss_rate", 1.5)])
+    def test_building_a_network_checks_fields_set_after_construction(
+            self, field, value):
+        params = NetworkParams()
+        setattr(params, field, value)
+        with pytest.raises(ValueError, match=f"NetworkParams.{field} "):
+            Network(Simulator(), params, rng=SeededRNG(0))
+
     def test_edges_stay_valid(self):
         NetworkParams(base_latency=0.0, inter_region_latency=0.0,
                       latency_jitter=0.0, loss_rate=0.0)
