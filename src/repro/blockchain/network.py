@@ -309,11 +309,13 @@ class PoWNetwork:
         Returns the number actually taken and the (arrival time, count)
         cohorts consumed, so confirmation latency can be recorded when the
         containing block is buried deep enough.  A cohort is used up once at
-        most ``1e-9`` of it remains; the next one's tick is the recurrence's
-        next step and its count a full interval's arrivals.
+        most ``1e-9`` of it remains, and that remainder leaves the backlog
+        with it; the next one's tick is the recurrence's next step and its
+        count a full interval's arrivals.
         """
         self._materialise_arrivals()
         taken = 0.0
+        retired = 0.0
         cohorts: List[Tuple[float, float]] = []
         pending = self._pending
         interval = self._arrival_interval
@@ -328,12 +330,13 @@ class PoWNetwork:
             taken += used
             if remaining <= 1e-9:
                 pending -= 1
+                retired += remaining
                 tick = tick + interval
                 remaining = arrivals
         self._head_tick = tick
         self._head_remaining = remaining
         self._pending = pending
-        self.backlog_total -= taken
+        self.backlog_total -= taken + retired
         return taken, cohorts
 
     # ------------------------------------------------------------------

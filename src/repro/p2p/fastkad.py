@@ -9,8 +9,11 @@ concurrent lookups is driven hop-by-hop with whole-wave array
 operations, churn flips cohorts between waves, and maintenance passes
 sweep every routing table at once.  That turns the per-event Python
 dispatch cost into a handful of numpy kernels per hop and makes a
-10^5-node overlay under churn tractable on one core (the scalar
-simulator's per-node objects stop being practical around 10^3).
+10^5-node overlay under churn tractable in seconds (the scalar
+simulator's per-node objects stop being practical around 10^3).  The
+table's bootstrap and maintenance kernels work in fixed node blocks
+spread over every core the process may use; the summary is the same
+bytes whatever the core count.
 
 Model, relative to the scalar message-level simulator:
 

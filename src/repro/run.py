@@ -99,6 +99,7 @@ from repro.scenarios import (
     STUDIES,
     JobExecutionError,
     JobPolicy,
+    SpecError,
     compile_study,
     compile_sweep,
     execute_plan,
@@ -258,8 +259,10 @@ def _execute(args, plan, render, payload) -> int:
     """Execute a compiled plan, then print, save and emit its results.
 
     ``render`` prints the tables and ``payload`` makes the ``--json``
-    document.  Only compilation is a usage error: an exception raised
-    here is a real bug and keeps its traceback.
+    document.  A spec value the experiment cannot be built from
+    (:class:`SpecError`) is a usage error, like a failed compilation;
+    any other exception raised here is a real bug and keeps its
+    traceback.
     """
     store = RunStore(args.runs_dir) if args.save else None
     try:
@@ -270,6 +273,9 @@ def _execute(args, plan, render, payload) -> int:
     except JobExecutionError as error:
         print(error.args[0], file=sys.stderr)
         return EXIT_PARTIAL
+    except SpecError as error:
+        print(error.args[0], file=sys.stderr)
+        return EXIT_USAGE
     if not args.quiet:
         render(results)
     if store is not None:

@@ -148,6 +148,7 @@ from repro.scenarios.adapters import (
     EXPERIMENTS,
     ArchitectureAdapter,
     Experiment,
+    SpecError,
     adapter_for,
     experiment_for,
 )
@@ -199,6 +200,7 @@ __all__ = [
     "ScenarioResult",
     "ScenarioSpec",
     "SerialBackend",
+    "SpecError",
     "StudyMember",
     "StudySpec",
     "UnitJob",

@@ -18,8 +18,9 @@ pre-framework benchmark reproduces its numbers bit-for-bit.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, List, Tuple, Type
+from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Type
 
 from repro.scenarios.spec import FAMILIES, ScenarioSpec
 
@@ -28,6 +29,28 @@ from repro.scenarios.spec import FAMILIES, ScenarioSpec
 #: organization (kWh) — shared by the consensus, permissioned and
 #: edge-federation experiments so the cross-family comparison stays consistent.
 CONSORTIUM_ENERGY_PER_TX_KWH = 2e-6
+
+
+class SpecError(ValueError):
+    """A spec value the scenario's experiment cannot be built from.
+
+    A usage error (``repro-run`` exits 2 with one line), not a bug in the
+    model.  Only the steps that turn spec values into config objects raise
+    it (:func:`_spec_values`, :func:`experiment_for`,
+    :func:`_expect_workload_kind`); :meth:`ArchitectureAdapter.setup`
+    adds the scenario's name.  A ``ValueError`` from building or running
+    the model itself stays a plain ``ValueError`` with its traceback.
+    """
+
+
+@contextmanager
+def _spec_values() -> Iterator[None]:
+    """Re-raise a ``ValueError`` from turning spec values into config
+    objects (coercion, a config's own validation) as :class:`SpecError`."""
+    try:
+        yield
+    except ValueError as error:
+        raise SpecError(str(error)) from error
 
 
 def _float_metrics(raw: Dict[str, object], prefix: str = "") -> Dict[str, float]:
@@ -43,9 +66,9 @@ def _expect_workload_kind(spec: ScenarioSpec, allowed: tuple, default: str) -> s
     """Validate ``workload['kind']`` so a nonsensical override fails loudly."""
     kind = str(spec.workload.get("kind", default))
     if kind not in allowed:
-        raise ValueError(
-            f"scenario {spec.name!r} ({spec.family}) cannot run a {kind!r} "
-            f"workload; supported kinds: {sorted(allowed)}"
+        raise SpecError(
+            f"a {spec.family} scenario cannot run a {kind!r} workload; "
+            f"supported kinds: {sorted(allowed)}"
         )
     return kind
 
@@ -76,11 +99,12 @@ def _config(cls, *picked: Dict[str, Tuple[str, object]], **fixed):
     """
     fields = cls.__dataclass_fields__
     kwargs: Dict[str, object] = {}
-    for values in picked:
-        for name, (key, value) in values.items():
-            kwargs[name] = _coerce(fields[name].default, key, value)
-    kwargs.update(fixed)
-    return cls(**kwargs)
+    with _spec_values():
+        for values in picked:
+            for name, (key, value) in values.items():
+                kwargs[name] = _coerce(fields[name].default, key, value)
+        kwargs.update(fixed)
+        return cls(**kwargs)
 
 
 def _coerce(default: object, key: str, value: object) -> object:
@@ -104,7 +128,6 @@ def _lookup_environment(spec: ScenarioSpec, seed: int, client: str) -> Dict[str,
     the ``architecture`` key naming the client (preset or field dict), with
     ``architecture["client_overrides"]`` applied on top."""
     from repro.p2p.kademlia import KademliaConfig
-    from repro.sim.network import NetworkParams
 
     kademlia = KademliaConfig.by_name(spec.architecture.get(client, "kad"))
     overrides = spec.architecture.get("client_overrides") or {}
@@ -113,7 +136,7 @@ def _lookup_environment(spec: ScenarioSpec, seed: int, client: str) -> Dict[str,
     return {
         "kademlia": kademlia,
         "churn": _churn(spec),
-        "network_params": NetworkParams.from_spec(spec.topology.get("network")),
+        "network_params": _network(spec),
         "seed": seed,
         "metrics": spec.metrics,
     }
@@ -123,7 +146,17 @@ def _churn(spec: ScenarioSpec):
     """The spec's churn model (``None`` when the membership is stable)."""
     from repro.sim.churn import ChurnModel
 
-    return ChurnModel.from_spec(spec.churn)
+    with _spec_values():
+        return ChurnModel.from_spec(spec.churn)
+
+
+def _network(spec: ScenarioSpec):
+    """The spec's ``topology["network"]`` as ``NetworkParams`` (``None``
+    when it sets none, so the model keeps its own default)."""
+    from repro.sim.network import NetworkParams
+
+    with _spec_values():
+        return NetworkParams.from_spec(spec.topology.get("network"))
 
 
 def _latency_metrics(latencies: List[float]) -> Dict[str, float]:
@@ -218,9 +251,9 @@ def experiment_for(spec: ScenarioSpec) -> Experiment:
     found = EXPERIMENTS.get((spec.family, mode)) if isinstance(mode, str) else None
     if found is None:
         registered = sorted(m for family, m in EXPERIMENTS if family == spec.family)
-        raise ValueError(
-            f"unknown {spec.family} experiment {mode!r} in scenario "
-            f"{spec.name!r}; registered: {registered}"
+        raise SpecError(
+            f"unknown {spec.family} experiment {mode!r}; "
+            f"registered: {registered}"
         )
     return found
 
@@ -234,8 +267,14 @@ class ArchitectureAdapter:
         self.family = family
 
     def setup(self, spec: ScenarioSpec, seed: int) -> Dict[str, object]:
-        found = experiment_for(spec)
-        context = found.setup(spec, seed)
+        """Build the spec's experiment; a :class:`SpecError` (a bad spec
+        value) is re-raised naming the scenario.  Any other exception is a
+        bug in the model and passes through with its traceback."""
+        try:
+            found = experiment_for(spec)
+            context = found.setup(spec, seed)
+        except SpecError as error:
+            raise SpecError(f"scenario {spec.name!r}: {error}") from error
         context["experiment"] = found
         return context
 
@@ -287,10 +326,7 @@ class ProofOfWorkNetwork(Experiment):
         arch.pop("seed", None)
         arch.pop("tx_arrival_rate", None)
         if spec.topology.get("network") is not None:
-            from repro.sim.network import NetworkParams
-
-            arch["network_params"] = NetworkParams.from_spec(
-                spec.topology["network"])
+            arch["network_params"] = _network(spec)
         config = _config(PoWNetworkConfig,
                          _pick(spec, "workload", tx_arrival_rate="rate_tps"),
                          _pick(spec, "architecture", "tx_arrival_rate"),
@@ -984,7 +1020,9 @@ class EdgePlacement(Experiment):
         if spec.topology:
             from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 
-            topology = EdgeTopology(EdgeTopologyConfig(**spec.topology))
+            with _spec_values():
+                config = EdgeTopologyConfig(**spec.topology)
+            topology = EdgeTopology(config)
         return {
             "topology": topology,
             "requests": int(spec.workload.get("requests", 2000)),

@@ -20,7 +20,8 @@ numpy arrays so whole-population operations are single batch array ops:
   prefixes; ~64 vectorized ``searchsorted`` rounds for any batch size).
 * :class:`VecRoutingTable` — the Kademlia routing state of *all* nodes
   in one ``(n, buckets, k)`` array of int32 contact indices, built and
-  maintained with batch operations (no per-node Python loops).
+  maintained with batch operations over fixed blocks of nodes on every
+  core (no per-node Python loops).
 * :class:`VecChurn` — membership dynamics as parallel arrays (online
   flag, next transition time, per-node draw epoch); advancing virtual
   time flips whole cohorts at once instead of scheduling one engine
@@ -39,7 +40,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Optional, Tuple
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 import numpy as np
 
@@ -226,13 +232,20 @@ class VecRoutingTable:
     Memory: ``n * buckets * k`` int32 plus an equal bool array for the
     stale flags — ~100 MB for n=10^5 with the defaults, versus multiple
     GB of dict-of-list Python objects for the scalar representation.
+    The bootstrap and the kernels (:meth:`evict_offline`,
+    :meth:`refresh`, :meth:`staleness`) work the table in blocks of
+    :data:`_BLOCK_NODES` nodes on the cores the process may use
+    (:func:`_map_blocks`, :func:`_cores`), so their temporaries are a few blocks' worth whatever ``n`` is.  A
+    block reads only its own rows and read-only arrays, and every draw
+    hashes its ``(node, bucket, slot, pass)`` counters, so the result
+    does not depend on the block size or the number of cores.
 
     ``stale`` marks entries that point at departed peers without the
     owner knowing (``initial_stale_fraction`` at bootstrap); they cost a
     timeout when tried and are only removed by maintenance
     (:meth:`evict_offline`), matching the scalar model's semantics.  A
     stale flag is only ever set on a filled slot (stale implies filled),
-    which the sentinel gather of :meth:`_dead_entries` relies on.
+    which the sentinel gather of :func:`_dead_in` relies on.
     """
 
     def __init__(self, space: VecIdSpace, k: int = 8,
@@ -246,36 +259,44 @@ class VecRoutingTable:
         self.bucket_count = int(bucket_count)
         self.seed = seed
         self._maintenance_passes = 0
-        ids = space.ids
-        k = self.k
-
         # Per-(node, bucket) subtree ranges, fixed for the whole run.
         self.range_lo = np.empty((n, self.bucket_count), dtype=np.int64)
         self.range_len = np.empty((n, self.bucket_count), dtype=np.int64)
+        self.table = np.empty((n, self.bucket_count, self.k), dtype=np.int32)
+        self.stale = np.zeros_like(self.table, dtype=bool)
+        fill_key = stream_key(seed, "table-bootstrap")
+        stale_key = stream_key(seed, "table-stale")
+        _map_blocks(n, lambda start, stop: self._bootstrap(
+            start, stop, fill_key, stale_key, stale_fraction))
+
+    def _bootstrap(self, start: int, stop: int, fill_key: int,
+                   stale_key: int, stale_fraction: float) -> None:
+        """Ranges, contacts and stale marks of nodes ``[start, stop)``.
+
+        Every bucket gets up to k distinct members of its range — all of
+        them when the range holds at most k, else k hashed draws with
+        duplicates cleared — each row in ascending order with its empty
+        slots first.  Only the sampled rows draw: a draw is a pure
+        function of (node, bucket, slot), so drawing that subset gives
+        exactly the values a whole-bucket draw would, and a whole row
+        never reads its draw.  A whole row is written straight in its
+        sorted layout; only drawn rows sort.  Likewise only filled slots
+        draw a stale mark (an empty slot is never stale), keyed by
+        ``(node * k + slot, bucket)``.
+        """
+        ids = self.space.ids
+        own = ids[start:stop]
+        k = self.k
+        slot = np.arange(k, dtype=np.int64)
         for bucket in range(self.bucket_count):
             bit = 63 - bucket
             low_mask = (_U64(1) << _U64(bit)) - _U64(1)
-            base = (ids ^ (_U64(1) << _U64(bit))) & ~low_mask
+            base = (own ^ (_U64(1) << _U64(bit))) & ~low_mask
             lo = np.searchsorted(ids, base, side="left")
-            hi = np.searchsorted(ids, base | low_mask, side="right")
-            self.range_lo[:, bucket] = lo
-            self.range_len[:, bucket] = hi - lo
-
-        # Bootstrap: fill every bucket with up to k distinct members of
-        # its range — all of them when the range holds at most k, else k
-        # hashed draws with duplicates cleared — each row in ascending
-        # order with its empty slots first.  Only the sampled rows draw:
-        # a draw is a pure function of (node, bucket, slot), so drawing
-        # that subset gives exactly the values a whole-bucket draw
-        # would, and a whole row never reads its draw.  A whole row is
-        # written straight in its sorted layout; only drawn rows sort.
-        self.table = np.empty((n, self.bucket_count, k), dtype=np.int32)
-        fill_key = stream_key(seed, "table-bootstrap")
-        slot = np.arange(k, dtype=np.int64)
-        for bucket in range(self.bucket_count):
-            lo = self.range_lo[:, bucket]
-            count = self.range_len[:, bucket]
-            rows = self.table[:, bucket, :]
+            count = np.searchsorted(ids, base | low_mask, side="right") - lo
+            self.range_lo[start:stop, bucket] = lo
+            self.range_len[start:stop, bucket] = count
+            rows = self.table[start:stop, bucket, :]
             whole = np.flatnonzero(count <= k)
             if len(whole):
                 shift = slot - (k - count[whole])[:, None]
@@ -283,30 +304,18 @@ class VecRoutingTable:
                                        np.int64(EMPTY))
             sampled = np.flatnonzero(count > k)
             if len(sampled):
-                u = hashed_uniform(fill_key, sampled.astype(_U64)[:, None],
+                u = hashed_uniform(fill_key,
+                                   (sampled + start).astype(_U64)[:, None],
                                    _U64(bucket), slot.astype(_U64))
                 span = count[sampled][:, None]
                 rows[sampled] = _distinct_rows(
                     lo[sampled][:, None]
                     + np.minimum((u * span).astype(np.int64), span - 1))
-
-        stale = np.zeros_like(self.table, dtype=bool)
-        if stale_fraction > 0.0:
-            stale_key = stream_key(seed, "table-stale")
-            # Only filled slots draw (an empty slot is never stale); the
-            # draw of slot ``(node, bucket, s)`` is a pure function of
-            # ``(node * k + s, bucket)``, so skipping the empty ones
-            # changes no value.  Bucket-sized draws keep the hash
-            # temporaries at n*k elements instead of the whole table.
-            marks = np.empty(n * k, dtype=bool)
-            for bucket in range(self.bucket_count):
-                entry = np.flatnonzero(self.table[:, bucket, :] != EMPTY)
-                marks[:] = False
-                marks[entry] = hashed_uniform(
-                    stale_key, entry.astype(_U64),
-                    _U64(bucket)) < stale_fraction
-                stale[:, bucket, :] = marks.reshape(n, k)
-        self.stale = stale
+            if stale_fraction > 0.0:
+                filled = rows != EMPTY
+                entry = np.flatnonzero(filled) + start * k
+                self.stale[start:stop, bucket, :][filled] = hashed_uniform(
+                    stale_key, entry.astype(_U64), _U64(bucket)) < stale_fraction
 
     # -- queries -------------------------------------------------------
     def contacts_of(self, node_indices: np.ndarray) -> np.ndarray:
@@ -325,29 +334,22 @@ class VecRoutingTable:
         Counts both marked-stale entries and contacts that are currently
         offline — the same "entry that will cost you a timeout" measure
         :meth:`repro.p2p.kademlia.KademliaNetwork.routing_table_staleness`
-        reports for the scalar tables.  The dead entries come from the
-        same sentinel gather as :meth:`evict_offline`'s candidates
-        (:meth:`_dead_entries`, which needs stale to imply filled).
+        reports for the scalar tables.  The dead entries are the same
+        candidates :meth:`evict_offline` draws on (:func:`_dead_in`).
         """
-        total = int(np.count_nonzero(self.table != EMPTY))
+        offline = np.append(~online, False)
+
+        def count(start: int, stop: int) -> Tuple[int, int]:
+            table = self.table[start:stop]
+            dead = _dead_in(table, self.stale[start:stop], offline)
+            return (int(np.count_nonzero(table != EMPTY)),
+                    int(np.count_nonzero(dead)))
+
+        counts = _map_blocks(self.space.n, count)
+        total = sum(filled for filled, _ in counts)
         if not total:
             return 0.0
-        return float(np.count_nonzero(self._dead_entries(online))) / total
-
-    def _dead_entries(self, online: np.ndarray) -> np.ndarray:
-        """Mask of filled slots whose contact is offline or marked stale.
-
-        One gather through the offline flags ``~online`` with a
-        ``False`` sentinel appended: :data:`EMPTY` (-1) indexes the
-        sentinel, so an empty slot reads as not offline without a
-        separate ``filled`` mask.  That relies on the invariant *stale
-        implies filled* — bootstrap only marks filled slots, eviction
-        clears both flags together and refresh only fills — so the
-        ``| stale`` cannot flag an empty slot either.
-        """
-        dead = np.append(~online, False)[self.table]
-        dead |= self.stale
-        return dead
+        return sum(dead for _, dead in counts) / total
 
     # -- maintenance ---------------------------------------------------
     def evict_offline(self, online: np.ndarray,
@@ -357,21 +359,27 @@ class VecRoutingTable:
         Each entry whose contact is offline (or marked stale) is detected
         and cleared with probability ``detection`` — one vectorized
         maintenance pass over every node at once, standing in for the
-        scalar model's per-node refresh probes.  The candidates come
-        from one sentinel gather (:meth:`_dead_entries`): an empty slot
-        reads as not offline and, since stale implies filled, is never
-        a candidate.
+        scalar model's per-node refresh probes.  The candidates of a
+        block come from one sentinel gather (:func:`_dead_in`), and each
+        draws on its flat slot position in the whole table.
         """
-        flat = np.flatnonzero(self._dead_entries(online))
-        if len(flat) == 0:
-            return 0
+        offline = np.append(~online, False)
         key = stream_key(self.seed, "table-evict")
-        u = hashed_uniform(key, flat.astype(np.uint64),
-                           np.uint64(self._maintenance_passes))
-        evict = flat[u < detection]
-        self.table.reshape(-1)[evict] = EMPTY
-        self.stale.reshape(-1)[evict] = False
-        return len(evict)
+        passes = _U64(self._maintenance_passes)
+        width = self.bucket_count * self.k
+
+        def evict(start: int, stop: int) -> int:
+            table = self.table[start:stop].reshape(-1)
+            stale = self.stale[start:stop].reshape(-1)
+            dead = np.flatnonzero(_dead_in(table, stale, offline))
+            flat = dead.astype(_U64)
+            flat += _U64(start * width)
+            evicted = dead[hashed_uniform(key, flat, passes) < detection]
+            table[evicted] = EMPTY
+            stale[evicted] = False
+            return len(evicted)
+
+        return sum(_map_blocks(self.space.n, evict))
 
     def refresh(self, online: np.ndarray, samples: int = 4) -> int:
         """Let every node learn up to ``samples`` fresh live contacts.
@@ -384,54 +392,149 @@ class VecRoutingTable:
         separates aggressive-refresh KAD from lazy Mainline tables.
         Returns the number of slots filled.
 
-        The pass works on the table as ``n * buckets`` rows of ``k``
-        slots and scans it once: one ``== EMPTY``, read back as a few
-        wide unsigned lanes per row, says which rows have room without
-        a per-row reduction along the short slot axis.  Everything after
+        A block works on its nodes' table as rows of ``k`` slots and
+        scans it once: one ``== EMPTY``, read back as a few wide
+        unsigned lanes per row, says which rows have room without a
+        per-row reduction along the short slot axis.  Everything after
         that touches only the selected rows, through flat indices: their
         ranges are gathered, a live candidate is checked against its row
         one slot at a time (``k`` compares), an ``argmax`` over just the
         rows that take a contact finds each one's first empty slot, and
-        the fills are scattered straight into the flat table.
+        the fills are scattered straight into the block's flat table.
         """
-        n, buckets, k = self.table.shape
-        rows = self.table.reshape(-1, k)
+        buckets, k = self.bucket_count, self.k
+        key = stream_key(self.seed, "table-refresh")
+        passes = _U64(self._maintenance_passes)
         # A row's k empty-flags, read as k/width unsigned lanes of
         # ``width`` bytes: the row has room iff a lane is non-zero.
         width = math.gcd(k, 8)
-        lanes = (rows == EMPTY).view(f"u{width}")
-        has_room = lanes[:, 0] != 0
-        for lane in range(1, k // width):
-            has_room |= lanes[:, lane] != 0
-        order = np.cumsum(has_room.reshape(n, buckets), axis=1,
-                          dtype=np.int32).reshape(-1)
-        selected = np.flatnonzero(has_room & (order <= samples))
-        if len(selected) == 0:
-            self._maintenance_passes += 1
-            return 0
-        lo = self.range_lo.reshape(-1)[selected]
-        count = self.range_len.reshape(-1)[selected]
-        node, bucket = np.divmod(selected, buckets)
-        key = stream_key(self.seed, "table-refresh")
-        u = hashed_uniform(key, node.astype(np.uint64),
-                           bucket.astype(np.uint64),
-                           np.uint64(self._maintenance_passes))
-        candidate = lo + np.minimum((u * count).astype(np.int64),
-                                    np.maximum(count - 1, 0))
-        # An empty range may start one past the last node; clamp so the
-        # row (discarded by ``count > 0`` anyway) is never dereferenced.
-        live = np.flatnonzero(
-            (count > 0) & online[np.minimum(candidate, len(online) - 1)])
-        row = selected[live]
-        contact = candidate[live].astype(np.int32)
-        picked = np.take(rows, row, axis=0)                # (live, k) copy
-        fresh = picked[:, 0] != contact
-        for slot in range(1, k):
-            fresh &= picked[:, slot] != contact
-        first_empty = (picked[fresh] == EMPTY).argmax(axis=1)
-        self.table.reshape(-1)[row[fresh] * k + first_empty] = contact[fresh]
+        last = len(online) - 1
+
+        def fill(start: int, stop: int) -> int:
+            table = self.table[start:stop].reshape(-1)
+            rows = table.reshape(-1, k)
+            lanes = (rows == EMPTY).view(f"u{width}")
+            has_room = lanes[:, 0] != 0
+            for lane in range(1, k // width):
+                has_room |= lanes[:, lane] != 0
+            order = np.cumsum(has_room.reshape(-1, buckets), axis=1,
+                              dtype=np.int32).reshape(-1)
+            selected = np.flatnonzero(has_room & (order <= samples))
+            lo = self.range_lo[start:stop].reshape(-1)[selected]
+            count = self.range_len[start:stop].reshape(-1)[selected]
+            node, bucket = np.divmod(selected, buckets)
+            node += start
+            u = hashed_uniform(key, node.astype(_U64), bucket.astype(_U64),
+                               passes)
+            candidate = lo + np.minimum((u * count).astype(np.int64),
+                                        np.maximum(count - 1, 0))
+            # An empty range may start one past the last node; clamp so
+            # the row (discarded by ``count > 0`` anyway) is never
+            # dereferenced.
+            live = np.flatnonzero(
+                (count > 0) & online[np.minimum(candidate, last)])
+            row = selected[live]
+            contact = candidate[live].astype(np.int32)
+            picked = np.take(rows, row, axis=0)            # (live, k) copy
+            fresh = picked[:, 0] != contact
+            for slot in range(1, k):
+                fresh &= picked[:, slot] != contact
+            first_empty = (picked[fresh] == EMPTY).argmax(axis=1)
+            table[row[fresh] * k + first_empty] = contact[fresh]
+            return len(first_empty)
+
+        filled = sum(_map_blocks(self.space.n, fill))
         self._maintenance_passes += 1
-        return len(first_empty)
+        return filled
+
+
+def _dead_in(table: np.ndarray, stale: np.ndarray,
+             offline: np.ndarray) -> np.ndarray:
+    """Mask of the filled slots of ``table`` whose contact is dead.
+
+    One gather through ``offline`` (``~online`` with a ``False``
+    sentinel appended): :data:`EMPTY` (-1) indexes the sentinel, so an
+    empty slot reads as not offline without a separate ``filled`` mask.
+    That relies on the invariant *stale implies filled* — bootstrap only
+    marks filled slots, eviction clears both flags together and refresh
+    only fills — so the ``| stale`` cannot flag an empty slot either.
+    """
+    dead = offline[table]
+    dead |= stale
+    return dead
+
+
+#: Nodes per block of the routing-table kernels (:func:`_map_blocks`).
+_BLOCK_NODES = 2048
+
+_T = TypeVar("_T")
+
+
+def _cores() -> int:
+    """Threads a block map may use.
+
+    One inside a pool worker (a child process) or off the main thread (a
+    broker worker runs its job on a thread of its own): such a job shares
+    the host with its sibling jobs, so it keeps to one core.  Otherwise
+    the cores of this process's affinity mask, capped by a cgroup CPU
+    quota (:func:`_cpu_quota`), which the mask does not show.
+    """
+    if (multiprocessing.parent_process() is not None
+            or threading.current_thread() is not threading.main_thread()):
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (macOS)
+        cores = os.cpu_count() or 1
+    quota = _cpu_quota()
+    return cores if quota is None else max(1, min(cores, quota))
+
+
+#: cgroup v2's ``cpu.max`` ("QUOTA PERIOD") and v1's pair of files.
+_CPU_QUOTA_FILES: Tuple[Tuple[str, ...], ...] = (
+    ("/sys/fs/cgroup/cpu.max",),
+    ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us",
+     "/sys/fs/cgroup/cpu/cpu.cfs_period_us"),
+)
+
+
+def _cpu_quota() -> Optional[int]:
+    """Whole CPUs (rounded up) the cgroup CPU quota grants, or ``None``
+    when there is no quota or no cgroup file to read."""
+    for paths in _CPU_QUOTA_FILES:
+        try:
+            fields = " ".join(Path(path).read_text() for path in paths).split()
+            if fields[0] in ("max", "-1"):
+                return None
+            return -(-int(fields[0]) // int(fields[1]))
+        except (OSError, ValueError, IndexError):
+            continue
+    return None
+
+
+def _map_blocks(n: int, kernel: Callable[[int, int], _T]) -> List[_T]:
+    """``kernel(start, stop)`` over every block of :data:`_BLOCK_NODES`
+    nodes in ``[0, n)``; returns the results in block order.
+
+    The blocks run on ``min(_cores(), blocks)`` threads (numpy releases
+    the GIL inside its array loops), or in the caller when that is one.
+    The pool is shut down, its threads joined, before the call returns,
+    so nothing outlives it (a later ``fork`` inherits no thread), and the
+    first failing block's exception is re-raised here.  A kernel writes
+    only its own block's rows, so no result depends on which thread ran
+    which block.
+    """
+    blocks = -(-n // _BLOCK_NODES)
+
+    def block(index: int) -> _T:
+        start = index * _BLOCK_NODES
+        return kernel(start, min(start + _BLOCK_NODES, n))
+
+    workers = min(_cores(), blocks)
+    if workers <= 1:
+        return [block(index) for index in range(blocks)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(block, range(blocks)))
 
 
 def _distinct_rows(drawn: np.ndarray) -> np.ndarray:

@@ -150,6 +150,7 @@ class ListBacklog:
     def take(self, now: float, count: int):
         self.materialise(now)
         taken = 0.0
+        retired = 0.0
         cohorts = []
         while self.backlog and taken < count:
             cohort = self.backlog[0]
@@ -160,8 +161,8 @@ class ListBacklog:
             cohort[1] -= used
             taken += used
             if cohort[1] <= 1e-9:
-                self.backlog.popleft()
-        self.backlog_total -= taken
+                retired += self.backlog.popleft()[1]
+        self.backlog_total -= taken + retired
         return taken, cohorts
 
 
@@ -258,6 +259,18 @@ class TestFluidBacklog:
             (_bits(t), _bits(n)) for t, n in oracle.backlog
         ]
         assert _bits(net.backlog_total) == _bits(oracle.backlog_total)
+
+    def test_a_retired_cohorts_remainder_leaves_the_backlog(self):
+        # Cohorts of 13 + 1.3e-11 taken 13 at a time retire with ~1e-11
+        # left over: the total must equal what the pending cohorts hold,
+        # not carry the retired remainders along.
+        net = _started_network(ETHEREUM_PROTOCOL, 10.0 + 1e-11)
+        for advance, count in [(13.0, 13), (0.0, 26)]:
+            net.sim.now += advance
+            net._take_transactions(count)
+        net._materialise_arrivals()
+        held = sum(remaining for _, remaining in _pending_cohorts(net))
+        assert net.backlog_total == pytest.approx(held, rel=0.0, abs=1e-12)
 
     def test_a_long_overload_holds_no_memory_per_interval(self):
         # 10^5 Ethereum arrival intervals at 25 tps, above its ~15 tps

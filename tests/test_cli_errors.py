@@ -109,6 +109,46 @@ class TestMalformedOverrides:
         assert "MEMBER.PATH=VALUE" in usage_error(
             capsys, ["study", "figure1", "--set", "duration=1"])
 
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "pos-slashing", "--set", "architecture.validators=2.7"],
+         "scenario 'pos-slashing': architecture.validators expects an integer"),
+        (["pow-baseline", "--set", 'topology.network={"bandwidth_bps": -5}'],
+         "scenario 'pow-baseline': NetworkParams.bandwidth_bps must be"),
+    ])
+    def test_a_value_the_experiment_rejects(self, capsys, argv, message):
+        assert message in usage_error(capsys, argv + ["--quiet"])
+
+    def test_a_value_error_while_running_keeps_its_traceback(
+            self, monkeypatch, capsys):
+        from repro.scenarios import ArchitectureAdapter, SpecError
+
+        def broken(self, context):
+            raise ValueError("a bug in the model")
+
+        monkeypatch.setattr(ArchitectureAdapter, "run", broken)
+        with pytest.raises(ValueError, match="a bug in the model") as raised:
+            run_main(["run", "pos-slashing", "--quiet"])
+        assert not isinstance(raised.value, SpecError)
+
+    def test_a_value_error_while_building_the_model_keeps_its_traceback(
+            self, monkeypatch):
+        """Only turning spec values into configs is a usage error: a
+        ValueError from the model's own construction (here the routing
+        table's block kernel) is a bug and is not re-labelled."""
+        from repro.scenarios import SpecError
+        from repro.sim.vecstate import VecRoutingTable
+
+        def broken(self, *args):
+            raise ValueError("a shape bug in a block kernel")
+
+        monkeypatch.setattr(VecRoutingTable, "_bootstrap", broken)
+        with pytest.raises(ValueError,
+                           match="a shape bug in a block kernel") as raised:
+            run_main(["run", "overlay-scaling-large", "--quiet",
+                      "--set", "topology.size=500"])
+        assert not isinstance(raised.value, SpecError)
+        assert raised.traceback[-1].name == "broken"
+
 
 class TestMalformedSweeps:
     def test_sweep_without_equals(self, capsys):

@@ -11,11 +11,15 @@ order or in which rows draw moves every later pass.
 """
 
 import math
+import threading
+import tracemalloc
 from typing import Optional
 
 import numpy as np
 import pytest
 
+from repro.p2p.fastkad import FastKademliaOverlay
+from repro.sim import vecstate
 from repro.sim.vecstate import (
     EMPTY,
     VecIdSpace,
@@ -164,10 +168,7 @@ def _assert_same(reference: ReferenceRoutingTable,
     assert np.array_equal(reference.stale, table.stale), f"stale after {when}"
 
 
-@pytest.mark.parametrize("stale_fraction", [0.0, 0.1, 1.0])
-@pytest.mark.parametrize("k", [1, 3, 8, 20])
-@pytest.mark.parametrize("n", [2, 3, 50, 1000, 5000])
-def test_kernels_match_the_reference(n, k, stale_fraction):
+def _run_against_reference(n: int, k: int, stale_fraction: float) -> None:
     """Bootstrap, then nine evict/refresh passes: a 3x3 Latin square over
     (detection, samples, online mode), so every pair of pass settings
     meets once, with ``online`` re-drawn every pass."""
@@ -193,6 +194,13 @@ def test_kernels_match_the_reference(n, k, stale_fraction):
         assert table.staleness(online) == reference.staleness(online), when
 
 
+@pytest.mark.parametrize("stale_fraction", [0.0, 0.1, 1.0])
+@pytest.mark.parametrize("k", [1, 3, 8, 20])
+@pytest.mark.parametrize("n", [2, 3, 50, 1000, 5000])
+def test_kernels_match_the_reference(n, k, stale_fraction):
+    _run_against_reference(n, k, stale_fraction)
+
+
 def test_a_table_that_ends_empty_matches_too():
     """Everyone offline and detection 1: eviction drains every bucket and
     refresh finds nothing, so the later passes run on an all-EMPTY table."""
@@ -207,3 +215,126 @@ def test_a_table_that_ends_empty_matches_too():
         _assert_same(reference, table, "a draining pass")
     assert not (table.table != EMPTY).any()
     assert table.staleness(nobody) == reference.staleness(nobody) == 0.0
+
+
+# ----------------------------------------------------------------------
+# The block map: the kernels run over blocks of ``_BLOCK_NODES`` nodes on
+# every core, and the result must not depend on the number of workers.
+# ----------------------------------------------------------------------
+def _workers(monkeypatch, count: int) -> None:
+    monkeypatch.setattr(vecstate, "_cores", lambda: count)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [1000, 2048, 4097])
+def test_every_worker_count_matches_the_reference(monkeypatch, n, workers):
+    """Below, at and just past the block boundaries (one block, exactly
+    one, three with a one-node tail)."""
+    assert vecstate._BLOCK_NODES == 2048
+    _workers(monkeypatch, workers)
+    _run_against_reference(n, k=8, stale_fraction=0.1)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("n", [1, 2047, 2048, 2049, 6145])
+def test_map_blocks_covers_every_node_once_in_block_order(monkeypatch, n,
+                                                         workers):
+    _workers(monkeypatch, workers)
+    spans = vecstate._map_blocks(n, lambda start, stop: (start, stop))
+    starts = list(range(0, n, vecstate._BLOCK_NODES))
+    assert spans == [(start, min(start + vecstate._BLOCK_NODES, n))
+                     for start in starts]
+
+
+def test_a_failing_block_in_a_helper_thread_surfaces_in_the_caller(
+        monkeypatch):
+    """Every block runs on a helper thread; the first block waits until
+    another has failed, so the exception really crosses threads; no
+    helper outlives the call."""
+    _workers(monkeypatch, 3)
+    baseline = threading.active_count()
+    caller = threading.current_thread()
+    failed = threading.Event()
+
+    def kernel(start: int, stop: int) -> int:
+        assert threading.current_thread() is not caller
+        if start == 0:
+            assert failed.wait(timeout=10.0)
+            return start
+        failed.set()
+        raise ValueError(f"block at {start}")
+
+    with pytest.raises(ValueError, match="block at"):
+        vecstate._map_blocks(3 * vecstate._BLOCK_NODES, kernel)
+    assert threading.active_count() == baseline
+
+
+def test_a_job_beside_other_jobs_keeps_to_one_core():
+    """A pool worker (a child process) and a broker worker's job thread
+    share the host with sibling jobs: their block maps start no thread."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    seen = []
+    helper = threading.Thread(target=lambda: seen.append(vecstate._cores()))
+    helper.start()
+    helper.join()
+    assert seen == [1]
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context(
+        "fork" if "fork" in methods else "spawn")
+    with ProcessPoolExecutor(1, mp_context=context) as pool:
+        assert pool.submit(vecstate._cores).result() == 1
+
+
+@pytest.mark.parametrize("files,quota", [
+    ({"cpu.max": "150000 100000\n"}, 2),
+    ({"cpu.max": "50000 100000\n"}, 1),
+    ({"cpu.max": "max 100000\n"}, None),
+    ({"quota": "-1\n", "period": "100000\n"}, None),
+    ({"quota": "300000\n", "period": "100000\n"}, 3),
+    ({}, None),
+])
+def test_the_cgroup_cpu_quota_caps_the_worker_count(monkeypatch, tmp_path,
+                                                    files, quota):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(vecstate, "_CPU_QUOTA_FILES", (
+        (str(tmp_path / "cpu.max"),),
+        (str(tmp_path / "quota"), str(tmp_path / "period"))))
+    assert vecstate._cpu_quota() == quota
+    monkeypatch.setattr(vecstate.os, "sched_getaffinity",
+                        lambda pid: set(range(8)), raising=False)
+    assert vecstate._cores() == (8 if quota is None else quota)
+
+
+def test_the_overlay_summary_does_not_depend_on_the_worker_count(
+        monkeypatch):
+    from test_vecstate import fast_config
+
+    config = dict(network_size=4500, lookups=200)
+    _workers(monkeypatch, 1)
+    alone = FastKademliaOverlay(fast_config(**config)).run()
+    _workers(monkeypatch, 3)
+    spread = FastKademliaOverlay(fast_config(**config)).run()
+    assert spread == alone
+
+
+def test_maintenance_temporaries_stay_within_a_few_blocks(monkeypatch):
+    """One evict + refresh pass at n = 20 000 (k = 20: a 35 MiB table)
+    allocates block-sized temporaries only.  The whole-table formulation
+    peaked at ~95 MiB in eviction alone."""
+    _workers(monkeypatch, 1)
+    n = 20_000
+    table = VecRoutingTable(VecIdSpace(n, seed=0), k=20, seed=0,
+                            stale_fraction=0.1)
+    online = hashed_uniform(stream_key(0, "online"),
+                            np.arange(n, dtype=_U64)) < 0.55
+    tracemalloc.start()
+    try:
+        assert table.evict_offline(online, 0.8) > 0
+        assert table.refresh(online, 4) > 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"

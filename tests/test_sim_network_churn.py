@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.runstore import RunStore
 from repro.consensus.base import CpuBoundNode
+from repro.run import EXIT_USAGE
 from repro.run import main as run_main
 from repro.scenarios import run_scenario
 from repro.sim.churn import ChurnModel, ChurnProcess
@@ -439,12 +440,15 @@ class TestNetworkParamsValidation:
 
     @pytest.mark.parametrize("field,value", [
         ("latency_jitter", -0.5), ("base_latency", -0.2), ("loss_rate", 1.5)])
-    def test_cli_run_fails_before_saving(self, tmp_path, field, value):
+    def test_cli_run_fails_before_saving(self, tmp_path, capsys, field,
+                                         value):
         argv = ["pow-baseline", "--quiet", "--runs-dir", str(tmp_path),
                 "--save", "bad", "--set", "architecture.duration_blocks=5",
                 "--set", f'topology.network={{"{field}": {value}}}']
-        with pytest.raises(ValueError, match=f"NetworkParams.{field} "):
-            run_main(argv)
+        assert run_main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"NetworkParams.{field} " in err
         assert RunStore(tmp_path).list() == []
 
     def test_cli_exit_is_nonzero_and_names_the_field(self, tmp_path):
@@ -457,7 +461,7 @@ class TestNetworkParamsValidation:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         done = subprocess.run(argv, capture_output=True, text=True, env=env,
                               cwd=tmp_path, timeout=120)
-        assert done.returncode != 0
+        assert done.returncode == EXIT_USAGE
         assert "NetworkParams.bandwidth_bps must be finite and >= 0" in done.stderr
         assert RunStore(tmp_path).list() == []
 
