@@ -166,7 +166,7 @@ config = FastKademliaConfig(
     lookup_interval=0.05,
     kademlia=KademliaConfig.kad_like(),
     churn=ChurnModel.kad_like(),
-    network_params=NetworkParams.by_name("wan"),
+    network_params=NetworkParams(),  # the "wan" preset
     seed=7,
     warmup=600.0,
     wave_size=1024,

@@ -32,7 +32,8 @@ def _poisson_pmf(k: int, mean: float) -> float:
     )
 
 
-def attacker_success_probability(attacker_share: float, confirmations: int) -> float:
+def attacker_success_probability(attacker_share: float = 0.3,
+                                 confirmations: int = 6) -> float:
     """Probability a double-spend attacker eventually overtakes the honest chain.
 
     Parameters

@@ -95,27 +95,11 @@ ETHEREUM_PROTOCOL = ProtocolParams(
 )
 
 
-#: Named protocol presets, the declarative hook used by :mod:`repro.scenarios`.
+#: Named protocol presets (a scenario spec's ``architecture.protocol``).
 PROTOCOLS: Dict[str, ProtocolParams] = {
     "bitcoin": BITCOIN_PROTOCOL,
     "ethereum": ETHEREUM_PROTOCOL,
 }
-
-
-def protocol_by_name(spec) -> ProtocolParams:
-    """Resolve a protocol from a preset name, dict of parameters or instance."""
-    if isinstance(spec, ProtocolParams):
-        return spec
-    if isinstance(spec, str):
-        try:
-            return PROTOCOLS[spec.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown protocol {spec!r}; pick one of {sorted(PROTOCOLS)}"
-            ) from None
-    if isinstance(spec, dict):
-        return ProtocolParams(**spec)
-    raise TypeError(f"cannot build ProtocolParams from {type(spec).__name__}")
 
 
 @dataclass

@@ -97,9 +97,9 @@ class SelfishMiningResult:
 
 
 def simulate_selfish_mining(
-    alpha: float,
+    alpha: float = 1.0 / 3.0,
     gamma: float = 0.0,
-    blocks: int = 200_000,
+    blocks: int = 100_000,
     seed: int = 0,
 ) -> SelfishMiningResult:
     """Monte-Carlo simulation of the Eyal–Sirer selfish mining state machine.

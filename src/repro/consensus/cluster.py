@@ -21,7 +21,7 @@ class ConsensusBenchmarkConfig:
     protocol: str = "pbft"                 # "pbft" or "raft"
     replicas: int = 4
     request_rate: float = 2000.0
-    duration: float = 10.0
+    duration: float = 5.0
     batch_size: int = 100
     replica_params: ReplicaParams = field(default_factory=ReplicaParams)
     seed: int = 0

@@ -15,7 +15,9 @@ that exhausts its budget arrives as a ``job-failed`` event carrying the
 :class:`~repro.scenarios.execution.JobFailure`, and ``keep_going``
 selects between collecting it into the caller's failure manifest and
 aborting with :class:`~repro.scenarios.execution.JobExecutionError`
-(closing the connection cancels the run broker-side).
+(closing the connection cancels the run broker-side).  A ``spec``
+failure always aborts, re-raised as the
+:class:`~repro.scenarios.adapters.SpecError` it was.
 
 With ``reattach`` enabled (the default), a broker connection lost
 mid-run — most importantly a broker that was killed and restarted
@@ -42,6 +44,7 @@ from repro.distributed.protocol import (
     recv_frame,
     send_frame,
 )
+from repro.scenarios.adapters import SpecError
 from repro.scenarios.execution import (
     ExecutionBackend,
     ExecutionPlan,
@@ -154,6 +157,8 @@ class DistributedBackend(ExecutionBackend):
                             event.get("failure") or {})  # type: ignore[arg-type]
                         if failure.key in failed_keys:
                             continue  # re-attach replay: already counted
+                        if failure.kind == "spec":
+                            raise SpecError(failure.error)
                         failed_keys.add(failure.key)
                         if failures is not None:
                             failures[failure.key] = failure

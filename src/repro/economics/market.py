@@ -138,7 +138,7 @@ class MarketModel:
             for _ in range(leavers):
                 self.customers[self._choose_provider()] += 1
 
-    def run(self, steps: int = 100, arrivals_per_step: int = 100) -> MarketSnapshot:
+    def run(self, steps: int = 250, arrivals_per_step: int = 200) -> MarketSnapshot:
         """Run the market for ``steps`` periods and return the final snapshot."""
         snapshot = self.snapshot()
         for _ in range(steps):

@@ -60,7 +60,7 @@ class ChordNetwork:
 
     def __init__(
         self,
-        size: int,
+        size: int = 500,
         successor_list_size: int = 8,
         hop_latency_mean: float = 0.08,
         seed: int = 0,
@@ -154,6 +154,14 @@ class ChordNetwork:
             hops += 1
             current = next_hop
         return ChordLookupResult(key, origin_id, None, hops, latency, False)
+
+    def run_lookups(self, count: int = 300) -> List[ChordLookupResult]:
+        """``count`` lookups of random keys from random live nodes."""
+        # Ring order keeps the origin draw deterministic (the alive set
+        # must never be iterated directly).
+        alive = [node_id for node_id in self.ring if self.nodes[node_id].online]
+        return [self.lookup(self.rng.choice(alive), random_id(self.rng))
+                for _ in range(count)]
 
     def _hop_latency(self) -> float:
         return self.rng.exponential(self.hop_latency_mean)

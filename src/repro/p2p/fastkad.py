@@ -92,7 +92,7 @@ class FastKademliaConfig:
     network_size: int = 100_000
     lookups: int = 10_000
     lookup_interval: float = 0.05
-    kademlia: KademliaConfig = field(default_factory=KademliaConfig)
+    kademlia: KademliaConfig = field(default_factory=KademliaConfig.kad_like)
     churn: Optional[ChurnModel] = None
     network_params: Optional[NetworkParams] = None
     seed: int = 0

@@ -75,28 +75,6 @@ class KademliaConfig:
     response_bytes: int = 500
 
     @classmethod
-    def by_name(cls, spec) -> "KademliaConfig":
-        """Resolve a client config from a preset name, dict or instance.
-
-        Declarative hook used by :mod:`repro.scenarios`: ``"kad"`` and
-        ``"mainline"`` name the two measurement-calibrated presets, a dict
-        gives explicit constructor arguments.
-        """
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, str):
-            presets = {"kad": cls.kad_like, "mainline": cls.mainline_like}
-            name = spec.replace("_", "-").lower()
-            if name not in presets:
-                raise ValueError(
-                    f"unknown overlay client {spec!r}; pick one of {sorted(presets)}"
-                )
-            return presets[name]()
-        if isinstance(spec, dict):
-            return cls(**spec)
-        raise TypeError(f"cannot build KademliaConfig from {type(spec).__name__}")
-
-    @classmethod
     def kad_like(cls) -> "KademliaConfig":
         """eMule KAD-style client: parallel lookups, short timeouts, fresh tables."""
         return cls(
@@ -121,6 +99,13 @@ class KademliaConfig:
             refresh_detection=0.7,
             refresh_samples=5,
         )
+
+
+#: Named client presets (a scenario spec's Kademlia client), as factories.
+KADEMLIA_PRESETS: Dict[str, Callable[[], KademliaConfig]] = {
+    "kad": KademliaConfig.kad_like,
+    "mainline": KademliaConfig.mainline_like,
+}
 
 
 @dataclass

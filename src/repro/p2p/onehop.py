@@ -168,7 +168,7 @@ class OneHopOverlay:
         mean_session = max(self.churn.mean_session, 1e-9)
         return min(1.0, self.config.dissemination_delay / mean_session)
 
-    def lookup_latencies(self, lookups: int = 1000, hop_latency: float = 0.08) -> List[float]:
+    def lookup_latencies(self, lookups: int = 300, hop_latency: float = 0.08) -> List[float]:
         """Sampled lookup latencies including timeout+retry on stale entries."""
         stale_p = self.staleness_probability()
         latencies = []

@@ -165,7 +165,8 @@ CHAINCODE_FACTORIES = {
 }
 
 
-def chaincode_by_name(name: str, execution_time: Optional[float] = None) -> Chaincode:
+def chaincode_by_name(name: str = "asset-transfer",
+                      execution_time: Optional[float] = None) -> Chaincode:
     """Instantiate one of the stock chaincodes by its installed name."""
     try:
         factory = CHAINCODE_FACTORIES[name]

@@ -433,8 +433,8 @@ class FabricNetwork:
         self,
         channel: str,
         chaincode: str,
-        request_rate: float,
-        duration: float,
+        request_rate: float = 1000.0,
+        duration: float = 5.0,
         args_factory=None,
         key_space: int = 1000,
     ) -> FabricMetrics:

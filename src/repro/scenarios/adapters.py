@@ -11,16 +11,23 @@ class.  :class:`ArchitectureAdapter` is the per-family handle the
 execution layer holds (:func:`repro.scenarios.execution.execute_plan`
 calls ``run_replicate`` once per unit job); it looks up and delegates.
 
-Experiments construct exactly the same configuration objects the
-hand-written experiments used, so a scenario parametrized like a
-pre-framework benchmark reproduces its numbers bit-for-bit.
+A spec value reaches its model by one route: :func:`_pick` or
+:func:`_every` names it and :func:`_config` (a config dataclass) or
+:func:`_arguments` (a model function, method or class) coerces it to the
+type the model declares; :func:`_resolve` turns a preset name or field
+dict into a config.  The model is the one home of its defaults, so a
+scenario parametrized like a pre-framework benchmark reproduces its
+numbers bit-for-bit.
 """
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 from dataclasses import replace
-from typing import Callable, Dict, Iterable, Iterator, List, Tuple, Type
+from functools import lru_cache
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple, Type)
 
 from repro.scenarios.spec import FAMILIES, ScenarioSpec
 
@@ -30,26 +37,28 @@ from repro.scenarios.spec import FAMILIES, ScenarioSpec
 #: edge-federation experiments so the cross-family comparison stays consistent.
 CONSORTIUM_ENERGY_PER_TX_KWH = 2e-6
 
+#: What a spec sets for a model: ``{field or parameter: (spec key, value)}``.
+Picked = Dict[str, Tuple[str, object]]
+
 
 class SpecError(ValueError):
     """A spec value the scenario's experiment cannot be built from.
 
     A usage error (``repro-run`` exits 2 with one line), not a bug in the
-    model.  Only the steps that turn spec values into config objects raise
-    it (:func:`_spec_values`, :func:`experiment_for`,
-    :func:`_expect_workload_kind`); :meth:`ArchitectureAdapter.setup`
-    adds the scenario's name.  A ``ValueError`` from building or running
-    the model itself stays a plain ``ValueError`` with its traceback.
+    model.  Only the steps that turn spec values into model inputs raise
+    it; :meth:`ArchitectureAdapter.setup` adds the scenario's name.  A
+    ``ValueError`` from building or running the model itself stays a
+    plain ``ValueError`` with its traceback.
     """
 
 
 @contextmanager
 def _spec_values() -> Iterator[None]:
-    """Re-raise a ``ValueError`` from turning spec values into config
-    objects (coercion, a config's own validation) as :class:`SpecError`."""
+    """Re-raise an error from turning spec values into model inputs
+    (coercion, a config's own validation) as :class:`SpecError`."""
     try:
         yield
-    except ValueError as error:
+    except (TypeError, ValueError) as error:
         raise SpecError(str(error)) from error
 
 
@@ -62,9 +71,11 @@ def _float_metrics(raw: Dict[str, object], prefix: str = "") -> Dict[str, float]
     }
 
 
-def _expect_workload_kind(spec: ScenarioSpec, allowed: tuple, default: str) -> str:
-    """Validate ``workload['kind']`` so a nonsensical override fails loudly."""
-    kind = str(spec.workload.get("kind", default))
+def _expect_workload_kind(spec: ScenarioSpec, *allowed: str) -> str:
+    """``workload["kind"]`` (the first ``allowed`` one when unset),
+    validated so a nonsensical override fails loudly."""
+    kind = spec.workload.get("kind")
+    kind = allowed[0] if kind is None else str(kind)
     if kind not in allowed:
         raise SpecError(
             f"a {spec.family} scenario cannot run a {kind!r} workload; "
@@ -74,11 +85,10 @@ def _expect_workload_kind(spec: ScenarioSpec, allowed: tuple, default: str) -> s
 
 
 def _pick(spec: ScenarioSpec, section: str, *names: str,
-          **renamed: str) -> Dict[str, Tuple[str, object]]:
-    """The config fields one spec ``section`` sets, as ``{field: (spec key,
-    value)}``: ``names`` are spelled like their spec key, ``renamed`` maps
-    ``field=spec_key``.  Keys the spec leaves out are left out here, so the
-    model's own default applies."""
+          **renamed: str) -> Picked:
+    """The model inputs one spec ``section`` sets: ``names`` are spelled
+    like their spec key, ``renamed`` maps ``field=spec_key``.  A key the
+    spec leaves out is left out, so the model's own default applies."""
     source = getattr(spec, section)
     picked = {name: (f"{section}.{name}", source[name])
               for name in names if name in source}
@@ -88,51 +98,144 @@ def _pick(spec: ScenarioSpec, section: str, *names: str,
     return picked
 
 
-def _config(cls, *picked: Dict[str, Tuple[str, object]], **fixed):
-    """Build a model's config dataclass from what the spec sets.
+def _every(data: object, where: str, skip: Tuple[str, ...] = ()) -> Picked:
+    """Every key of the spec dict at ``where`` (bar the experiment's own
+    ``skip`` keys) as a pick: each must be a field of the model it builds,
+    so a key that is not one is an error rather than ignored."""
+    if not isinstance(data, dict):
+        raise SpecError(f"{where} expects a dict of fields, got {data!r}")
+    return {name: (f"{where}.{name}", value)
+            for name, value in data.items() if name not in skip}
 
-    Each ``picked`` value (see :func:`_pick`; later dicts win) is coerced
-    to the type of the field's own default (:func:`_coerce`) and fields
-    nothing picks keep that default, so the model is the one home of its
-    defaults.  ``fixed`` are the fields the experiment owns (replicate
-    seed, nested configs) and win over any pick.
+
+def _duration(spec: ScenarioSpec) -> Picked:
+    """``spec.duration`` as a pick of the model's ``duration`` (0, the
+    spec's unset value, keeps the model's default)."""
+    return {"duration": ("duration", spec.duration)} if spec.duration else {}
+
+
+_EXPECTS = {bool: "true or false", int: "an integer", float: "a number",
+            str: "a string"}
+_SCALARS = {kind.__name__: kind for kind in _EXPECTS}
+
+
+@lru_cache(maxsize=None)
+def _declared(target: Callable) -> Dict[str, Tuple[object, Optional[type]]]:
+    """``{parameter: (default, type)}`` of a dataclass, class, function
+    or method (``self`` aside), looked up once per target: a sweep builds
+    the same configs thousands of times.  The type is a scalar default's,
+    else a scalar annotation's (``Optional[int]``), else ``None``."""
+    declared: Dict[str, Tuple[object, Optional[type]]] = {}
+    for name, parameter in inspect.signature(target).parameters.items():
+        if name == "self":
+            continue
+        default, annotation = parameter.default, parameter.annotation
+        text = str(getattr(annotation, "__name__", annotation))
+        declared[name] = (default, type(default) if isinstance(default, tuple(_EXPECTS))
+                          else _SCALARS.get(text.replace("Optional[", "").rstrip("]")))
+    return declared
+
+
+def _coerce(declared: Tuple[object, Optional[type]], key: str,
+            value: object) -> object:
+    """``value`` as the declared type (a JSON ``3`` for a float field
+    arrives as ``3.0``).  A value the conversion would change or cannot
+    convert — ``2.7`` for an int, a bool for a number or the reverse,
+    ``"abc"`` for a number — is a ``ValueError`` naming the spec ``key``.
     """
-    fields = cls.__dataclass_fields__
-    kwargs: Dict[str, object] = {}
+    default, kind = declared
+    if kind is None or (value is None and default is None):
+        return value
+    lossy = kind is int and isinstance(value, float) and not value.is_integer()
+    if isinstance(value, bool) == (kind is bool) and not lossy:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key} expects {_EXPECTS[kind]}, got {value!r}")
+
+
+def _coerced(target: Callable, picked: Iterable[Picked]) -> Dict[str, object]:
+    """The ``picked`` values (later picks win), coerced to what ``target``
+    declares; a name it does not declare is an error naming the key."""
+    declared = _declared(target)
+    values: Dict[str, object] = {}
+    for pick in picked:
+        for name, (key, value) in pick.items():
+            if name not in declared:
+                raise ValueError(
+                    f"unknown key {key}: {target.__name__} takes no {name!r}")
+            values[name] = _coerce(declared[name], key, value)
+    return values
+
+
+def _config(cls, *picked: Picked, **fixed):
+    """A model's config dataclass from the coerced ``picked`` values
+    (fields nothing picks keep their default) and ``fixed``, the fields
+    the experiment owns (replicate seed, nested configs), which win.  Its
+    own validation runs here, so its ``ValueError`` is a SpecError."""
     with _spec_values():
-        for values in picked:
-            for name, (key, value) in values.items():
-                kwargs[name] = _coerce(fields[name].default, key, value)
-        kwargs.update(fixed)
-        return cls(**kwargs)
+        values = _coerced(cls, picked)
+        values.update(fixed)
+        return cls(**values)
 
 
-def _coerce(default: object, key: str, value: object) -> object:
-    """``value`` as the type of a field's ``default``: a JSON ``3`` for a
-    float field arrives as ``3.0``, and ``3.0`` for an int field as ``3``.
-
-    A value the conversion would change rather than convert — a fractional
-    float for an int field, anything but a JSON bool for a bool field — is
-    a ``ValueError`` naming the spec ``key``.
-    """
-    kind = type(default)
-    if kind is bool and not isinstance(value, bool):
-        raise ValueError(f"{key} expects true or false, got {value!r}")
-    if kind is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"{key} expects an integer, got {value!r}")
-    return kind(value)
+def _arguments(target: Callable, *picked: Picked, **fixed) -> Dict[str, object]:
+    """The keyword arguments to call a model's ``target`` with: its
+    defaults, then the coerced ``picked`` values, then ``fixed``.  The
+    call is the caller's, so the model's ``ValueError`` keeps its
+    traceback."""
+    with _spec_values():
+        values = {name: default for name, (default, _) in _declared(target).items()
+                  if default is not inspect.Parameter.empty}
+        values.update(_coerced(target, picked))
+    values.update(fixed)
+    return values
 
 
-def _lookup_environment(spec: ScenarioSpec, seed: int, client: str) -> Dict[str, object]:
-    """The config fields both Kademlia substrates fill alike; ``client`` is
-    the ``architecture`` key naming the client (preset or field dict), with
-    ``architecture["client_overrides"]`` applied on top."""
+def _resolve(value: object, key: str, cls, presets: Mapping[str, object]):
+    """The config one spec value names (``None`` names none): a preset
+    (any case, ``_`` for ``-``; a factory or a shared instance) or a dict
+    of ``cls`` fields."""
+    if value is None:
+        return None
+    if isinstance(value, dict):
+        return _config(cls, _every(value, key))
+    name = str(value).replace("_", "-").lower()
+    if not isinstance(value, str) or name not in presets:
+        raise SpecError(f"{key} expects a preset name ({', '.join(sorted(presets))}) "
+                        f"or a dict of {cls.__name__} fields, got {value!r}")
+    found = presets[name]
+    return found() if callable(found) else found
+
+
+def _default_of(cls, name: str) -> object:
+    """A fresh copy of the default a config dataclass declares for ``name``."""
+    field = cls.__dataclass_fields__[name]
+    return field.default_factory() if callable(field.default_factory) else field.default
+
+
+def _client(spec: ScenarioSpec, key: str, target):
+    """The Kademlia client ``architecture[key]`` names, or ``target``'s."""
+    from repro.p2p.kademlia import KADEMLIA_PRESETS, KademliaConfig
+
+    return _resolve(spec.architecture.get(key), f"architecture.{key}",
+                    KademliaConfig, KADEMLIA_PRESETS) or _default_of(target, "kademlia")
+
+
+def _lookup_environment(spec: ScenarioSpec, seed: int, client: str,
+                        target) -> Dict[str, object]:
+    """The config fields both Kademlia substrates fill alike: the client
+    with ``architecture.client_overrides`` on top, churn, network, seed
+    and metrics mode."""
     from repro.p2p.kademlia import KademliaConfig
 
-    kademlia = KademliaConfig.by_name(spec.architecture.get(client, "kad"))
-    overrides = spec.architecture.get("client_overrides") or {}
+    kademlia = _client(spec, client, target)
+    overrides = spec.architecture.get("client_overrides")
     if overrides:
-        kademlia = replace(kademlia, **overrides)
+        picked = _every(overrides, "architecture.client_overrides")
+        with _spec_values():
+            kademlia = replace(kademlia, **_coerced(KademliaConfig, [picked]))
     return {
         "kademlia": kademlia,
         "churn": _churn(spec),
@@ -143,20 +246,30 @@ def _lookup_environment(spec: ScenarioSpec, seed: int, client: str) -> Dict[str,
 
 
 def _churn(spec: ScenarioSpec):
-    """The spec's churn model (``None`` when the membership is stable)."""
-    from repro.sim.churn import ChurnModel
+    """The spec's churn model (``None``, "none" or "off": stable)."""
+    from repro.sim.churn import CHURN_PRESETS, ChurnModel
 
-    with _spec_values():
-        return ChurnModel.from_spec(spec.churn)
+    return _resolve(spec.churn, "churn", ChurnModel,
+                    {**CHURN_PRESETS, "none": None, "off": None})
 
 
 def _network(spec: ScenarioSpec):
-    """The spec's ``topology["network"]`` as ``NetworkParams`` (``None``
-    when it sets none, so the model keeps its own default)."""
-    from repro.sim.network import NetworkParams
+    """The spec's ``topology.network`` as ``NetworkParams`` (or ``None``)."""
+    from repro.sim.network import NETWORK_PRESETS, NetworkParams
 
-    with _spec_values():
-        return NetworkParams.from_spec(spec.topology.get("network"))
+    return _resolve(spec.topology.get("network"), "topology.network",
+                    NetworkParams, NETWORK_PRESETS)
+
+
+def _workload(spec: ScenarioSpec, seed: int):
+    """The generator ``spec.workload`` describes: ``kind`` names its class
+    (:data:`~repro.workloads.WORKLOAD_KINDS`), every other key is one of
+    its parameters, and the replicate seed owns ``seed``."""
+    from repro.workloads import WORKLOAD_KINDS
+
+    generator = WORKLOAD_KINDS[_expect_workload_kind(spec, *WORKLOAD_KINDS)]
+    return generator(**_arguments(
+        generator, _every(spec.workload, "workload", skip=("kind",)), seed=seed))
 
 
 def _latency_metrics(latencies: List[float]) -> Dict[str, float]:
@@ -186,15 +299,19 @@ class Experiment:
 
     Subclasses implement :meth:`setup` (spec + seed → a dict context
     holding the live system), :meth:`collect` (outcome → flat float
-    metrics) and, unless the system is a ``context["model"]`` with its own
-    ``run()``, :meth:`run` (drive the workload, return the outcome).  All
-    state of a run travels in its context, so one instance serves them all.
+    metrics) and, unless the context names what drives the workload,
+    :meth:`run` (drive it, return the outcome).  All state of a run
+    travels in its context, so one instance serves them all.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int) -> Dict[str, object]:
         raise NotImplementedError
 
     def run(self, context):
+        """``context["run"](**context["arguments"])``, or else the
+        ``context["model"]``'s own ``run()``."""
+        if "run" in context:
+            return context["run"](**context["arguments"])
         return context["model"].run()
 
     def collect(self, context, outcome) -> Dict[str, float]:
@@ -302,36 +419,34 @@ class ArchitectureAdapter:
 class ProofOfWorkNetwork(Experiment):
     """A live PoW network (``consensus: "pow"``, the family default).
 
-    ``architecture`` keys: ``protocol`` (preset name or dict),
-    ``miner_count``, ``duration_blocks``, plus any other
-    :class:`~repro.blockchain.network.PoWNetworkConfig` field; the offered
-    transaction load comes from ``workload["rate_tps"]``.
+    ``architecture`` keys: ``protocol`` (preset name or dict) and every
+    other key a :class:`~repro.blockchain.network.PoWNetworkConfig` field
+    (``miner_count``, ``duration_blocks``, ...; ``seed`` is the replicate
+    seed's).  ``workload["rate_tps"]`` is the offered load unless
+    ``tx_arrival_rate`` is set; ``topology["network"]`` the network.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.blockchain.network import (
+            PROTOCOLS,
             PoWNetwork,
             PoWNetworkConfig,
-            protocol_by_name,
+            ProtocolParams,
         )
 
-        _expect_workload_kind(spec, ("payment",), default="payment")
-        arch = dict(spec.architecture)
-        arch.pop("consensus", None)
-        protocol = protocol_by_name(arch.pop("protocol", "bitcoin"))
-        # The replicate seed and the workload rate own their keys; an
-        # architecture.tx_arrival_rate override still wins over the workload
-        # so "plus any other PoWNetworkConfig field" holds without a
-        # duplicate-keyword TypeError.
-        arch.pop("seed", None)
-        arch.pop("tx_arrival_rate", None)
-        if spec.topology.get("network") is not None:
-            arch["network_params"] = _network(spec)
-        config = _config(PoWNetworkConfig,
-                         _pick(spec, "workload", tx_arrival_rate="rate_tps"),
-                         _pick(spec, "architecture", "tx_arrival_rate"),
-                         protocol=protocol, seed=seed, **arch)
-        return {"model": PoWNetwork(config), "protocol": protocol}
+        _expect_workload_kind(spec, "payment")
+        protocol = _resolve(spec.architecture.get("protocol"),
+                            "architecture.protocol", ProtocolParams, PROTOCOLS)
+        config = _config(
+            PoWNetworkConfig,
+            _pick(spec, "workload", tx_arrival_rate="rate_tps"),
+            _every(spec.architecture, "architecture",
+                   skip=("consensus", "protocol", "seed")),
+            protocol=protocol or _default_of(PoWNetworkConfig, "protocol"),
+            network_params=_network(spec),
+            seed=seed,
+        )
+        return {"model": PoWNetwork(config), "protocol": config.protocol}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.blockchain.energy import EnergyModel
@@ -373,10 +488,10 @@ class ProofOfWorkNetwork(Experiment):
 class NothingAtStake(Experiment):
     """The chain-based PoS fork model (``consensus: "pos"``, E14).
 
-    ``architecture`` keys:
+    ``architecture`` keys: the
     :class:`~repro.blockchain.proof_of_stake.ProofOfStakeParams` fields
-    (``multi_vote_fraction``, ``rounds``, ...), with ``slashing`` spelling
-    ``slashing_enabled``.
+    ``validators``, ``stake_pareto_shape``, ``multi_vote_fraction``,
+    ``rounds``, ``fork_probability`` and ``slashing`` (``slashing_enabled``).
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
@@ -410,7 +525,8 @@ class ProviderMarket(Experiment):
     :class:`~repro.economics.market.MarketModel` (``consensus: "market"``,
     E1 — why open markets concentrate).
 
-    ``architecture`` keys: ``steps``, ``arrivals_per_step`` plus any
+    ``architecture`` keys: ``steps`` and ``arrivals_per_step``
+    (:meth:`~repro.economics.market.MarketModel.run`) plus any
     :class:`~repro.economics.market.MarketParams` field (``providers``,
     ``preferential_exponent``, ...).
     """
@@ -418,18 +534,13 @@ class ProviderMarket(Experiment):
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.economics.market import MarketModel, MarketParams
 
-        arch = spec.architecture
         params = _config(MarketParams, _pick(
             spec, "architecture", *MarketParams.__dataclass_fields__))
         return {
-            "model": MarketModel(params, seed=seed),
-            "steps": int(arch.get("steps", 250)),
-            "arrivals": int(arch.get("arrivals_per_step", 200)),
+            "run": MarketModel(params, seed=seed).run,
+            "arguments": _arguments(MarketModel.run, _pick(
+                spec, "architecture", "steps", "arrivals_per_step")),
         }
-
-    def run(self, context):
-        return context["model"].run(steps=context["steps"],
-                                    arrivals_per_step=context["arrivals"])
 
     def collect(self, context, outcome) -> Dict[str, float]:
         metrics = {key: float(value)
@@ -475,26 +586,19 @@ class SelfishMining(Experiment):
     :mod:`repro.blockchain.selfish` instead of a live network
     (``attack: "selfish"``, E10).
 
-    ``architecture`` keys: ``alpha``, ``gamma``, ``blocks``.  Reports
+    ``architecture`` keys: ``alpha``, ``gamma``, ``blocks``
+    (:func:`~repro.blockchain.selfish.simulate_selfish_mining`).  Reports
     simulated and closed-form relative revenue.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        arch = spec.architecture
-        return {
-            "alpha": float(arch.get("alpha", 1.0 / 3.0)),
-            "gamma": float(arch.get("gamma", 0.0)),
-            "blocks": int(arch.get("blocks", 100_000)),
-            "seed": seed,
-        }
-
-    def run(self, context):
         from repro.blockchain.selfish import simulate_selfish_mining
 
-        return simulate_selfish_mining(
-            context["alpha"], context["gamma"],
-            blocks=context["blocks"], seed=context["seed"],
-        )
+        return {"run": simulate_selfish_mining, "arguments": _arguments(
+            simulate_selfish_mining,
+            _pick(spec, "architecture", "alpha", "gamma", "blocks"),
+            seed=seed,
+        )}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.blockchain.selfish import selfish_mining_revenue
@@ -520,17 +624,26 @@ class DoubleSpend(Experiment):
     """Nakamoto/Rosenfeld catch-up analysis of
     :mod:`repro.blockchain.attacks` (``attack: "double-spend"``, E13).
 
-    ``architecture`` keys: ``attacker_share``, ``confirmations``,
-    ``max_risk``.  Reports the attack success probability and the
-    confirmation count holding risk under ``max_risk``.
+    ``architecture`` keys: ``attacker_share``, ``confirmations``
+    (:func:`~repro.blockchain.attacks.attacker_success_probability`) and
+    ``max_risk`` (:func:`~repro.blockchain.attacks.confirmations_for_risk`).
+    Reports the attack success probability and the confirmation count
+    holding risk under ``max_risk``.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        arch = spec.architecture
+        from repro.blockchain.attacks import (
+            attacker_success_probability,
+            confirmations_for_risk,
+        )
+
+        attack = _arguments(attacker_success_probability, _pick(
+            spec, "architecture", "attacker_share", "confirmations"))
         return {
-            "attacker_share": float(arch.get("attacker_share", 0.3)),
-            "confirmations": int(arch.get("confirmations", 6)),
-            "max_risk": float(arch.get("max_risk", 0.001)),
+            "attack": attack,
+            "risk": _arguments(confirmations_for_risk,
+                               _pick(spec, "architecture", "max_risk"),
+                               attacker_share=attack["attacker_share"]),
         }
 
     def run(self, context):
@@ -539,19 +652,19 @@ class DoubleSpend(Experiment):
             confirmations_for_risk,
         )
 
-        share = context["attacker_share"]
         return {
             "success_probability": attacker_success_probability(
-                share, context["confirmations"]),
+                **context["attack"]),
             "confirmations_for_max_risk": float(
-                confirmations_for_risk(share, context["max_risk"])),
+                confirmations_for_risk(**context["risk"])),
         }
 
     def collect(self, context, outcome) -> Dict[str, float]:
+        attack = context["attack"]
         return {
-            "attacker_share": context["attacker_share"],
-            "confirmations": float(context["confirmations"]),
-            "max_risk": context["max_risk"],
+            "attacker_share": attack["attacker_share"],
+            "confirmations": float(attack["confirmations"]),
+            "max_risk": context["risk"]["max_risk"],
             **outcome,
         }
 
@@ -565,18 +678,19 @@ class ConsensusCluster(Experiment):
 
     ``architecture`` keys: ``protocol`` (``"pbft"`` or ``"raft"``),
     ``replicas``, ``batch_size``.  The request rate comes from
-    ``workload["rate_tps"]`` and the measured interval from ``duration``.
+    ``workload["rate_tps"]`` and the measured interval from ``duration``
+    (:class:`~repro.consensus.cluster.ConsensusBenchmarkConfig` fields).
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.consensus.cluster import ConsensusBenchmark, ConsensusBenchmarkConfig
 
-        _expect_workload_kind(spec, ("payment",), default="payment")
+        _expect_workload_kind(spec, "payment")
         config = _config(
             ConsensusBenchmarkConfig,
             _pick(spec, "architecture", "protocol", "replicas", "batch_size"),
             _pick(spec, "workload", request_rate="rate_tps"),
-            duration=float(spec.duration or 5.0),
+            _duration(spec),
             seed=seed,
         )
         return {"model": ConsensusBenchmark(config)}
@@ -601,54 +715,45 @@ class FabricConsortium(Experiment):
     ``architecture`` keys: ``organizations``, ``peers_per_org``,
     ``chaincode`` (installed name, see
     :func:`repro.permissioned.chaincode.chaincode_by_name`) and
-    ``key_space``.  ``workload`` is either ``{"kind": "payment",
-    "rate_tps": ...}`` (stock transfer arguments over ``key_space``
-    accounts) or ``{"kind": "vertical", "domain": ..., "rate_tps": ...}``
-    driving the matching :class:`~repro.workloads.VerticalWorkload`.
+    ``key_space``; ``workload["rate_tps"]`` and ``duration`` set the load.
+    ``workload["kind"]`` is ``"payment"`` (transfers over ``key_space``
+    accounts) or ``"vertical"``, whose other keys (``domain``, ...) build
+    the :class:`~repro.workloads.VerticalWorkload` giving the arguments.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.permissioned.chaincode import chaincode_by_name
         from repro.permissioned.fabric import FabricNetwork, FabricNetworkConfig
 
-        arch = spec.architecture
         network = FabricNetwork(_config(
             FabricNetworkConfig,
             _pick(spec, "architecture", "organizations", "peers_per_org"),
             seed=seed,
         ))
-        chaincode = str(arch.get("chaincode", "asset-transfer"))
-        network.install_chaincode("default", chaincode_by_name(chaincode))
+        chaincode = _arguments(chaincode_by_name,
+                               _pick(spec, "architecture", name="chaincode"))
+        network.install_chaincode("default", chaincode_by_name(**chaincode))
 
         args_factory = None
-        workload = spec.workload
-        kind = _expect_workload_kind(spec, ("payment", "vertical"), default="payment")
-        if kind == "vertical":
-            from repro.workloads import workload_from_spec
-
-            vertical = workload_from_spec(workload, seed=seed)
+        if _expect_workload_kind(spec, "payment", "vertical") == "vertical":
+            vertical = _workload(spec, seed)
 
             def args_factory(rng) -> Dict:
                 return dict(vertical.invocation()["args"])
 
         return {
             "network": network,
-            "chaincode": chaincode,
-            "args_factory": args_factory,
-            "rate": float(workload.get("rate_tps", 1000.0)),
-            "duration": float(spec.duration or 5.0),
-            "key_space": int(arch.get("key_space", 1000)),
+            "run": network.run_workload,
+            "arguments": _arguments(
+                FabricNetwork.run_workload,
+                _pick(spec, "workload", request_rate="rate_tps"),
+                _pick(spec, "architecture", "key_space"),
+                _duration(spec),
+                channel="default",
+                chaincode=chaincode["name"],
+                args_factory=args_factory,
+            ),
         }
-
-    def run(self, context):
-        return context["network"].run_workload(
-            "default",
-            context["chaincode"],
-            request_rate=context["rate"],
-            duration=context["duration"],
-            args_factory=context["args_factory"],
-            key_space=context["key_space"],
-        )
 
     def collect(self, context, outcome) -> Dict[str, float]:
         metrics = _float_metrics(outcome.summary())
@@ -663,33 +768,32 @@ class FabricConsortium(Experiment):
 # ----------------------------------------------------------------------
 # Open P2P overlays (structured DHTs, one-hop, flooding, identity attacks).
 # In every experiment ``topology["size"]`` is the network size,
-# ``workload["lookups"]`` the number of lookups and ``churn`` follows
-# :meth:`repro.sim.churn.ChurnModel.from_spec`; all report comparable
-# ``median/p90/mean_latency_s`` and ``failure_rate`` metrics so
-# cross-substrate studies can pivot on them directly.
+# ``workload["lookups"]`` the number of lookups and ``churn`` a
+# ``CHURN_PRESETS`` name or ``ChurnModel`` field dict (:func:`_churn`); all
+# report comparable ``median/p90/mean_latency_s`` and ``failure_rate``
+# metrics so cross-substrate studies can pivot on them directly.
 # ----------------------------------------------------------------------
 @experiment("overlay", "kad", "mainline")
 class KademliaLookups(Experiment):
     """The multi-hop Kademlia DHT on the event-driven engine (E2, E5).
 
     ``architecture["overlay"]`` is the client: a preset (``"kad"`` /
-    ``"mainline"``) or a dict of
-    :class:`~repro.p2p.kademlia.KademliaConfig` fields, with optional
-    ``client_overrides`` applied on top.  ``workload["interval_s"]`` spaces
-    the lookups and ``topology["network"]`` selects a
-    :meth:`repro.sim.network.NetworkParams.from_spec` latency/bandwidth
-    preset (``lan``/``wan``/``geo``) or field dict.
+    ``"mainline"``) or a :class:`~repro.p2p.kademlia.KademliaConfig` field
+    dict, with optional ``client_overrides`` (fields) on top.
+    ``topology["size"]``, ``workload["lookups"]``/``["interval_s"]``,
+    ``churn`` and ``topology["network"]`` (``lan``/``wan``/``geo`` or a
+    :class:`~repro.sim.network.NetworkParams` field dict) set the run.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.lookup import LookupExperiment, LookupExperimentConfig
 
-        _expect_workload_kind(spec, ("lookup",), default="lookup")
+        _expect_workload_kind(spec, "lookup")
         config = _config(
             LookupExperimentConfig,
             _pick(spec, "topology", network_size="size"),
             _pick(spec, "workload", "lookups", lookup_interval="interval_s"),
-            **_lookup_environment(spec, seed, client="overlay"),
+            **_lookup_environment(spec, seed, "overlay", LookupExperimentConfig),
         )
         return {"model": LookupExperiment(config)}
 
@@ -703,22 +807,22 @@ class FastKademliaLookups(Experiment):
     (:class:`~repro.p2p.fastkad.FastKademliaOverlay`): same lookup metrics
     from array-backed state, tractable at 10^5+ nodes.
 
-    ``architecture["client"]`` picks the client preset/dict
-    (``client_overrides`` applies on top), ``workload["wave_size"]`` the
-    lookup batch width, ``workload["warmup_s"]`` the churn warm-up; the
-    spec's ``metrics`` mode selects exact or streaming latency samples.
+    ``architecture["client"]`` is the client (``client_overrides`` on
+    top), ``workload["wave_size"]`` the lookup batch width and
+    ``workload["warmup_s"]`` the churn warm-up; the other keys read as
+    for ``kad``, and ``metrics`` selects exact or streaming samples.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.fastkad import FastKademliaConfig, FastKademliaOverlay
 
-        _expect_workload_kind(spec, ("lookup",), default="lookup")
+        _expect_workload_kind(spec, "lookup")
         config = _config(
             FastKademliaConfig,
             _pick(spec, "topology", network_size="size"),
             _pick(spec, "workload", "lookups", "wave_size",
                   lookup_interval="interval_s", warmup="warmup_s"),
-            **_lookup_environment(spec, seed, client="client"),
+            **_lookup_environment(spec, seed, "client", FastKademliaConfig),
         )
         return {"model": FastKademliaOverlay(config)}
 
@@ -736,33 +840,31 @@ class SybilAttack(Experiment):
     ``attack: "sybil"`` spreads self-assigned identities uniformly,
     ``"eclipse"`` clusters them around a target key
     (``architecture["targeted_key"]``, or a seed-derived key when unset).
-    ``attacker_machines`` and ``identities_per_machine`` size the attack;
-    ``architecture["overlay"]`` names the Kademlia client preset.
+    ``attacker_machines`` and ``identities_per_machine`` size the attack
+    on ``topology["size"]`` honest nodes, measured over
+    ``workload["lookups"]``; ``architecture["overlay"]`` is the client.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.identifiers import random_id
-        from repro.p2p.kademlia import KademliaConfig
         from repro.p2p.sybil import SybilAttackConfig
         from repro.sim.rng import SeededRNG
 
-        _expect_workload_kind(spec, ("lookup",), default="lookup")
-        arch = spec.architecture
-        targeted_key = arch.get("targeted_key")
-        if arch["attack"] == "eclipse" and targeted_key is None:
-            # A deterministic per-seed victim key, so replicates eclipse
-            # different regions of the identifier space.
-            targeted_key = random_id(SeededRNG(seed).fork("eclipse-target"))
+        _expect_workload_kind(spec, "lookup")
         config = _config(
             SybilAttackConfig,
             _pick(spec, "topology", honest_nodes="size"),
             _pick(spec, "architecture", "attacker_machines",
-                  "identities_per_machine"),
+                  "identities_per_machine", "targeted_key"),
             _pick(spec, "workload", "lookups"),
-            targeted_key=targeted_key if targeted_key is None else int(targeted_key),
-            kademlia=KademliaConfig.by_name(arch.get("overlay", "kad")),
+            kademlia=_client(spec, "overlay", SybilAttackConfig),
             seed=seed,
         )
+        if spec.architecture["attack"] == "eclipse" and config.targeted_key is None:
+            # A deterministic per-seed victim key, so replicates eclipse
+            # different regions of the identifier space.
+            config = replace(config, targeted_key=random_id(
+                SeededRNG(seed).fork("eclipse-target")))
         return {"config": config}
 
     def run(self, context):
@@ -790,43 +892,32 @@ class ChordLookups(Experiment):
     """Greedy finger-table routing on a converged
     :class:`~repro.p2p.chord.ChordNetwork` ring (E2).
 
-    ``architecture`` keys: ``successor_list_size``, ``hop_latency_mean``.
-    The churn model's implied availability fails ``1 - availability`` of
-    the ring before the lookups run, exercising successor-list repair.
+    ``topology["size"]`` and the ``architecture`` keys
+    ``successor_list_size``, ``hop_latency_mean`` build the ring;
+    ``workload["lookups"]`` counts the lookups.  The churn model's implied
+    availability fails ``1 - availability`` of the ring before the lookups
+    run, exercising successor-list repair.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.chord import ChordNetwork
 
-        _expect_workload_kind(spec, ("lookup",), default="lookup")
-        arch = spec.architecture
-        network = ChordNetwork(
-            size=int(spec.topology.get("size", 500)),
-            successor_list_size=int(arch.get("successor_list_size", 8)),
-            hop_latency_mean=float(arch.get("hop_latency_mean", 0.08)),
+        _expect_workload_kind(spec, "lookup")
+        network = ChordNetwork(**_arguments(
+            ChordNetwork,
+            _pick(spec, "topology", "size"),
+            _pick(spec, "architecture", "successor_list_size", "hop_latency_mean"),
             seed=seed,
-        )
+        ))
         churn = _churn(spec)
         if churn is not None:
             network.fail_nodes(1.0 - churn.availability)
         return {
             "network": network,
-            "lookups": int(spec.workload.get("lookups", 300)),
+            "run": network.run_lookups,
+            "arguments": _arguments(ChordNetwork.run_lookups,
+                                    _pick(spec, "workload", count="lookups")),
         }
-
-    def run(self, context):
-        from repro.p2p.identifiers import random_id
-
-        network = context["network"]
-        # Ring order keeps the origin draw deterministic (the alive
-        # set must never be iterated directly).
-        alive = [node_id for node_id in network.ring
-                 if network.nodes[node_id].online]
-        return [
-            network.lookup(network.rng.choice(alive),
-                           random_id(network.rng))
-            for _ in range(context["lookups"])
-        ]
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.analysis.stats import mean
@@ -853,31 +944,30 @@ class ChordLookups(Experiment):
 class OneHopLookups(Experiment):
     """The full-membership :class:`~repro.p2p.onehop.OneHopOverlay` (E6).
 
-    ``architecture`` keys: ``dissemination_delay``, ``lookup_timeout`` and
-    ``hop_latency``.
+    ``topology["size"]``, ``churn`` and the ``architecture`` keys
+    ``dissemination_delay``, ``lookup_timeout`` configure the overlay;
+    ``workload["lookups"]`` and ``architecture["hop_latency"]`` drive
+    :meth:`~repro.p2p.onehop.OneHopOverlay.lookup_latencies`.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.onehop import OneHopConfig, OneHopOverlay
 
-        _expect_workload_kind(spec, ("lookup",), default="lookup")
-        arch = spec.architecture
+        _expect_workload_kind(spec, "lookup")
         config = _config(
             OneHopConfig,
             _pick(spec, "topology", "size"),
             _pick(spec, "architecture", "dissemination_delay", "lookup_timeout"),
             churn=_churn(spec),
         )
+        overlay = OneHopOverlay(config, seed=seed)
         return {
-            "overlay": OneHopOverlay(config, seed=seed),
-            "lookups": int(spec.workload.get("lookups", 300)),
-            "hop_latency": float(arch.get("hop_latency", 0.08)),
+            "overlay": overlay,
+            "run": overlay.lookup_latencies,
+            "arguments": _arguments(OneHopOverlay.lookup_latencies,
+                                    _pick(spec, "workload", "lookups"),
+                                    _pick(spec, "architecture", "hop_latency")),
         }
-
-    def run(self, context):
-        return context["overlay"].lookup_latencies(
-            context["lookups"], hop_latency=context["hop_latency"]
-        )
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.analysis.stats import percentile
@@ -903,17 +993,18 @@ class GnutellaSearch(Experiment):
     """TTL-limited flooding over a
     :class:`~repro.p2p.unstructured.GnutellaNetwork` (E4).
 
-    ``architecture`` keys: ``degree``, ``ttl``, ``objects``,
-    ``replicas_per_object``, ``zipf_exponent``, ``sharing_fraction``,
-    ``hop_latency_mean``.  The churn model scales the sharing fraction by
-    the implied mean availability, so flooding runs under the same churn
-    trace as the structured substrates.
+    ``topology["size"]`` and the ``architecture`` keys ``degree``,
+    ``ttl``, ``objects``, ``replicas_per_object``, ``zipf_exponent``,
+    ``sharing_fraction``, ``hop_latency_mean`` build the overlay;
+    ``workload["lookups"]`` counts the queries.  The churn model scales
+    the sharing fraction by the implied mean availability, so flooding
+    runs under the same churn trace as the structured substrates.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.unstructured import GnutellaConfig, GnutellaNetwork
 
-        _expect_workload_kind(spec, ("lookup",), default="lookup")
+        _expect_workload_kind(spec, "lookup")
         churn = _churn(spec)
         availability = churn.availability if churn is not None else 1.0
         config = _config(
@@ -925,13 +1016,11 @@ class GnutellaSearch(Experiment):
         )
         config.sharing_fraction *= availability
         return {
-            "network": GnutellaNetwork(config, seed=seed),
-            "queries": int(spec.workload.get("lookups", 200)),
+            "run": GnutellaNetwork(config, seed=seed).run_queries,
+            "arguments": _arguments(GnutellaNetwork.run_queries,
+                                    _pick(spec, "workload", count="lookups")),
             "availability": availability,
         }
-
-    def run(self, context):
-        return context["network"].run_queries(context["queries"])
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.analysis.stats import mean
@@ -962,17 +1051,18 @@ class SuperpeerSearch(Experiment):
     """Two-tier search over a :class:`~repro.p2p.superpeer.SuperpeerNetwork`
     (§II: Kazaa/eDonkey/Skype — the scaling fix that re-centralizes).
 
-    ``topology["size"]`` is the number of leaves; ``architecture`` keys are
-    the other :class:`~repro.p2p.superpeer.SuperpeerConfig` fields
-    (``superpeers``, ``leaves_per_superpeer``, ``objects``, ...).  Churn is
-    not modelled: the superpeer tier is by construction the stable layer.
-    Reports search cost next to how concentrated the index tier is.
+    ``topology["size"]`` is the number of leaves; ``architecture`` keys:
+    ``superpeers``, ``leaves_per_superpeer``, ``superpeer_neighbors``,
+    ``objects``, ``replicas_per_object``, ``hop_latency_mean``;
+    ``workload["lookups"]`` counts the queries.  Churn is not modelled:
+    the superpeer tier is by construction the stable layer.  Reports
+    search cost next to how concentrated the index tier is.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.superpeer import SuperpeerConfig, SuperpeerNetwork
 
-        _expect_workload_kind(spec, ("lookup",), default="lookup")
+        _expect_workload_kind(spec, "lookup")
         config = _config(
             SuperpeerConfig,
             _pick(spec, "topology", leaves="size"),
@@ -980,17 +1070,17 @@ class SuperpeerSearch(Experiment):
                   "superpeer_neighbors", "objects", "replicas_per_object",
                   "hop_latency_mean"),
         )
+        network = SuperpeerNetwork(config, seed=seed)
         return {
-            "network": SuperpeerNetwork(config, seed=seed),
-            "queries": int(spec.workload.get("lookups", 300)),
+            "network": network,
+            "run": network.run_queries,
+            "arguments": _arguments(SuperpeerNetwork.run_queries,
+                                    _pick(spec, "workload", count="lookups")),
         }
-
-    def run(self, context):
-        return context["network"].run_queries(context["queries"])
 
     def collect(self, context, outcome) -> Dict[str, float]:
         return {
-            "lookups": float(context["queries"]),
+            "lookups": float(context["arguments"]["count"]),
             "recall": outcome["recall"],
             "failure_rate": 1.0 - outcome["recall"],
             "hops_per_lookup": outcome["mean_hops"],
@@ -1008,35 +1098,27 @@ class EdgePlacement(Experiment):
     """Cloud-only vs regional-cloud vs edge-centric placement
     (``mode: "placement"``, the family default).
 
-    Runs ``workload["requests"]`` device requests under each strategy over
-    an :class:`~repro.edge.topology.EdgeTopology` built from ``topology``
+    Runs ``workload["requests"]`` device requests under each strategy
+    (:func:`~repro.edge.placement.compare_placements`) over an
+    :class:`~repro.edge.topology.EdgeTopology` whose every ``topology``
+    key is an :class:`~repro.edge.topology.EdgeTopologyConfig` field
     (empty dict → stock topology).  Metrics are emitted per strategy as
     ``<strategy>.<metric>`` plus the cloud-to-edge ``speedup``.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        _expect_workload_kind(spec, ("object",), default="object")
+        from repro.edge.placement import compare_placements
+
+        _expect_workload_kind(spec, "object")
         topology = None
         if spec.topology:
             from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
 
-            with _spec_values():
-                config = EdgeTopologyConfig(**spec.topology)
-            topology = EdgeTopology(config)
-        return {
-            "topology": topology,
-            "requests": int(spec.workload.get("requests", 2000)),
-            "seed": seed,
-        }
-
-    def run(self, context):
-        from repro.edge.placement import compare_placements
-
-        return compare_placements(
-            topology=context["topology"],
-            requests=context["requests"],
-            seed=context["seed"],
-        )
+            topology = EdgeTopology(_config(
+                EdgeTopologyConfig, _every(spec.topology, "topology")))
+        return {"run": compare_placements, "arguments": _arguments(
+            compare_placements, _pick(spec, "workload", "requests"),
+            topology=topology, seed=seed)}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         metrics: Dict[str, float] = {}
@@ -1051,36 +1133,42 @@ class IslandFederationOverhead(Experiment):
     """Blockchain islands and their interoperability overhead
     (``mode: "federation"``).
 
-    Builds ``architecture["islands"]`` (dicts with ``name``, ``domain``,
-    optional sizing and a ``seed_offset`` added to the run seed, so
-    ``--seed``/replicates re-seed every island), connects
-    ``architecture["connections"]`` pairs and measures the
-    interoperability overhead of the first connection at
-    ``workload["rate_tps"]`` for ``duration`` seconds.
+    Builds ``architecture["islands"]`` (dicts of
+    :class:`~repro.edge.islands.BlockchainIsland` fields plus a
+    ``seed_offset`` added to the run seed, so ``--seed``/replicates
+    re-seed every island), connects ``architecture["connections"]`` pairs
+    with ``relay_latency`` and measures the overhead of the first
+    connection at ``workload["rate_tps"]`` for ``duration`` seconds.
     """
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.edge.islands import BlockchainIsland, IslandFederation
 
-        _expect_workload_kind(spec, ("vertical",), default="vertical")
+        _expect_workload_kind(spec, "vertical")
         # Island seeds are offsets from the run seed, so both a ``--seed``
         # override and replicate fan-out re-seed every island while staying
         # fully deterministic.
         federation = IslandFederation(seed=seed)
-        islands = spec.architecture.get("islands") or []
-        for index, island in enumerate(islands):
-            params = dict(island)
-            params["seed"] = seed + int(params.pop("seed_offset", index + 1))
-            federation.add_island(BlockchainIsland(**params))
-        relay = float(spec.architecture.get("relay_latency", 0.05))
+        for index, island in enumerate(spec.architecture.get("islands") or []):
+            fields = _every(island, f"architecture.islands[{index}]")
+            key, offset = fields.pop("seed_offset", ("", index + 1))
+            with _spec_values():
+                offset = _coerce((0, int), key, offset)
+            federation.add_island(BlockchainIsland(**_arguments(
+                BlockchainIsland, fields, seed=seed + offset)))
+        relay = _arguments(IslandFederation.connect,
+                           _pick(spec, "architecture", "relay_latency"))
         connections = [tuple(pair) for pair in spec.architecture.get("connections") or []]
         for source, destination in connections:
-            federation.connect(source, destination, relay_latency=relay)
+            federation.connect(source, destination, **relay)
         return {
             "federation": federation,
             "connections": connections,
-            "rate": float(spec.workload.get("rate_tps", 200.0)),
-            "duration": float(spec.duration or 4.0),
+            "arguments": _arguments(
+                IslandFederation.interoperability_overhead,
+                _pick(spec, "workload", request_rate="rate_tps"),
+                _duration(spec),
+            ),
         }
 
     def run(self, context):
@@ -1089,8 +1177,7 @@ class IslandFederationOverhead(Experiment):
             raise ValueError("a federation scenario needs at least one connection")
         source, destination = context["connections"][0]
         return federation.interoperability_overhead(
-            source, destination, request_rate=context["rate"], duration=context["duration"]
-        )
+            source, destination, **context["arguments"])
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.economics.concentration import nakamoto_coefficient

@@ -76,11 +76,13 @@ class JobPolicy:
 class JobFailure:
     """One unit job that exhausted its retry budget.
 
-    ``kind`` is ``exception`` (the adapter raised), ``timeout`` (an attempt
-    exceeded the policy's wall-clock budget) or ``worker-crash`` (the pool
-    worker running it died).  ``attempts`` counts every charged attempt and
-    ``elapsed_s`` the wall clock from the job's first dispatch to the
-    give-up, across all of them.
+    ``kind`` is ``exception`` (the adapter raised), ``spec`` (the adapter
+    raised a ``SpecError``: a spec value no attempt can build a model
+    from), ``timeout`` (an attempt exceeded the policy's wall-clock
+    budget) or ``worker-crash`` (the pool worker running it died).
+    ``attempts`` counts every charged attempt and ``elapsed_s`` the wall
+    clock from the job's first dispatch to the give-up, across all of
+    them.
     """
 
     key: str
@@ -148,13 +150,14 @@ class AttemptLedger:
         """The attempt in flight failed (``kind`` as in :class:`JobFailure`).
 
         Charges one attempt.  Below the budget the verdict is the clock
-        time the retry may start at; at the budget it is the
+        time the retry may start at; at the budget, or at once for a
+        ``spec`` failure (a retry would fail the same way), it is the
         :class:`JobFailure` that settles the key.
         """
         started = self.first_dispatch[key]
         attempts = self.failed_attempts.get(key, 0) + 1
         now = self._clock()
-        if attempts < self.policy.attempts:
+        if attempts < self.policy.attempts and kind != "spec":
             self.failed_attempts[key] = attempts
             return now + self.policy.backoff_delay(key, attempts)
         self.cancelled(key)

@@ -55,6 +55,9 @@ elapsed); result slots touched by a failure are omitted entirely rather
 than aggregated over a silently shrunken replicate sample.  A run aborted
 without a retry budget ends with the job's own exception; a give-up after
 retries, a timeout or a worker crash with :class:`JobExecutionError`.
+A :class:`~repro.scenarios.adapters.SpecError` (a spec value no model can
+be built from) is neither retried nor degraded: every backend ends the
+run on its first attempt by re-raising it.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ from typing import (
 )
 
 from repro.analysis.resultset import ResultSet
-from repro.scenarios.adapters import adapter_for
+from repro.scenarios.adapters import SpecError, adapter_for
 from repro.scenarios.attempts import AttemptLedger, JobFailure, JobPolicy
 from repro.scenarios.result import ReplicateResult, ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
@@ -131,12 +134,17 @@ class IncompletePlanError(KeyError):
 
 def _failure_kind(error: BaseException) -> str:
     """The :class:`JobFailure` kind of an exception an attempt ended with."""
+    if isinstance(error, SpecError):
+        return "spec"
     return "timeout" if isinstance(error, JobTimeoutError) else "exception"
 
 
 def _describe_error(error: BaseException) -> str:
-    """One-line, manifest-friendly rendering of an exception."""
+    """One-line, manifest-friendly rendering of an exception (a
+    :class:`SpecError` is its message: the line ``repro-run`` prints)."""
     text = str(error).strip()
+    if isinstance(error, SpecError):
+        return text
     name = type(error).__name__
     return f"{name}: {text}" if text else name
 
@@ -393,11 +401,14 @@ class _Supervisor:
                error: BaseException) -> Optional[float]:
         """Charge a failed attempt; the ``time.monotonic()`` its retry is
         due at, or ``None`` once the job is given up on under
-        ``keep_going``.  This is where a fail-fast run ends."""
+        ``keep_going``.  This is where a fail-fast run ends, and where
+        any run ends on a spec error: it re-raises the ``SpecError``."""
         verdict = self.ledger.failed(job.key, kind, _describe_error(error),
                                      scenario=job.spec.name, seed=job.seed)
         if not isinstance(verdict, JobFailure):
             return verdict
+        if kind == "spec":
+            raise error
         if self.failures is not None:
             self.failures[job.key] = verdict
         if not self.policy.keep_going:
@@ -602,7 +613,7 @@ class ProcessPoolBackend(ExecutionBackend):
             if isinstance(error, BrokenProcessPool) or error is broken:
                 failed(job, "worker-crash", error)
                 return error
-            failed(job, "exception", error)
+            failed(job, _failure_kind(error), error)
             return None
 
         def kill_pool() -> None:

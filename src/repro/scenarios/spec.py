@@ -49,9 +49,9 @@ class ScenarioSpec:
     topology:
         How the network/topology is built (overlay size, edge regions, ...).
     churn:
-        Membership dynamics: ``None``/``"none"``, a preset name understood
-        by :meth:`repro.sim.churn.ChurnModel.from_spec`, or a dict of
-        :class:`~repro.sim.churn.ChurnModel` arguments.
+        Membership dynamics: ``None``/``"none"``, a
+        :data:`repro.sim.churn.CHURN_PRESETS` name, or a dict of
+        :class:`~repro.sim.churn.ChurnModel` fields.
     workload:
         Offered load, understood by the family adapter; ``kind`` selects a
         :mod:`repro.workloads` generator where per-request objects are

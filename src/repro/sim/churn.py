@@ -84,43 +84,6 @@ class ChurnModel:
         raise ValueError(f"unknown session distribution {self.session_distribution!r}")
 
     # ------------------------------------------------------------------
-    # Declarative construction (scenario specs)
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_spec(cls, spec) -> Optional["ChurnModel"]:
-        """Build a churn model from declarative scenario data.
-
-        Accepts ``None`` / ``"none"`` (no churn), an existing
-        :class:`ChurnModel` (passed through), a preset name (``"kad"``,
-        ``"bittorrent"``, ``"stable"``, ``"aggressive"``) or a dict of
-        constructor arguments.  This is the hook
-        :mod:`repro.scenarios` uses so a :class:`ScenarioSpec` can stay
-        plain JSON-serialisable data.
-        """
-        if spec is None:
-            return None
-        if isinstance(spec, cls):
-            return spec
-        if isinstance(spec, str):
-            name = spec.replace("_", "-").lower()
-            if name in ("none", "off"):
-                return None
-            presets = {
-                "kad": cls.kad_like,
-                "bittorrent": cls.bittorrent_like,
-                "stable": cls.stable,
-                "aggressive": cls.aggressive,
-            }
-            if name not in presets:
-                raise ValueError(
-                    f"unknown churn preset {spec!r}; pick one of {sorted(presets)} or 'none'"
-                )
-            return presets[name]()
-        if isinstance(spec, dict):
-            return cls(**spec)
-        raise TypeError(f"cannot build a ChurnModel from {type(spec).__name__}")
-
-    # ------------------------------------------------------------------
     # Presets calibrated to published measurement studies
     # ------------------------------------------------------------------
     @classmethod
@@ -161,6 +124,15 @@ class ChurnModel:
             mean_downtime=1200.0,
             weibull_shape=0.5,
         )
+
+
+#: Named churn presets (a scenario spec's ``churn``), as factories.
+CHURN_PRESETS: Dict[str, Callable[[], ChurnModel]] = {
+    "kad": ChurnModel.kad_like,
+    "bittorrent": ChurnModel.bittorrent_like,
+    "stable": ChurnModel.stable,
+    "aggressive": ChurnModel.aggressive,
+}
 
 
 class ChurnProcess:

@@ -76,14 +76,12 @@ class NetworkParams:
 
     Presets
     -------
-    :meth:`by_name` resolves the declarative grid presets used by scenario
-    specs (``topology: {"network": "lan"}``): ``lan`` (single datacenter,
-    sub-millisecond, gigabit), ``wan`` (the ``NetworkParams()`` class
-    defaults: continental internet paths) and ``geo`` (geo-distributed
-    consumer links: ~80 ms in-region, 250 ms cross-region, constrained
-    5 Mbps links).  :meth:`from_spec` additionally accepts ``None`` (keep
-    the component default), a dict of field overrides, or a ready
-    ``NetworkParams``.
+    :data:`NETWORK_PRESETS` holds the declarative grid presets used by
+    scenario specs (``topology: {"network": "lan"}``): ``lan`` (single
+    datacenter, sub-millisecond, gigabit), ``wan`` (the ``NetworkParams()``
+    class defaults: continental internet paths) and ``geo``
+    (geo-distributed consumer links: ~80 ms in-region, 250 ms
+    cross-region, constrained 5 Mbps links).
 
     Naming *any* preset replaces the consuming component's own fallback,
     and some components calibrate that fallback differently from the class
@@ -120,39 +118,6 @@ class NetworkParams:
         if not 0.0 <= self.loss_rate <= 1.0:
             raise ValueError(
                 f"NetworkParams.loss_rate must be in [0, 1], got {self.loss_rate!r}")
-
-    @classmethod
-    def by_name(cls, name: str) -> "NetworkParams":
-        """A fresh instance of one of the named presets (lan/wan/geo)."""
-        try:
-            factory = NETWORK_PRESETS[str(name)]
-        except KeyError:
-            known = ", ".join(sorted(NETWORK_PRESETS))
-            raise KeyError(
-                f"unknown network preset {name!r}; known presets: {known}"
-            ) from None
-        return factory()
-
-    @classmethod
-    def from_spec(cls, spec) -> Optional["NetworkParams"]:
-        """Resolve a declarative network description.
-
-        ``None`` → ``None`` (the component keeps its own default), a preset
-        name → :meth:`by_name`, a dict → field overrides on the defaults,
-        and an existing ``NetworkParams`` passes through unchanged.
-        """
-        if spec is None:
-            return None
-        if isinstance(spec, NetworkParams):
-            return spec
-        if isinstance(spec, str):
-            return cls.by_name(spec)
-        if isinstance(spec, dict):
-            return cls(**spec)
-        raise TypeError(
-            f"cannot build NetworkParams from {type(spec).__name__}; "
-            f"pass a preset name, a dict of fields, or a NetworkParams"
-        )
 
 
 #: The declarative latency/bandwidth grid presets (factories, so every

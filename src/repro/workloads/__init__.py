@@ -7,7 +7,6 @@ from repro.workloads.generators import (
     WORKLOAD_KINDS,
     WorkloadEvent,
     ZipfObjectWorkload,
-    workload_from_spec,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "WORKLOAD_KINDS",
     "WorkloadEvent",
     "ZipfObjectWorkload",
-    "workload_from_spec",
 ]

@@ -8,7 +8,7 @@ drive every architecture with the same offered load.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List
 
 from repro.blockchain.primitives import Transaction
 from repro.sim.rng import SeededRNG
@@ -208,35 +208,11 @@ class VerticalWorkload:
             yield WorkloadEvent(timestamp=now, kind=self.domain, payload=self.invocation())
 
 
-#: Generator classes by the ``kind`` key of a declarative workload spec.
+#: Generator classes by the ``kind`` key of a declarative workload spec;
+#: every other key of the spec is one of the class's parameters.
 WORKLOAD_KINDS = {
     "payment": PaymentWorkload,
     "lookup": LookupWorkload,
     "object": ZipfObjectWorkload,
     "vertical": VerticalWorkload,
 }
-
-
-def workload_from_spec(spec: Dict[str, object], seed: Optional[int] = None):
-    """Build a workload generator from declarative scenario data.
-
-    ``spec`` is a plain dict with a ``kind`` key (``"payment"``,
-    ``"lookup"``, ``"object"`` or ``"vertical"``); every other key is passed
-    to the generator's constructor.  ``seed`` overrides the spec's seed so
-    scenario replicates can re-seed the same workload shape.  This is how
-    :mod:`repro.scenarios` adapters build a generator when they consume one
-    per-request (e.g. vertical chaincode invocations); families that model
-    load as a rate (PoW backlog, consensus/Fabric Poisson streams) read the
-    same spec's ``rate_tps`` directly, and every adapter validates ``kind``.
-    """
-    params = dict(spec)
-    kind = params.pop("kind", "payment")
-    try:
-        factory = WORKLOAD_KINDS[str(kind)]
-    except KeyError:
-        raise ValueError(
-            f"unknown workload kind {kind!r}; pick one of {sorted(WORKLOAD_KINDS)}"
-        ) from None
-    if seed is not None:
-        params["seed"] = seed
-    return factory(**params)

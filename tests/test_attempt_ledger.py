@@ -51,7 +51,7 @@ from test_fault_tolerance import sweep_plan
 
 KEYS = ("a", "b", "c", "d")
 keys = st.sampled_from(KEYS)
-kinds = st.sampled_from(("exception", "timeout", "worker-crash"))
+kinds = st.sampled_from(("exception", "spec", "timeout", "worker-crash"))
 
 
 class FakeClock:
@@ -127,7 +127,8 @@ class LedgerMachine(RuleBasedStateMachine):
         verdict = self.ledger.failed(key, kind, "boom", scenario="s", seed=7)
         self.inflight.remove(key)
         attempts = self.charges[key] + 1
-        if attempts < self.policy.attempts:
+        # A spec error fails every attempt alike: it is never retried.
+        if attempts < self.policy.attempts and kind != "spec":
             assert verdict == (self.clock.now
                                + self.policy.backoff_delay(key, attempts))
             self.charges[key] = attempts
@@ -137,7 +138,8 @@ class LedgerMachine(RuleBasedStateMachine):
         assert isinstance(verdict, JobFailure)
         assert (verdict.key, verdict.kind, verdict.error) == (key, kind, "boom")
         assert (verdict.scenario, verdict.seed) == ("s", 7)
-        assert verdict.attempts == attempts == self.policy.attempts
+        assert verdict.attempts == attempts
+        assert attempts == self.policy.attempts or kind == "spec"
         assert verdict.elapsed_s == self.clock.now - self.first[key]
         self.settled[key] = "failed"
         self._journal({"type": "failed", "key": key,

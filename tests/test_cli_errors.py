@@ -114,6 +114,30 @@ class TestMalformedOverrides:
          "scenario 'pos-slashing': architecture.validators expects an integer"),
         (["pow-baseline", "--set", 'topology.network={"bandwidth_bps": -5}'],
          "scenario 'pow-baseline': NetworkParams.bandwidth_bps must be"),
+        # One case per route a spec value used to take around _config:
+        # values that ran truncated ...
+        (["chord-lookup", "--set", "workload.lookups=2.7"],
+         "scenario 'chord-lookup': workload.lookups expects an integer"),
+        (["superpeer-search", "--set", "workload.lookups=10.9"],
+         "scenario 'superpeer-search': workload.lookups expects an integer"),
+        (["run", "double-spend", "--set", "architecture.confirmations=2.5"],
+         "scenario 'double-spend': architecture.confirmations expects an integer"),
+        (["pow-baseline", "--set", "architecture.duration_blocks=5.5"],
+         "scenario 'pow-baseline': architecture.duration_blocks expects an integer"),
+        # ... and values that ended in a traceback.
+        (["run", "selfish-mining", "--set", 'architecture.alpha="abc"'],
+         "scenario 'selfish-mining': architecture.alpha expects a number"),
+        (["pow-baseline", "--set", "architecture.miner_count=2.7"],
+         "scenario 'pow-baseline': architecture.miner_count expects an integer"),
+        (["pow-baseline", "--set", "architecture.bogus=1"],
+         "scenario 'pow-baseline': unknown key architecture.bogus"),
+        (["edge-federation", "--set", 'architecture.islands='
+          '[{"name": "trade", "domain": "supply-chain", "bogus": 1}]'],
+         "scenario 'edge-federation': unknown key architecture.islands[0].bogus"),
+        (["kad-lookup", "--set", 'churn={"mean_session": "x"}'],
+         "scenario 'kad-lookup': churn.mean_session expects a number"),
+        (["kad-lookup", "--set", 'architecture.client_overrides={"k": 2.5}'],
+         "scenario 'kad-lookup': architecture.client_overrides.k expects an integer"),
     ])
     def test_a_value_the_experiment_rejects(self, capsys, argv, message):
         assert message in usage_error(capsys, argv + ["--quiet"])

@@ -724,6 +724,38 @@ class TestCli:
             f"repro-{prog}: {flag}: address '127.0.0.1:99999' has a port "
             f"outside 0-65535"]
 
+    @pytest.mark.parametrize("backend", ["serial", "pool", "broker"])
+    @pytest.mark.parametrize("policy", [["--retries", "2"],
+                                        ["--retries", "2", "--keep-going"]])
+    def test_a_spec_error_ends_the_run_on_its_first_attempt(
+            self, request, monkeypatch, capsys, backend, policy):
+        """No retry or degradation can build a model from a lossy value:
+        every backend re-raises the SpecError, and repro-run exits 2."""
+        from repro.scenarios.adapters import NothingAtStake
+
+        setups = []
+        original = NothingAtStake.setup
+
+        def counted(self, spec, seed):
+            setups.append(seed)
+            return original(self, spec, seed)
+
+        monkeypatch.setattr(NothingAtStake, "setup", counted)
+        flags = {"serial": [], "pool": ["--jobs", "2"]}.get(backend)
+        if flags is None:
+            server = request.getfixturevalue("broker")
+            stop, _ = _start_workers(server, 1)
+            flags = ["--broker", server.address]
+        err = usage_error(capsys, ["run", "pos-slashing", "--quiet",
+                                   "--set", "architecture.validators=2.7",
+                                   *flags, *policy])
+        if backend == "broker":
+            stop.set()
+        assert err.startswith("scenario 'pos-slashing': architecture."
+                              "validators expects an integer"), err
+        if backend != "pool":  # pool workers count in their own process
+            assert len(setups) == 1
+
     def test_broker_flag_implies_distributed(self, broker):
         from repro.run import main as run_main
 

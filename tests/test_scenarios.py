@@ -1,7 +1,9 @@
 """The scenario framework: specs, registry, adapters, runner and CLI."""
 
+import ast
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +260,9 @@ class TestConfigDefaults:
         ("slashing", 1, "architecture.slashing expects true or false"),
         ("slashing", 0.0, "architecture.slashing expects true or false"),
         ("slashing", None, "architecture.slashing expects true or false"),
+        ("validators", True, "architecture.validators expects an integer"),
+        ("multi_vote_fraction", "abc",
+         "architecture.multi_vote_fraction expects a number"),
     ])
     def test_lossy_values_are_rejected_naming_the_key(self, key, value,
                                                        message):
@@ -269,6 +274,115 @@ class TestConfigDefaults:
         spec = get_scenario("kad-lookup").with_overrides({"topology.size": 99.5})
         with pytest.raises(ValueError, match="topology.size expects an integer"):
             adapter_for("overlay").setup(spec, seed=1)
+
+
+#: Calls whose result is the spec data they are handed (so is its root).
+_HANDS_ON = {"dict", "enumerate", "getattr", "iter", "list", "sorted", "tuple"}
+_READS = {"copy", "get", "items", "pop", "setdefault", "values"}
+
+
+def _is_spec_data(node, names) -> bool:
+    """Whether ``node`` is taken from spec data: an attribute, item or
+    read of a name in ``names``, or of a call that hands one on."""
+    while True:
+        if isinstance(node, ast.Name):
+            return node.id in names
+        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
+            node = node.value
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in _HANDS_ON and node.args:
+            node = node.args[0]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _READS:
+            node = node.func.value
+        elif isinstance(node, ast.BoolOp):
+            return any(_is_spec_data(value, names) for value in node.values)
+        elif isinstance(node, ast.IfExp):
+            return _is_spec_data(node.body, names) or _is_spec_data(node.orelse, names)
+        else:
+            return False
+
+
+def _spec_names(scope) -> set:
+    """``spec`` and every name ``scope`` binds (assignment, loop target)
+    to spec data, transitively."""
+    bindings = []
+    for node in ast.walk(scope):
+        if isinstance(node, ast.Assign):
+            bindings += [(target, node.value) for target in node.targets]
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)) \
+                and node.value is not None:
+            bindings.append((node.target, node.value))
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            bindings.append((node.target, node.iter))
+    names, grew = {"spec"}, True
+    while grew:
+        grew = False
+        for target, value in bindings:
+            if _is_spec_data(value, names):
+                for leaf in ast.walk(target):
+                    if isinstance(leaf, ast.Name) and leaf.id not in names:
+                        names.add(leaf.id)
+                        grew = True
+    return names
+
+
+def second_routes(source: str) -> list:
+    """Every place ``source`` reads a spec value around ``_pick`` →
+    ``_config``: a ``.get(key, default)`` of spec data (a second copy of
+    a model's default) or a ``**`` expansion of spec data (values that
+    reach a model unchecked)."""
+    tree = ast.parse(source)
+    found = set()
+    scopes = [tree] + [node for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for scope in scopes:
+        names = _spec_names(scope)
+        for node in ast.walk(scope):
+            expanded = []
+            if isinstance(node, ast.Call):
+                expanded = [keyword.value for keyword in node.keywords
+                            if keyword.arg is None]
+                if isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
+                        and len(node.args) + len(node.keywords) > 1 \
+                        and _is_spec_data(node.func.value, names):
+                    found.add((node.lineno, "get with a default"))
+            elif isinstance(node, ast.Dict):
+                expanded = [value for key, value in zip(node.keys, node.values)
+                            if key is None]
+            for value in expanded:
+                if _is_spec_data(value, names):
+                    found.add((value.lineno, "** of spec data"))
+    return sorted(found)
+
+
+class TestOneRoute:
+    """``_pick`` → ``_config``/``_arguments`` is the only way an
+    experiment turns spec data into model inputs."""
+
+    def test_adapters_read_spec_values_only_through_picks(self):
+        from repro.scenarios import adapters
+
+        source = Path(adapters.__file__).read_text(encoding="utf-8")
+        assert second_routes(source) == []
+
+    @pytest.mark.parametrize("source,found", [
+        ("def f(spec):\n    x = spec.topology.get('size', 500)\n",
+         [(2, "get with a default")]),
+        ("def f(spec):\n    arch = spec.architecture\n"
+         "    n = int(arch.get('steps', 250))\n", [(3, "get with a default")]),
+        ("def f(spec):\n    g(**spec.topology)\n", [(2, "** of spec data")]),
+        ("def f(spec):\n    arch = dict(spec.architecture)\n"
+         "    arch.pop('seed', None)\n    g(**arch)\n", [(4, "** of spec data")]),
+        ("def f(spec):\n    for i, d in enumerate(spec.architecture.get('x') or []):\n"
+         "        p = dict(d)\n        g(**p)\n", [(4, "** of spec data")]),
+        ("def f(spec):\n    o = spec.architecture.get('o') or {}\n"
+         "    return {**o}\n", [(3, "** of spec data")]),
+        ("def f(spec):\n    g(**_arguments(h, _pick(spec, 'a', 'b')))\n"
+         "    k = spec.workload.get('kind')\n    return {**context['x']}\n", []),
+    ])
+    def test_the_scan_finds_each_second_route(self, source, found):
+        assert second_routes(source) == found
 
 
 class TestNewScenarioModes:

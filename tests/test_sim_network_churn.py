@@ -17,7 +17,7 @@ from repro.run import main as run_main
 from repro.scenarios import run_scenario
 from repro.sim.churn import ChurnModel, ChurnProcess
 from repro.sim.engine import Simulator
-from repro.sim.network import Message, Network, NetworkParams
+from repro.sim.network import NETWORK_PRESETS, Message, Network, NetworkParams
 from repro.sim.node import Node
 from repro.sim.rng import SeededRNG
 
@@ -218,41 +218,57 @@ class TestChurnProcess:
         assert not process.online["n"]
 
 
+def network_of(value):
+    """``topology.network`` resolved the way every experiment resolves it."""
+    from repro.scenarios.adapters import _network
+    from repro.scenarios.spec import ScenarioSpec
+
+    topology = {} if value is None else {"network": value}
+    return _network(ScenarioSpec(name="net", family="overlay",
+                                 topology=topology))
+
+
 class TestNetworkPresets:
-    def test_by_name_returns_fresh_instances(self):
-        first = NetworkParams.by_name("lan")
+    def test_presets_are_fresh_instances(self):
+        first = network_of("lan")
         first.base_latency = 99.0
-        assert NetworkParams.by_name("lan").base_latency == 0.0005
+        assert network_of("lan").base_latency == 0.0005
 
     def test_preset_ordering_is_physical(self):
-        lan = NetworkParams.by_name("lan")
-        wan = NetworkParams.by_name("wan")
-        geo = NetworkParams.by_name("geo")
+        lan, wan, geo = (network_of(name) for name in ("lan", "wan", "geo"))
         assert lan.base_latency < wan.base_latency < geo.base_latency
         assert (lan.inter_region_latency < wan.inter_region_latency
                 < geo.inter_region_latency)
         assert lan.bandwidth_bps > wan.bandwidth_bps > geo.bandwidth_bps
 
     def test_wan_preset_matches_stock_defaults(self):
-        assert NetworkParams.by_name("wan") == NetworkParams()
+        assert network_of("wan") == NetworkParams()
 
     def test_unknown_preset_lists_names(self):
-        with pytest.raises(KeyError, match="lan, wan"):
-            NetworkParams.by_name("interplanetary")
+        from repro.scenarios import SpecError
 
-    def test_from_spec_accepts_all_declarative_forms(self):
-        assert NetworkParams.from_spec(None) is None
-        assert NetworkParams.from_spec("geo") == NetworkParams.by_name("geo")
-        assert NetworkParams.from_spec({"base_latency": 0.01}).base_latency == 0.01
-        params = NetworkParams(loss_rate=0.2)
-        assert NetworkParams.from_spec(params) is params
-        with pytest.raises(TypeError, match="preset name"):
-            NetworkParams.from_spec(42)
+        with pytest.raises(SpecError,
+                           match="topology.network .*geo, lan, wan"):
+            network_of("interplanetary")
+
+    def test_every_declarative_form_resolves(self):
+        from repro.scenarios import SpecError
+
+        assert network_of(None) is None
+        assert network_of("geo") == NETWORK_PRESETS["geo"]()
+        assert network_of("GEO") == network_of("geo")
+        assert network_of({"base_latency": 0.01}).base_latency == 0.01
+        assert network_of({"base_latency": 1}).base_latency == 1.0
+        with pytest.raises(SpecError, match="preset name"):
+            network_of(42)
+        with pytest.raises(SpecError,
+                           match="unknown key topology.network.latency"):
+            network_of({"latency": 0.01})
 
     def test_presets_shape_delivery_latency(self):
         def mean_latency(preset):
             sim = Simulator()
-            network = Network(sim, params=NetworkParams.by_name(preset),
+            network = Network(sim, params=NETWORK_PRESETS[preset](),
                               rng=SeededRNG(1))
             latencies = []
             network.register("sink", lambda msg: latencies.append(msg.latency))

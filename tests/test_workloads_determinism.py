@@ -6,12 +6,16 @@ cross-architecture comparisons reproducible), and different seeds must
 actually change the stream.
 """
 
+import pytest
+
+from repro.scenarios import SpecError
+from repro.scenarios.adapters import _workload
+from repro.scenarios.spec import ScenarioSpec
 from repro.workloads import (
     LookupWorkload,
     PaymentWorkload,
     VerticalWorkload,
     ZipfObjectWorkload,
-    workload_from_spec,
 )
 
 
@@ -87,10 +91,16 @@ class TestVerticalWorkload:
         assert stream() == stream()
 
 
+def workload_of(workload, seed):
+    """The generator a scenario's ``workload`` section builds at ``seed``."""
+    return _workload(ScenarioSpec(name="w", family="permissioned",
+                                  workload=workload), seed)
+
+
 class TestWorkloadFromSpec:
     def test_spec_matches_direct_construction(self):
-        spec = {"kind": "payment", "rate_tps": 20.0, "accounts": 500, "seed": 7}
-        from_spec = workload_from_spec(spec)
+        spec = {"kind": "payment", "rate_tps": 20, "accounts": 500.0}
+        from_spec = workload_of(spec, seed=7)
         events = [
             (event.timestamp, tuple(sorted(event.payload.items())))
             for event in from_spec.events(duration=30.0)
@@ -101,11 +111,17 @@ class TestWorkloadFromSpec:
         assert events == direct
 
     def test_seed_override_wins(self):
-        workload = workload_from_spec({"kind": "lookup", "seed": 1}, seed=42)
+        workload = workload_of({"kind": "lookup", "seed": 1}, seed=42)
         assert workload.rng.seed == 42
 
     def test_unknown_kind_rejected(self):
-        import pytest
+        with pytest.raises(SpecError, match="cannot run a 'nonsense' workload"):
+            workload_of({"kind": "nonsense"}, seed=0)
 
-        with pytest.raises(ValueError, match="unknown workload kind"):
-            workload_from_spec({"kind": "nonsense"})
+    def test_unknown_and_lossy_keys_rejected(self):
+        with pytest.raises(SpecError, match="unknown key workload.bogus"):
+            workload_of({"kind": "vertical", "domain": "healthcare",
+                         "bogus": 1}, seed=0)
+        with pytest.raises(SpecError,
+                           match="workload.accounts expects an integer"):
+            workload_of({"kind": "payment", "accounts": 2.5}, seed=0)
