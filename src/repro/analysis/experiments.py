@@ -3,7 +3,8 @@
 The claim registry (:mod:`repro.core.claims`) is the source of truth for
 what the paper states and which benchmark regenerates each statement;
 ``EXPERIMENTS.md`` is its committed human-readable rendering, cross-linked
-with the scenario registry.  Regenerate it with::
+with the scenario registry and listing each experiment's knob table
+(:class:`repro.scenarios.knobs.Knobs`).  Regenerate it with::
 
     make experiments
     # equivalently: PYTHONPATH=src python -m repro.analysis.experiments
@@ -74,6 +75,15 @@ def render_experiments_markdown() -> str:
                          spec.description)
     sections.append(registry.render_markdown())
 
+    sections.append("\n## Experiment knobs\n")
+    sections.append(
+        "Every spec key each registered experiment reads, from its `Knobs` "
+        "table: the model parameter it sets, with the type, default and "
+        "allowed values the model declares.  Compiling a plan rejects a "
+        "key an experiment does not list, and a top-level `duration` or "
+        "`churn` it does not read.\n")
+    sections += _knob_sections()
+
     sections.append("\n## Study registry\n")
     sections.append(
         "Cross-family studies bundle several scenarios over one matched "
@@ -88,6 +98,37 @@ def render_experiments_markdown() -> str:
     sections.append(studies.render_markdown())
     sections.append("")
     return "\n".join(sections)
+
+
+def _knob_sections() -> List[str]:
+    """One knob table per registered experiment, in registration order."""
+    from repro.scenarios.adapters import EXPERIMENTS
+    from repro.scenarios.knobs import _declared, _model
+
+    sections = []
+    for found in dict.fromkeys(EXPERIMENTS.values()):
+        modes = [(family, f"`{mode}`") for (family, mode), other in EXPERIMENTS.items()
+                 if other is found]
+        knobs = found.knobs
+        sections.append(f"### {modes[0][0]} {' / '.join(mode for _, mode in modes)} "
+                        f"(`{type(found).__name__}`)\n")
+        sections.append("Workload kinds: "
+                        f"{', '.join(f'`{kind}`' for kind in knobs.kinds) or 'none'}.\n")
+        table = ResultTable(["key", "sets", "type", "default", "allowed values"])
+        for key, role, name in knobs.keys():
+            target = knobs.roles[role][0]
+            default, kind = _declared(_model(target))[name] if target else (None, None)
+            allowed = ", ".join(_model(knobs.choices[key])) if key in knobs.choices else "-"
+            if key in knobs.presets:
+                presets, cls = knobs.presets[key]()
+                allowed = f"{', '.join(presets)} or a dict of `{cls.__name__}` fields"
+            table.add_row(
+                f"`{key}`", f"`{target.partition(':')[2]}.{name}`" if target
+                else "read by the experiment", kind.__name__ if kind else "-",
+                repr(default) if target and isinstance(
+                    default, (bool, int, float, str, type(None))) else "-", allowed)
+        sections += [table.render_markdown() if len(table) else "No keys.", ""]
+    return sections
 
 
 def main(argv: Optional[List[str]] = None) -> int:

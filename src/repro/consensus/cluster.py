@@ -13,12 +13,15 @@ from repro.consensus.base import ConsensusMetrics, ReplicaParams
 from repro.consensus.pbft import PBFTCluster, PBFTConfig
 from repro.consensus.raft import RaftCluster, RaftConfig
 
+#: The protocols a benchmark point can run: ``{name: (cluster, config)}``.
+PROTOCOLS = {"pbft": (PBFTCluster, PBFTConfig), "raft": (RaftCluster, RaftConfig)}
+
 
 @dataclass
 class ConsensusBenchmarkConfig:
     """Workload and cluster parameters for one benchmark point."""
 
-    protocol: str = "pbft"                 # "pbft" or "raft"
+    protocol: str = "pbft"                 # a PROTOCOLS name
     replicas: int = 4
     request_rate: float = 2000.0
     duration: float = 5.0
@@ -36,24 +39,13 @@ class ConsensusBenchmark:
     def run(self) -> ConsensusMetrics:
         """Build the cluster, drive the workload and return the metrics."""
         config = self.config
-        if config.protocol == "pbft":
-            cluster = PBFTCluster(
-                PBFTConfig(
-                    replicas=config.replicas,
-                    batch_size=config.batch_size,
-                    replica_params=config.replica_params,
-                    seed=config.seed,
-                )
-            )
-            return cluster.run_workload(config.request_rate, config.duration)
-        if config.protocol == "raft":
-            cluster = RaftCluster(
-                RaftConfig(
-                    replicas=config.replicas,
-                    batch_size=config.batch_size,
-                    replica_params=config.replica_params,
-                    seed=config.seed,
-                )
-            )
-            return cluster.run_workload(config.request_rate, config.duration)
-        raise ValueError(f"unknown protocol {config.protocol!r}")
+        try:
+            cluster, cluster_config = PROTOCOLS[config.protocol]
+        except KeyError:
+            raise ValueError(f"unknown protocol {config.protocol!r}") from None
+        return cluster(cluster_config(
+            replicas=config.replicas,
+            batch_size=config.batch_size,
+            replica_params=config.replica_params,
+            seed=config.seed,
+        )).run_workload(config.request_rate, config.duration)

@@ -4,31 +4,31 @@ Every runnable experiment is an :class:`Experiment` registered under a
 ``(family, mode)`` key in :data:`EXPERIMENTS`.  It owns its life cycle —
 ``setup`` (build the simulated system from a :class:`ScenarioSpec` and a
 seed), ``run`` (drive the configured workload) and ``collect`` (reduce the
-outcome to a flat ``Dict[str, float]`` of metrics) — and its docstring
-documents the spec keys it reads.  :func:`experiment_for` is the single
-place a spec is resolved to its experiment, so adding one is one decorated
-class.  :class:`ArchitectureAdapter` is the per-family handle the
+outcome to a flat ``Dict[str, float]`` of metrics) — and declares in one
+:class:`Knobs` table every spec key it reads.  :func:`experiment_for` is the
+single place a spec is resolved to its experiment, so adding one is one
+decorated class.  :class:`ArchitectureAdapter` is the per-family handle the
 execution layer holds (:func:`repro.scenarios.execution.execute_plan`
 calls ``run_replicate`` once per unit job); it looks up and delegates.
 
-A spec value reaches its model by one route: :func:`_pick` or
-:func:`_every` names it and :func:`_config` (a config dataclass) or
-:func:`_arguments` (a model function, method or class) coerces it to the
-type the model declares; :func:`_resolve` turns a preset name or field
-dict into a config.  The model is the one home of its defaults, so a
-scenario parametrized like a pre-framework benchmark reproduces its
-numbers bit-for-bit.
+A spec value reaches its model by one route, :mod:`repro.scenarios.knobs`:
+``setup`` reads it through the experiment's table, which coerces it to the
+type the model declares.  The model is the one home of its defaults, so a
+scenario parametrized like a pre-framework benchmark reproduces its numbers
+bit-for-bit.
 """
 
 from __future__ import annotations
 
-import inspect
-from contextlib import contextmanager
 from dataclasses import replace
-from functools import lru_cache
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple, Type)
+from typing import Callable, Dict, Iterable, List, Tuple, Type
 
+from repro.scenarios.knobs import (
+    Knobs,
+    SpecError,
+    _arguments,
+    mode_of,
+)
 from repro.scenarios.spec import FAMILIES, ScenarioSpec
 
 
@@ -36,30 +36,6 @@ from repro.scenarios.spec import FAMILIES, ScenarioSpec
 #: organization (kWh) — shared by the consensus, permissioned and
 #: edge-federation experiments so the cross-family comparison stays consistent.
 CONSORTIUM_ENERGY_PER_TX_KWH = 2e-6
-
-#: What a spec sets for a model: ``{field or parameter: (spec key, value)}``.
-Picked = Dict[str, Tuple[str, object]]
-
-
-class SpecError(ValueError):
-    """A spec value the scenario's experiment cannot be built from.
-
-    A usage error (``repro-run`` exits 2 with one line), not a bug in the
-    model.  Only the steps that turn spec values into model inputs raise
-    it; :meth:`ArchitectureAdapter.setup` adds the scenario's name.  A
-    ``ValueError`` from building or running the model itself stays a
-    plain ``ValueError`` with its traceback.
-    """
-
-
-@contextmanager
-def _spec_values() -> Iterator[None]:
-    """Re-raise an error from turning spec values into model inputs
-    (coercion, a config's own validation) as :class:`SpecError`."""
-    try:
-        yield
-    except (TypeError, ValueError) as error:
-        raise SpecError(str(error)) from error
 
 
 def _float_metrics(raw: Dict[str, object], prefix: str = "") -> Dict[str, float]:
@@ -71,205 +47,55 @@ def _float_metrics(raw: Dict[str, object], prefix: str = "") -> Dict[str, float]
     }
 
 
-def _expect_workload_kind(spec: ScenarioSpec, *allowed: str) -> str:
-    """``workload["kind"]`` (the first ``allowed`` one when unset),
-    validated so a nonsensical override fails loudly."""
-    kind = spec.workload.get("kind")
-    kind = allowed[0] if kind is None else str(kind)
-    if kind not in allowed:
-        raise SpecError(
-            f"a {spec.family} scenario cannot run a {kind!r} workload; "
-            f"supported kinds: {sorted(allowed)}"
-        )
-    return kind
-
-
-def _pick(spec: ScenarioSpec, section: str, *names: str,
-          **renamed: str) -> Picked:
-    """The model inputs one spec ``section`` sets: ``names`` are spelled
-    like their spec key, ``renamed`` maps ``field=spec_key``.  A key the
-    spec leaves out is left out, so the model's own default applies."""
-    source = getattr(spec, section)
-    picked = {name: (f"{section}.{name}", source[name])
-              for name in names if name in source}
-    for name, key in renamed.items():
-        if key in source:
-            picked[name] = (f"{section}.{key}", source[key])
-    return picked
-
-
-def _every(data: object, where: str, skip: Tuple[str, ...] = ()) -> Picked:
-    """Every key of the spec dict at ``where`` (bar the experiment's own
-    ``skip`` keys) as a pick: each must be a field of the model it builds,
-    so a key that is not one is an error rather than ignored."""
-    if not isinstance(data, dict):
-        raise SpecError(f"{where} expects a dict of fields, got {data!r}")
-    return {name: (f"{where}.{name}", value)
-            for name, value in data.items() if name not in skip}
-
-
-def _duration(spec: ScenarioSpec) -> Picked:
-    """``spec.duration`` as a pick of the model's ``duration`` (0, the
-    spec's unset value, keeps the model's default)."""
-    return {"duration": ("duration", spec.duration)} if spec.duration else {}
-
-
-_EXPECTS = {bool: "true or false", int: "an integer", float: "a number",
-            str: "a string"}
-_SCALARS = {kind.__name__: kind for kind in _EXPECTS}
-
-
-@lru_cache(maxsize=None)
-def _declared(target: Callable) -> Dict[str, Tuple[object, Optional[type]]]:
-    """``{parameter: (default, type)}`` of a dataclass, class, function
-    or method (``self`` aside), looked up once per target: a sweep builds
-    the same configs thousands of times.  The type is a scalar default's,
-    else a scalar annotation's (``Optional[int]``), else ``None``."""
-    declared: Dict[str, Tuple[object, Optional[type]]] = {}
-    for name, parameter in inspect.signature(target).parameters.items():
-        if name == "self":
-            continue
-        default, annotation = parameter.default, parameter.annotation
-        text = str(getattr(annotation, "__name__", annotation))
-        declared[name] = (default, type(default) if isinstance(default, tuple(_EXPECTS))
-                          else _SCALARS.get(text.replace("Optional[", "").rstrip("]")))
-    return declared
-
-
-def _coerce(declared: Tuple[object, Optional[type]], key: str,
-            value: object) -> object:
-    """``value`` as the declared type (a JSON ``3`` for a float field
-    arrives as ``3.0``).  A value the conversion would change or cannot
-    convert — ``2.7`` for an int, a bool for a number or the reverse,
-    ``"abc"`` for a number — is a ``ValueError`` naming the spec ``key``.
-    """
-    default, kind = declared
-    if kind is None or (value is None and default is None):
-        return value
-    lossy = kind is int and isinstance(value, float) and not value.is_integer()
-    if isinstance(value, bool) == (kind is bool) and not lossy:
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    raise ValueError(f"{key} expects {_EXPECTS[kind]}, got {value!r}")
-
-
-def _coerced(target: Callable, picked: Iterable[Picked]) -> Dict[str, object]:
-    """The ``picked`` values (later picks win), coerced to what ``target``
-    declares; a name it does not declare is an error naming the key."""
-    declared = _declared(target)
-    values: Dict[str, object] = {}
-    for pick in picked:
-        for name, (key, value) in pick.items():
-            if name not in declared:
-                raise ValueError(
-                    f"unknown key {key}: {target.__name__} takes no {name!r}")
-            values[name] = _coerce(declared[name], key, value)
-    return values
-
-
-def _config(cls, *picked: Picked, **fixed):
-    """A model's config dataclass from the coerced ``picked`` values
-    (fields nothing picks keep their default) and ``fixed``, the fields
-    the experiment owns (replicate seed, nested configs), which win.  Its
-    own validation runs here, so its ``ValueError`` is a SpecError."""
-    with _spec_values():
-        values = _coerced(cls, picked)
-        values.update(fixed)
-        return cls(**values)
-
-
-def _arguments(target: Callable, *picked: Picked, **fixed) -> Dict[str, object]:
-    """The keyword arguments to call a model's ``target`` with: its
-    defaults, then the coerced ``picked`` values, then ``fixed``.  The
-    call is the caller's, so the model's ``ValueError`` keeps its
-    traceback."""
-    with _spec_values():
-        values = {name: default for name, (default, _) in _declared(target).items()
-                  if default is not inspect.Parameter.empty}
-        values.update(_coerced(target, picked))
-    values.update(fixed)
-    return values
-
-
-def _resolve(value: object, key: str, cls, presets: Mapping[str, object]):
-    """The config one spec value names (``None`` names none): a preset
-    (any case, ``_`` for ``-``; a factory or a shared instance) or a dict
-    of ``cls`` fields."""
-    if value is None:
-        return None
-    if isinstance(value, dict):
-        return _config(cls, _every(value, key))
-    name = str(value).replace("_", "-").lower()
-    if not isinstance(value, str) or name not in presets:
-        raise SpecError(f"{key} expects a preset name ({', '.join(sorted(presets))}) "
-                        f"or a dict of {cls.__name__} fields, got {value!r}")
-    found = presets[name]
-    return found() if callable(found) else found
-
-
-def _default_of(cls, name: str) -> object:
-    """A fresh copy of the default a config dataclass declares for ``name``."""
-    field = cls.__dataclass_fields__[name]
-    return field.default_factory() if callable(field.default_factory) else field.default
-
-
-def _client(spec: ScenarioSpec, key: str, target):
-    """The Kademlia client ``architecture[key]`` names, or ``target``'s."""
-    from repro.p2p.kademlia import KADEMLIA_PRESETS, KademliaConfig
-
-    return _resolve(spec.architecture.get(key), f"architecture.{key}",
-                    KademliaConfig, KADEMLIA_PRESETS) or _default_of(target, "kademlia")
-
-
-def _lookup_environment(spec: ScenarioSpec, seed: int, client: str,
-                        target) -> Dict[str, object]:
-    """The config fields both Kademlia substrates fill alike: the client
-    with ``architecture.client_overrides`` on top, churn, network, seed
-    and metrics mode."""
-    from repro.p2p.kademlia import KademliaConfig
-
-    kademlia = _client(spec, client, target)
-    overrides = spec.architecture.get("client_overrides")
-    if overrides:
-        picked = _every(overrides, "architecture.client_overrides")
-        with _spec_values():
-            kademlia = replace(kademlia, **_coerced(KademliaConfig, [picked]))
-    return {
-        "kademlia": kademlia,
-        "churn": _churn(spec),
-        "network_params": _network(spec),
-        "seed": seed,
-        "metrics": spec.metrics,
-    }
-
-
-def _churn(spec: ScenarioSpec):
-    """The spec's churn model (``None``, "none" or "off": stable)."""
+# What a preset knob's value names: ``(presets, config class)``.
+def _churn():
     from repro.sim.churn import CHURN_PRESETS, ChurnModel
 
-    return _resolve(spec.churn, "churn", ChurnModel,
-                    {**CHURN_PRESETS, "none": None, "off": None})
+    return CHURN_PRESETS, ChurnModel
 
 
-def _network(spec: ScenarioSpec):
-    """The spec's ``topology.network`` as ``NetworkParams`` (or ``None``)."""
+def _network():
     from repro.sim.network import NETWORK_PRESETS, NetworkParams
 
-    return _resolve(spec.topology.get("network"), "topology.network",
-                    NetworkParams, NETWORK_PRESETS)
+    return NETWORK_PRESETS, NetworkParams
 
 
-def _workload(spec: ScenarioSpec, seed: int):
-    """The generator ``spec.workload`` describes: ``kind`` names its class
-    (:data:`~repro.workloads.WORKLOAD_KINDS`), every other key is one of
-    its parameters, and the replicate seed owns ``seed``."""
+def _client():
+    from repro.p2p.kademlia import KADEMLIA_PRESETS, KademliaConfig
+
+    return KADEMLIA_PRESETS, KademliaConfig
+
+
+def _protocol():
+    from repro.blockchain.network import PROTOCOLS, ProtocolParams
+
+    return PROTOCOLS, ProtocolParams
+
+
+def check_spec(spec: ScenarioSpec) -> None:
+    """Hold one compiled point to its experiment's :class:`Knobs`, naming
+    the scenario in the :class:`SpecError`."""
+    try:
+        experiment_for(spec).knobs.check(spec)
+    except SpecError as error:
+        raise SpecError(f"scenario {spec.name!r}: {error}") from error
+
+
+def _lookup_config(knobs: Knobs, spec: ScenarioSpec, seed: int):
+    """The config both Kademlia substrates build alike: the client with
+    ``architecture.client_overrides`` on top, the seed and metrics mode."""
+    config = knobs.config(spec, "config", seed=seed, metrics=spec.metrics)
+    return replace(config, kademlia=knobs.update(spec, "client_overrides",
+                                                 config.kademlia))
+
+
+def _workload(knobs: Knobs, spec: ScenarioSpec, role: str, seed: int):
+    """The generator ``workload["kind"]`` names
+    (:data:`~repro.workloads.WORKLOAD_KINDS`), built from ``role``'s
+    knobs; the replicate seed owns ``seed``."""
     from repro.workloads import WORKLOAD_KINDS
 
-    generator = WORKLOAD_KINDS[_expect_workload_kind(spec, *WORKLOAD_KINDS)]
-    return generator(**_arguments(
-        generator, _every(spec.workload, "workload", skip=("kind",)), seed=seed))
+    return WORKLOAD_KINDS[knobs.kind(spec)](**knobs.arguments(spec, role, seed=seed))
 
 
 def _latency_metrics(latencies: List[float]) -> Dict[str, float]:
@@ -297,12 +123,16 @@ def _equal_weight_trust(entities: Iterable[object]) -> float:
 class Experiment:
     """One registered experiment: what a ``(family, mode)`` pair runs.
 
-    Subclasses implement :meth:`setup` (spec + seed → a dict context
-    holding the live system), :meth:`collect` (outcome → flat float
-    metrics) and, unless the context names what drives the workload,
-    :meth:`run` (drive it, return the outcome).  All state of a run
-    travels in its context, so one instance serves them all.
+    Subclasses declare :attr:`knobs` and implement :meth:`setup` (spec +
+    seed → a dict context holding the live system, reading the spec only
+    through ``knobs``), :meth:`collect` (outcome → flat float metrics)
+    and, unless the context names what drives the workload, :meth:`run`
+    (drive it, return the outcome).  All state of a run travels in its
+    context, so one instance serves them all.
     """
+
+    #: Every spec value the experiment reads (``EXPERIMENTS.md`` lists them).
+    knobs = Knobs()
 
     def setup(self, spec: ScenarioSpec, seed: int) -> Dict[str, object]:
         raise NotImplementedError
@@ -321,18 +151,6 @@ class Experiment:
 #: Every runnable experiment, by ``(family, mode)``.
 EXPERIMENTS: Dict[Tuple[str, str], Experiment] = {}
 
-#: Per family: the ``architecture`` keys that name the experiment, in
-#: precedence order (an attack harness replaces the plain substrate), and
-#: the mode a spec naming none of them runs.
-MODE_KEYS: Dict[str, Tuple[Tuple[str, ...], str]] = {
-    "permissionless": (("attack", "consensus"), "pow"),
-    "consensus": ((), "cluster"),
-    "permissioned": ((), "fabric"),
-    "overlay": (("attack", "overlay"), "kad"),
-    "edge": (("mode",), "placement"),
-}
-
-
 def experiment(family: str, *modes: str) -> Callable[[Type[Experiment]], Type[Experiment]]:
     """Class decorator: register one instance under each ``(family, mode)``."""
     def register(cls: Type[Experiment]) -> Type[Experiment]:
@@ -343,18 +161,6 @@ def experiment(family: str, *modes: str) -> Callable[[Type[Experiment]], Type[Ex
             EXPERIMENTS[(family, mode)] = instance
         return cls
     return register
-
-
-def mode_of(spec: ScenarioSpec) -> object:
-    """The ``architecture`` value naming the experiment a spec asks for."""
-    keys, default = MODE_KEYS[spec.family]
-    for key in keys:
-        if key in spec.architecture:
-            named = spec.architecture[key]
-            # A dict-valued overlay is a KademliaConfig field dict: the
-            # client of the default experiment, not the name of another.
-            return default if key == "overlay" and isinstance(named, dict) else named
-    return default
 
 
 def experiment_for(spec: ScenarioSpec) -> Experiment:
@@ -417,35 +223,23 @@ class ArchitectureAdapter:
 # ----------------------------------------------------------------------
 @experiment("permissionless", "pow")
 class ProofOfWorkNetwork(Experiment):
-    """A live PoW network (``consensus: "pow"``, the family default).
+    """A live PoW network (``consensus: "pow"``, the family default);
+    ``workload["rate_tps"]`` is the offered load unless
+    ``architecture["tx_arrival_rate"]`` is set."""
 
-    ``architecture`` keys: ``protocol`` (preset name or dict) and every
-    other key a :class:`~repro.blockchain.network.PoWNetworkConfig` field
-    (``miner_count``, ``duration_blocks``, ...; ``seed`` is the replicate
-    seed's).  ``workload["rate_tps"]`` is the offered load unless
-    ``tx_arrival_rate`` is set; ``topology["network"]`` the network.
-    """
+    knobs = Knobs(
+        kinds=("payment",),
+        presets={"architecture.protocol": _protocol, "topology.network": _network},
+        config=("repro.blockchain.network:PoWNetworkConfig",
+                "workload.rate_tps=tx_arrival_rate", "architecture.tx_arrival_rate",
+                "architecture.protocol", "topology.network=network_params",
+                "architecture.*", "=seed", "=miners"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.blockchain.network import (
-            PROTOCOLS,
-            PoWNetwork,
-            PoWNetworkConfig,
-            ProtocolParams,
-        )
+        from repro.blockchain.network import PoWNetwork
 
-        _expect_workload_kind(spec, "payment")
-        protocol = _resolve(spec.architecture.get("protocol"),
-                            "architecture.protocol", ProtocolParams, PROTOCOLS)
-        config = _config(
-            PoWNetworkConfig,
-            _pick(spec, "workload", tx_arrival_rate="rate_tps"),
-            _every(spec.architecture, "architecture",
-                   skip=("consensus", "protocol", "seed")),
-            protocol=protocol or _default_of(PoWNetworkConfig, "protocol"),
-            network_params=_network(spec),
-            seed=seed,
-        )
+        config = self.knobs.config(spec, "config", seed=seed)
         return {"model": PoWNetwork(config), "protocol": config.protocol}
 
     def collect(self, context, outcome) -> Dict[str, float]:
@@ -486,28 +280,19 @@ class ProofOfWorkNetwork(Experiment):
 
 @experiment("permissionless", "pos")
 class NothingAtStake(Experiment):
-    """The chain-based PoS fork model (``consensus: "pos"``, E14).
+    """The chain-based PoS fork model (``consensus: "pos"``, E14)."""
 
-    ``architecture`` keys: the
-    :class:`~repro.blockchain.proof_of_stake.ProofOfStakeParams` fields
-    ``validators``, ``stake_pareto_shape``, ``multi_vote_fraction``,
-    ``rounds``, ``fork_probability`` and ``slashing`` (``slashing_enabled``).
-    """
+    knobs = Knobs(params=(
+        "repro.blockchain.proof_of_stake:ProofOfStakeParams", "architecture.validators",
+        "architecture.stake_pareto_shape", "architecture.multi_vote_fraction",
+        "architecture.rounds", "architecture.fork_probability",
+        "architecture.slashing=slashing_enabled"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.blockchain.proof_of_stake import (
-            NothingAtStakeModel,
-            ProofOfStakeParams,
-        )
+        from repro.blockchain.proof_of_stake import NothingAtStakeModel
 
-        params = _config(
-            ProofOfStakeParams,
-            _pick(spec, "architecture", "validators", "stake_pareto_shape",
-                  "multi_vote_fraction", "rounds", "fork_probability",
-                  slashing_enabled="slashing"),
-            seed=seed,
-        )
-        return {"model": NothingAtStakeModel(params)}
+        return {"model": NothingAtStakeModel(
+            self.knobs.config(spec, "params", seed=seed))}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         return {
@@ -523,23 +308,18 @@ class NothingAtStake(Experiment):
 class ProviderMarket(Experiment):
     """The preferential-attachment provider market of
     :class:`~repro.economics.market.MarketModel` (``consensus: "market"``,
-    E1 — why open markets concentrate).
+    E1 — why open markets concentrate)."""
 
-    ``architecture`` keys: ``steps`` and ``arrivals_per_step``
-    (:meth:`~repro.economics.market.MarketModel.run`) plus any
-    :class:`~repro.economics.market.MarketParams` field (``providers``,
-    ``preferential_exponent``, ...).
-    """
+    knobs = Knobs(params=("repro.economics.market:MarketParams", "architecture.*"),
+                  run=("repro.economics.market:MarketModel.run",
+                       "architecture.steps", "architecture.arrivals_per_step"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.economics.market import MarketModel, MarketParams
+        from repro.economics.market import MarketModel
 
-        params = _config(MarketParams, _pick(
-            spec, "architecture", *MarketParams.__dataclass_fields__))
         return {
-            "run": MarketModel(params, seed=seed).run,
-            "arguments": _arguments(MarketModel.run, _pick(
-                spec, "architecture", "steps", "arrivals_per_step")),
+            "run": MarketModel(self.knobs.config(spec, "params"), seed=seed).run,
+            "arguments": self.knobs.arguments(spec, "run"),
         }
 
     def collect(self, context, outcome) -> Dict[str, float]:
@@ -553,23 +333,16 @@ class ProviderMarket(Experiment):
 class MiningPools(Experiment):
     """Hash-power pool formation via
     :class:`~repro.blockchain.pools.PoolFormationModel`
-    (``consensus: "pools"``, E9).
+    (``consensus: "pools"``, E9)."""
 
-    ``architecture`` keys: any
-    :class:`~repro.blockchain.pools.PoolFormationConfig` field
-    (``miners``, ``rounds``, ...); the replicate seed owns ``seed``.
-    """
+    knobs = Knobs(config=("repro.blockchain.pools:PoolFormationConfig",
+                          "architecture.*", "=seed"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.blockchain.pools import PoolFormationConfig, PoolFormationModel
+        from repro.blockchain.pools import PoolFormationModel
 
-        config = _config(
-            PoolFormationConfig,
-            _pick(spec, "architecture",
-                  *PoolFormationConfig.__dataclass_fields__),
-            seed=seed,
-        )
-        return {"model": PoolFormationModel(config)}
+        return {"model": PoolFormationModel(
+            self.knobs.config(spec, "config", seed=seed))}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.economics.concentration import concentration_report
@@ -584,21 +357,17 @@ class MiningPools(Experiment):
 class SelfishMining(Experiment):
     """The Eyal–Sirer selfish-mining state machine of
     :mod:`repro.blockchain.selfish` instead of a live network
-    (``attack: "selfish"``, E10).
+    (``attack: "selfish"``, E10).  Reports simulated and closed-form
+    relative revenue."""
 
-    ``architecture`` keys: ``alpha``, ``gamma``, ``blocks``
-    (:func:`~repro.blockchain.selfish.simulate_selfish_mining`).  Reports
-    simulated and closed-form relative revenue.
-    """
+    knobs = Knobs(run=("repro.blockchain.selfish:simulate_selfish_mining",
+                       "architecture.alpha", "architecture.gamma", "architecture.blocks"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.blockchain.selfish import simulate_selfish_mining
 
-        return {"run": simulate_selfish_mining, "arguments": _arguments(
-            simulate_selfish_mining,
-            _pick(spec, "architecture", "alpha", "gamma", "blocks"),
-            seed=seed,
-        )}
+        return {"run": simulate_selfish_mining,
+                "arguments": self.knobs.arguments(spec, "run", seed=seed)}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         from repro.blockchain.selfish import selfish_mining_revenue
@@ -623,27 +392,20 @@ class SelfishMining(Experiment):
 class DoubleSpend(Experiment):
     """Nakamoto/Rosenfeld catch-up analysis of
     :mod:`repro.blockchain.attacks` (``attack: "double-spend"``, E13).
-
-    ``architecture`` keys: ``attacker_share``, ``confirmations``
-    (:func:`~repro.blockchain.attacks.attacker_success_probability`) and
-    ``max_risk`` (:func:`~repro.blockchain.attacks.confirmations_for_risk`).
     Reports the attack success probability and the confirmation count
-    holding risk under ``max_risk``.
-    """
+    holding risk under ``max_risk``."""
+
+    knobs = Knobs(
+        attack=("repro.blockchain.attacks:attacker_success_probability",
+                "architecture.attacker_share", "architecture.confirmations"),
+        risk=("repro.blockchain.attacks:confirmations_for_risk", "architecture.max_risk"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.blockchain.attacks import (
-            attacker_success_probability,
-            confirmations_for_risk,
-        )
-
-        attack = _arguments(attacker_success_probability, _pick(
-            spec, "architecture", "attacker_share", "confirmations"))
+        attack = self.knobs.arguments(spec, "attack")
         return {
             "attack": attack,
-            "risk": _arguments(confirmations_for_risk,
-                               _pick(spec, "architecture", "max_risk"),
-                               attacker_share=attack["attacker_share"]),
+            "risk": self.knobs.arguments(spec, "risk",
+                                         attacker_share=attack["attacker_share"]),
         }
 
     def run(self, context):
@@ -674,26 +436,20 @@ class DoubleSpend(Experiment):
 # ----------------------------------------------------------------------
 @experiment("consensus", "cluster")
 class ConsensusCluster(Experiment):
-    """PBFT and Raft clusters driven by a Poisson request stream.
+    """PBFT and Raft clusters driven by a Poisson request stream."""
 
-    ``architecture`` keys: ``protocol`` (``"pbft"`` or ``"raft"``),
-    ``replicas``, ``batch_size``.  The request rate comes from
-    ``workload["rate_tps"]`` and the measured interval from ``duration``
-    (:class:`~repro.consensus.cluster.ConsensusBenchmarkConfig` fields).
-    """
+    knobs = Knobs(
+        kinds=("payment",),
+        choices={"architecture.protocol": "repro.consensus.cluster:PROTOCOLS"},
+        config=("repro.consensus.cluster:ConsensusBenchmarkConfig", "architecture.protocol",
+                "architecture.replicas", "architecture.batch_size",
+                "workload.rate_tps=request_rate", "duration"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.consensus.cluster import ConsensusBenchmark, ConsensusBenchmarkConfig
+        from repro.consensus.cluster import ConsensusBenchmark
 
-        _expect_workload_kind(spec, "payment")
-        config = _config(
-            ConsensusBenchmarkConfig,
-            _pick(spec, "architecture", "protocol", "replicas", "batch_size"),
-            _pick(spec, "workload", request_rate="rate_tps"),
-            _duration(spec),
-            seed=seed,
-        )
-        return {"model": ConsensusBenchmark(config)}
+        return {"model": ConsensusBenchmark(
+            self.knobs.config(spec, "config", seed=seed))}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         metrics = _float_metrics(outcome.summary())
@@ -712,31 +468,37 @@ class ConsensusCluster(Experiment):
 class FabricConsortium(Experiment):
     """A Fabric-like consortium running a chaincode workload on one channel.
 
-    ``architecture`` keys: ``organizations``, ``peers_per_org``,
-    ``chaincode`` (installed name, see
-    :func:`repro.permissioned.chaincode.chaincode_by_name`) and
-    ``key_space``; ``workload["rate_tps"]`` and ``duration`` set the load.
-    ``workload["kind"]`` is ``"payment"`` (transfers over ``key_space``
-    accounts) or ``"vertical"``, whose other keys (``domain``, ...) build
-    the :class:`~repro.workloads.VerticalWorkload` giving the arguments.
+    A ``"payment"`` workload transfers over ``key_space`` accounts; a
+    ``"vertical"`` one builds the :class:`~repro.workloads.VerticalWorkload`
+    giving each invocation's arguments.
     """
+
+    knobs = Knobs(
+        kinds=("payment", "vertical"),
+        only_for={"vertical": "vertical"},
+        choices={"architecture.chaincode":
+                 "repro.permissioned.chaincode:CHAINCODE_FACTORIES",
+                 "workload.domain": "repro.workloads:VerticalWorkload.DOMAINS"},
+        network=("repro.permissioned.fabric:FabricNetworkConfig",
+                 "architecture.organizations", "architecture.peers_per_org"),
+        chaincode=("repro.permissioned.chaincode:chaincode_by_name",
+                   "architecture.chaincode=name"),
+        run=("repro.permissioned.fabric:FabricNetwork.run_workload",
+             "workload.rate_tps=request_rate", "architecture.key_space", "duration"),
+        vertical=("repro.workloads:VerticalWorkload", "workload.rate_tps", "workload.*",
+                  "=seed"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.permissioned.chaincode import chaincode_by_name
-        from repro.permissioned.fabric import FabricNetwork, FabricNetworkConfig
+        from repro.permissioned.fabric import FabricNetwork
 
-        network = FabricNetwork(_config(
-            FabricNetworkConfig,
-            _pick(spec, "architecture", "organizations", "peers_per_org"),
-            seed=seed,
-        ))
-        chaincode = _arguments(chaincode_by_name,
-                               _pick(spec, "architecture", name="chaincode"))
+        network = FabricNetwork(self.knobs.config(spec, "network", seed=seed))
+        chaincode = self.knobs.arguments(spec, "chaincode")
         network.install_chaincode("default", chaincode_by_name(**chaincode))
 
         args_factory = None
-        if _expect_workload_kind(spec, "payment", "vertical") == "vertical":
-            vertical = _workload(spec, seed)
+        if self.knobs.kind(spec) == "vertical":
+            vertical = _workload(self.knobs, spec, "vertical", seed)
 
             def args_factory(rng) -> Dict:
                 return dict(vertical.invocation()["args"])
@@ -744,15 +506,9 @@ class FabricConsortium(Experiment):
         return {
             "network": network,
             "run": network.run_workload,
-            "arguments": _arguments(
-                FabricNetwork.run_workload,
-                _pick(spec, "workload", request_rate="rate_tps"),
-                _pick(spec, "architecture", "key_space"),
-                _duration(spec),
-                channel="default",
-                chaincode=chaincode["name"],
-                args_factory=args_factory,
-            ),
+            "arguments": self.knobs.arguments(
+                spec, "run", channel="default", chaincode=chaincode["name"],
+                args_factory=args_factory),
         }
 
     def collect(self, context, outcome) -> Dict[str, float]:
@@ -767,35 +523,31 @@ class FabricConsortium(Experiment):
 
 # ----------------------------------------------------------------------
 # Open P2P overlays (structured DHTs, one-hop, flooding, identity attacks).
-# In every experiment ``topology["size"]`` is the network size,
-# ``workload["lookups"]`` the number of lookups and ``churn`` a
-# ``CHURN_PRESETS`` name or ``ChurnModel`` field dict (:func:`_churn`); all
-# report comparable ``median/p90/mean_latency_s`` and ``failure_rate``
+# All report comparable ``median/p90/mean_latency_s`` and ``failure_rate``
 # metrics so cross-substrate studies can pivot on them directly.
 # ----------------------------------------------------------------------
 @experiment("overlay", "kad", "mainline")
 class KademliaLookups(Experiment):
-    """The multi-hop Kademlia DHT on the event-driven engine (E2, E5).
+    """The multi-hop Kademlia DHT on the event-driven engine (E2, E5);
+    ``architecture["overlay"]`` is the client."""
 
-    ``architecture["overlay"]`` is the client: a preset (``"kad"`` /
-    ``"mainline"``) or a :class:`~repro.p2p.kademlia.KademliaConfig` field
-    dict, with optional ``client_overrides`` (fields) on top.
-    ``topology["size"]``, ``workload["lookups"]``/``["interval_s"]``,
-    ``churn`` and ``topology["network"]`` (``lan``/``wan``/``geo`` or a
-    :class:`~repro.sim.network.NetworkParams` field dict) set the run.
-    """
+    knobs = Knobs(
+        kinds=("lookup",),
+        presets={"architecture.overlay": _client, "churn": _churn,
+                 "topology.network": _network},
+        config=("repro.p2p.lookup:LookupExperimentConfig",
+                "topology.size=network_size", "workload.lookups",
+                "workload.interval_s=lookup_interval",
+                "architecture.overlay=kademlia", "churn",
+                "topology.network=network_params"),
+        client_overrides=("repro.p2p.kademlia:KademliaConfig",
+                          "architecture.client_overrides.*"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.p2p.lookup import LookupExperiment, LookupExperimentConfig
+        from repro.p2p.lookup import LookupExperiment
 
-        _expect_workload_kind(spec, "lookup")
-        config = _config(
-            LookupExperimentConfig,
-            _pick(spec, "topology", network_size="size"),
-            _pick(spec, "workload", "lookups", lookup_interval="interval_s"),
-            **_lookup_environment(spec, seed, "overlay", LookupExperimentConfig),
-        )
-        return {"model": LookupExperiment(config)}
+        return {"model": LookupExperiment(_lookup_config(self.knobs, spec, seed))}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         return _float_metrics(outcome.summary())
@@ -805,26 +557,26 @@ class KademliaLookups(Experiment):
 class FastKademliaLookups(Experiment):
     """The vectorized large-N Kademlia fast path
     (:class:`~repro.p2p.fastkad.FastKademliaOverlay`): same lookup metrics
-    from array-backed state, tractable at 10^5+ nodes.
+    from array-backed state, tractable at 10^5+ nodes; ``metrics`` selects
+    exact or streaming samples."""
 
-    ``architecture["client"]`` is the client (``client_overrides`` on
-    top), ``workload["wave_size"]`` the lookup batch width and
-    ``workload["warmup_s"]`` the churn warm-up; the other keys read as
-    for ``kad``, and ``metrics`` selects exact or streaming samples.
-    """
+    knobs = Knobs(
+        kinds=("lookup",),
+        presets={"architecture.client": _client, "churn": _churn,
+                 "topology.network": _network},
+        config=("repro.p2p.fastkad:FastKademliaConfig",
+                "topology.size=network_size", "workload.lookups",
+                "workload.wave_size", "workload.interval_s=lookup_interval",
+                "workload.warmup_s=warmup", "architecture.client=kademlia",
+                "churn", "topology.network=network_params"),
+        client_overrides=("repro.p2p.kademlia:KademliaConfig",
+                          "architecture.client_overrides.*"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.p2p.fastkad import FastKademliaConfig, FastKademliaOverlay
+        from repro.p2p.fastkad import FastKademliaOverlay
 
-        _expect_workload_kind(spec, "lookup")
-        config = _config(
-            FastKademliaConfig,
-            _pick(spec, "topology", network_size="size"),
-            _pick(spec, "workload", "lookups", "wave_size",
-                  lookup_interval="interval_s", warmup="warmup_s"),
-            **_lookup_environment(spec, seed, "client", FastKademliaConfig),
-        )
-        return {"model": FastKademliaOverlay(config)}
+        return {"model": FastKademliaOverlay(_lookup_config(self.knobs, spec, seed))}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         # run() already returned the summary dict (same metric names
@@ -838,29 +590,26 @@ class SybilAttack(Experiment):
     lookup experiment (E3).
 
     ``attack: "sybil"`` spreads self-assigned identities uniformly,
-    ``"eclipse"`` clusters them around a target key
-    (``architecture["targeted_key"]``, or a seed-derived key when unset).
-    ``attacker_machines`` and ``identities_per_machine`` size the attack
-    on ``topology["size"]`` honest nodes, measured over
-    ``workload["lookups"]``; ``architecture["overlay"]`` is the client.
+    ``"eclipse"`` clusters them around a target key (a seed-derived key
+    unless ``architecture["targeted_key"]`` is set);
+    ``architecture["overlay"]`` is the client.
     """
+
+    knobs = Knobs(
+        kinds=("lookup",),
+        presets={"architecture.overlay": _client},
+        config=("repro.p2p.sybil:SybilAttackConfig",
+                "topology.size=honest_nodes", "architecture.attacker_machines",
+                "architecture.identities_per_machine", "architecture.targeted_key",
+                "workload.lookups", "architecture.overlay=kademlia"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.identifiers import random_id
-        from repro.p2p.sybil import SybilAttackConfig
         from repro.sim.rng import SeededRNG
 
-        _expect_workload_kind(spec, "lookup")
-        config = _config(
-            SybilAttackConfig,
-            _pick(spec, "topology", honest_nodes="size"),
-            _pick(spec, "architecture", "attacker_machines",
-                  "identities_per_machine", "targeted_key"),
-            _pick(spec, "workload", "lookups"),
-            kademlia=_client(spec, "overlay", SybilAttackConfig),
-            seed=seed,
-        )
-        if spec.architecture["attack"] == "eclipse" and config.targeted_key is None:
+        config = self.knobs.config(spec, "config", seed=seed)
+        if mode_of(spec) == "eclipse" and config.targeted_key is None:
             # A deterministic per-seed victim key, so replicates eclipse
             # different regions of the identifier space.
             config = replace(config, targeted_key=random_id(
@@ -890,33 +639,30 @@ class SybilAttack(Experiment):
 @experiment("overlay", "chord")
 class ChordLookups(Experiment):
     """Greedy finger-table routing on a converged
-    :class:`~repro.p2p.chord.ChordNetwork` ring (E2).
+    :class:`~repro.p2p.chord.ChordNetwork` ring (E2).  The churn model's
+    implied availability fails ``1 - availability`` of the ring before the
+    lookups run, exercising successor-list repair."""
 
-    ``topology["size"]`` and the ``architecture`` keys
-    ``successor_list_size``, ``hop_latency_mean`` build the ring;
-    ``workload["lookups"]`` counts the lookups.  The churn model's implied
-    availability fails ``1 - availability`` of the ring before the lookups
-    run, exercising successor-list repair.
-    """
+    knobs = Knobs(
+        kinds=("lookup",),
+        presets={"churn": _churn},
+        ring=("repro.p2p.chord:ChordNetwork", "topology.size",
+              "architecture.successor_list_size", "architecture.hop_latency_mean"),
+        run=("repro.p2p.chord:ChordNetwork.run_lookups", "workload.lookups=count"),
+        failures=("", "churn"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.p2p.chord import ChordNetwork
 
-        _expect_workload_kind(spec, "lookup")
-        network = ChordNetwork(**_arguments(
-            ChordNetwork,
-            _pick(spec, "topology", "size"),
-            _pick(spec, "architecture", "successor_list_size", "hop_latency_mean"),
-            seed=seed,
-        ))
-        churn = _churn(spec)
+        network = ChordNetwork(**self.knobs.arguments(spec, "ring", seed=seed))
+        churn = self.knobs.value(spec, "churn")
         if churn is not None:
             network.fail_nodes(1.0 - churn.availability)
         return {
             "network": network,
             "run": network.run_lookups,
-            "arguments": _arguments(ChordNetwork.run_lookups,
-                                    _pick(spec, "workload", count="lookups")),
+            "arguments": self.knobs.arguments(spec, "run"),
         }
 
     def collect(self, context, outcome) -> Dict[str, float]:
@@ -942,31 +688,26 @@ class ChordLookups(Experiment):
 
 @experiment("overlay", "onehop")
 class OneHopLookups(Experiment):
-    """The full-membership :class:`~repro.p2p.onehop.OneHopOverlay` (E6).
+    """The full-membership :class:`~repro.p2p.onehop.OneHopOverlay` (E6)."""
 
-    ``topology["size"]``, ``churn`` and the ``architecture`` keys
-    ``dissemination_delay``, ``lookup_timeout`` configure the overlay;
-    ``workload["lookups"]`` and ``architecture["hop_latency"]`` drive
-    :meth:`~repro.p2p.onehop.OneHopOverlay.lookup_latencies`.
-    """
+    knobs = Knobs(
+        kinds=("lookup",),
+        presets={"churn": _churn},
+        config=("repro.p2p.onehop:OneHopConfig", "topology.size",
+                "architecture.dissemination_delay", "architecture.lookup_timeout",
+                "churn"),
+        run=("repro.p2p.onehop:OneHopOverlay.lookup_latencies",
+             "workload.lookups", "architecture.hop_latency"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.p2p.onehop import OneHopConfig, OneHopOverlay
+        from repro.p2p.onehop import OneHopOverlay
 
-        _expect_workload_kind(spec, "lookup")
-        config = _config(
-            OneHopConfig,
-            _pick(spec, "topology", "size"),
-            _pick(spec, "architecture", "dissemination_delay", "lookup_timeout"),
-            churn=_churn(spec),
-        )
-        overlay = OneHopOverlay(config, seed=seed)
+        overlay = OneHopOverlay(self.knobs.config(spec, "config"), seed=seed)
         return {
             "overlay": overlay,
             "run": overlay.lookup_latencies,
-            "arguments": _arguments(OneHopOverlay.lookup_latencies,
-                                    _pick(spec, "workload", "lookups"),
-                                    _pick(spec, "architecture", "hop_latency")),
+            "arguments": self.knobs.arguments(spec, "run"),
         }
 
     def collect(self, context, outcome) -> Dict[str, float]:
@@ -991,34 +732,33 @@ class OneHopLookups(Experiment):
 @experiment("overlay", "gnutella")
 class GnutellaSearch(Experiment):
     """TTL-limited flooding over a
-    :class:`~repro.p2p.unstructured.GnutellaNetwork` (E4).
-
-    ``topology["size"]`` and the ``architecture`` keys ``degree``,
-    ``ttl``, ``objects``, ``replicas_per_object``, ``zipf_exponent``,
-    ``sharing_fraction``, ``hop_latency_mean`` build the overlay;
-    ``workload["lookups"]`` counts the queries.  The churn model scales
-    the sharing fraction by the implied mean availability, so flooding
-    runs under the same churn trace as the structured substrates.
+    :class:`~repro.p2p.unstructured.GnutellaNetwork` (E4).  The churn
+    model scales the sharing fraction by the implied mean availability, so
+    flooding runs under the same churn trace as the structured substrates.
     """
 
-    def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.p2p.unstructured import GnutellaConfig, GnutellaNetwork
+    knobs = Knobs(
+        kinds=("lookup",),
+        presets={"churn": _churn},
+        config=("repro.p2p.unstructured:GnutellaConfig", "topology.size",
+                "architecture.degree", "architecture.ttl", "architecture.objects",
+                "architecture.replicas_per_object", "architecture.zipf_exponent",
+                "architecture.sharing_fraction", "architecture.hop_latency_mean"),
+        run=("repro.p2p.unstructured:GnutellaNetwork.run_queries",
+             "workload.lookups=count"),
+        availability=("", "churn"),
+    )
 
-        _expect_workload_kind(spec, "lookup")
-        churn = _churn(spec)
+    def setup(self, spec: ScenarioSpec, seed: int):
+        from repro.p2p.unstructured import GnutellaNetwork
+
+        churn = self.knobs.value(spec, "churn")
         availability = churn.availability if churn is not None else 1.0
-        config = _config(
-            GnutellaConfig,
-            _pick(spec, "topology", "size"),
-            _pick(spec, "architecture", "degree", "ttl", "objects",
-                  "replicas_per_object", "zipf_exponent", "sharing_fraction",
-                  "hop_latency_mean"),
-        )
+        config = self.knobs.config(spec, "config")
         config.sharing_fraction *= availability
         return {
             "run": GnutellaNetwork(config, seed=seed).run_queries,
-            "arguments": _arguments(GnutellaNetwork.run_queries,
-                                    _pick(spec, "workload", count="lookups")),
+            "arguments": self.knobs.arguments(spec, "run"),
             "availability": availability,
         }
 
@@ -1051,31 +791,29 @@ class SuperpeerSearch(Experiment):
     """Two-tier search over a :class:`~repro.p2p.superpeer.SuperpeerNetwork`
     (§II: Kazaa/eDonkey/Skype — the scaling fix that re-centralizes).
 
-    ``topology["size"]`` is the number of leaves; ``architecture`` keys:
-    ``superpeers``, ``leaves_per_superpeer``, ``superpeer_neighbors``,
-    ``objects``, ``replicas_per_object``, ``hop_latency_mean``;
-    ``workload["lookups"]`` counts the queries.  Churn is not modelled:
-    the superpeer tier is by construction the stable layer.  Reports
-    search cost next to how concentrated the index tier is.
+    Churn is not modelled: the superpeer tier is by construction the
+    stable layer.  Reports search cost next to how concentrated the index
+    tier is.
     """
 
-    def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.p2p.superpeer import SuperpeerConfig, SuperpeerNetwork
+    knobs = Knobs(
+        kinds=("lookup",),
+        config=("repro.p2p.superpeer:SuperpeerConfig", "topology.size=leaves",
+                "architecture.superpeers", "architecture.leaves_per_superpeer",
+                "architecture.superpeer_neighbors", "architecture.objects",
+                "architecture.replicas_per_object", "architecture.hop_latency_mean"),
+        run=("repro.p2p.superpeer:SuperpeerNetwork.run_queries",
+             "workload.lookups=count"),
+    )
 
-        _expect_workload_kind(spec, "lookup")
-        config = _config(
-            SuperpeerConfig,
-            _pick(spec, "topology", leaves="size"),
-            _pick(spec, "architecture", "superpeers", "leaves_per_superpeer",
-                  "superpeer_neighbors", "objects", "replicas_per_object",
-                  "hop_latency_mean"),
-        )
-        network = SuperpeerNetwork(config, seed=seed)
+    def setup(self, spec: ScenarioSpec, seed: int):
+        from repro.p2p.superpeer import SuperpeerNetwork
+
+        network = SuperpeerNetwork(self.knobs.config(spec, "config"), seed=seed)
         return {
             "network": network,
             "run": network.run_queries,
-            "arguments": _arguments(SuperpeerNetwork.run_queries,
-                                    _pick(spec, "workload", count="lookups")),
+            "arguments": self.knobs.arguments(spec, "run"),
         }
 
     def collect(self, context, outcome) -> Dict[str, float]:
@@ -1098,27 +836,25 @@ class EdgePlacement(Experiment):
     """Cloud-only vs regional-cloud vs edge-centric placement
     (``mode: "placement"``, the family default).
 
-    Runs ``workload["requests"]`` device requests under each strategy
+    Runs the device requests under each strategy
     (:func:`~repro.edge.placement.compare_placements`) over an
-    :class:`~repro.edge.topology.EdgeTopology` whose every ``topology``
-    key is an :class:`~repro.edge.topology.EdgeTopologyConfig` field
-    (empty dict → stock topology).  Metrics are emitted per strategy as
-    ``<strategy>.<metric>`` plus the cloud-to-edge ``speedup``.
+    :class:`~repro.edge.topology.EdgeTopology`.  Metrics are emitted per
+    strategy as ``<strategy>.<metric>`` plus the cloud-to-edge ``speedup``.
     """
+
+    knobs = Knobs(
+        kinds=("object",),
+        topology=("repro.edge.topology:EdgeTopologyConfig", "topology.*"),
+        run=("repro.edge.placement:compare_placements", "workload.requests"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.edge.placement import compare_placements
+        from repro.edge.topology import EdgeTopology
 
-        _expect_workload_kind(spec, "object")
-        topology = None
-        if spec.topology:
-            from repro.edge.topology import EdgeTopology, EdgeTopologyConfig
-
-            topology = EdgeTopology(_config(
-                EdgeTopologyConfig, _every(spec.topology, "topology")))
-        return {"run": compare_placements, "arguments": _arguments(
-            compare_placements, _pick(spec, "workload", "requests"),
-            topology=topology, seed=seed)}
+        topology = EdgeTopology(self.knobs.config(spec, "topology"))
+        return {"run": compare_placements, "arguments": self.knobs.arguments(
+            spec, "run", topology=topology, seed=seed)}
 
     def collect(self, context, outcome) -> Dict[str, float]:
         metrics: Dict[str, float] = {}
@@ -1133,42 +869,43 @@ class IslandFederationOverhead(Experiment):
     """Blockchain islands and their interoperability overhead
     (``mode: "federation"``).
 
-    Builds ``architecture["islands"]`` (dicts of
-    :class:`~repro.edge.islands.BlockchainIsland` fields plus a
-    ``seed_offset`` added to the run seed, so ``--seed``/replicates
-    re-seed every island), connects ``architecture["connections"]`` pairs
-    with ``relay_latency`` and measures the overhead of the first
-    connection at ``workload["rate_tps"]`` for ``duration`` seconds.
+    Builds the islands (each one's ``seed_offset`` added to the run seed,
+    so ``--seed``/replicates re-seed every island), connects each pair of
+    ``connections`` and measures the overhead of the first connection.
     """
+
+    knobs = Knobs(
+        kinds=("vertical",),
+        island=("repro.edge.islands:BlockchainIsland", "architecture.islands.*",
+                "architecture.islands.seed_offset=seed"),
+        federation=("", "architecture.connections"),
+        relay=("repro.edge.islands:IslandFederation.connect",
+               "architecture.relay_latency"),
+        overhead=("repro.edge.islands:IslandFederation.interoperability_overhead",
+                  "workload.rate_tps=request_rate", "duration"),
+    )
 
     def setup(self, spec: ScenarioSpec, seed: int):
         from repro.edge.islands import BlockchainIsland, IslandFederation
 
-        _expect_workload_kind(spec, "vertical")
-        # Island seeds are offsets from the run seed, so both a ``--seed``
-        # override and replicate fan-out re-seed every island while staying
-        # fully deterministic.
+        # Island seeds are offsets from the run seed (the island's position
+        # unless ``seed_offset`` is set), so both a ``--seed`` override and
+        # replicate fan-out re-seed every island while staying fully
+        # deterministic.
         federation = IslandFederation(seed=seed)
-        for index, island in enumerate(spec.architecture.get("islands") or []):
-            fields = _every(island, f"architecture.islands[{index}]")
-            key, offset = fields.pop("seed_offset", ("", index + 1))
-            with _spec_values():
-                offset = _coerce((0, int), key, offset)
-            federation.add_island(BlockchainIsland(**_arguments(
-                BlockchainIsland, fields, seed=seed + offset)))
-        relay = _arguments(IslandFederation.connect,
-                           _pick(spec, "architecture", "relay_latency"))
-        connections = [tuple(pair) for pair in spec.architecture.get("connections") or []]
+        for index, picked in enumerate(self.knobs.each(spec, "island")):
+            island = _arguments(BlockchainIsland, {"seed": ("", index + 1)}, picked)
+            island["seed"] += seed
+            federation.add_island(BlockchainIsland(**island))
+        relay = self.knobs.arguments(spec, "relay")
+        connections = [tuple(pair) for pair in
+                       self.knobs.value(spec, "architecture.connections") or []]
         for source, destination in connections:
             federation.connect(source, destination, **relay)
         return {
             "federation": federation,
             "connections": connections,
-            "arguments": _arguments(
-                IslandFederation.interoperability_overhead,
-                _pick(spec, "workload", request_rate="rate_tps"),
-                _duration(spec),
-            ),
+            "arguments": self.knobs.arguments(spec, "overhead"),
         }
 
     def run(self, context):

@@ -81,7 +81,7 @@ from typing import (
 )
 
 from repro.analysis.resultset import ResultSet
-from repro.scenarios.adapters import SpecError, adapter_for
+from repro.scenarios.adapters import SpecError, adapter_for, check_spec
 from repro.scenarios.attempts import AttemptLedger, JobFailure, JobPolicy
 from repro.scenarios.result import ReplicateResult, ScenarioResult
 from repro.scenarios.spec import ScenarioSpec
@@ -212,7 +212,9 @@ class ResultSlot:
 
     @classmethod
     def for_point(cls, spec: ScenarioSpec, label: str = "") -> "ResultSlot":
-        """The slot of one fully-expanded point: one job per replicate."""
+        """The slot of one fully-expanded point, one job per replicate; every
+        compile path builds its slots here, so :func:`check_spec` runs here."""
+        check_spec(spec)
         return cls(
             scenario=spec.name,
             family=spec.family,

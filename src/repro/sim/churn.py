@@ -126,12 +126,15 @@ class ChurnModel:
         )
 
 
-#: Named churn presets (a scenario spec's ``churn``), as factories.
-CHURN_PRESETS: Dict[str, Callable[[], ChurnModel]] = {
+#: Named churn presets (a scenario spec's ``churn``), as factories;
+#: "none" and "off" name no churn at all.
+CHURN_PRESETS: Dict[str, Optional[Callable[[], ChurnModel]]] = {
     "kad": ChurnModel.kad_like,
     "bittorrent": ChurnModel.bittorrent_like,
     "stable": ChurnModel.stable,
     "aggressive": ChurnModel.aggressive,
+    "none": None,
+    "off": None,
 }
 
 

@@ -79,10 +79,12 @@ class SeededRNG:
         return self._random.expovariate(1.0 / mean)
 
     def pareto(self, shape: float, scale: float = 1.0) -> float:
-        """Pareto (Lomax-style, ``scale`` is the minimum value) draw."""
+        """Pareto (Lomax-style, ``scale`` is the minimum value) draw, spelt
+        as 3.10+'s ``paretovariate``: 3.9's ``1.0 / u ** (1.0 / shape)``
+        differs in the last bits."""
         if shape <= 0 or scale <= 0:
             raise ValueError("pareto shape and scale must be positive")
-        return scale * (self._random.paretovariate(shape))
+        return scale * ((1.0 - self.random()) ** (-1.0 / shape))
 
     def weibull(self, shape: float, scale: float) -> float:
         """Weibull draw; shape < 1 gives the heavy-tailed sessions seen in P2P."""

@@ -134,6 +134,10 @@ class TestMalformedOverrides:
         (["edge-federation", "--set", 'architecture.islands='
           '[{"name": "trade", "domain": "supply-chain", "bogus": 1}]'],
          "scenario 'edge-federation': unknown key architecture.islands[0].bogus"),
+        (["edge-federation", "--set", 'architecture.islands='
+          '[{"name": "trade", "domain": "supply-chain", "seed_offset": 1.5}]'],
+         "scenario 'edge-federation': architecture.islands[0].seed_offset "
+         "expects an integer"),
         (["kad-lookup", "--set", 'churn={"mean_session": "x"}'],
          "scenario 'kad-lookup': churn.mean_session expects a number"),
         (["kad-lookup", "--set", 'architecture.client_overrides={"k": 2.5}'],

@@ -20,6 +20,13 @@ The first run of each configuration is shared between the two tests, so
 the whole gate costs roughly two trimmed passes over the registry.
 """
 
+import glob
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.diff import diff_resultsets
@@ -112,3 +119,42 @@ def test_matches_committed_golden(kind, name):
 def test_fixed_seed_run_twice_is_byte_identical(kind, name):
     """No hash()-style nondeterminism anywhere in the registry."""
     assert _first_run(kind, name) == _run(kind, name)
+
+
+def _interpreter(version):
+    """A Python ``version`` that can be started: ``pythonX.Y`` on PATH, or
+    one installed beside this interpreter (a pyenv-style ``versions``
+    directory), or ``None``."""
+    name = "%d.%d" % version
+    found = [shutil.which(f"python{name}")] + sorted(
+        glob.glob(str(Path(sys.base_prefix).parent / f"{name}.*" / "bin" / "python")))
+    for candidate in filter(None, found):
+        try:
+            probe = subprocess.run(
+                [candidate, "-c", "import sys; print(sys.version_info[:2])"],
+                capture_output=True, text=True, timeout=60)
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if probe.returncode == 0 and probe.stdout.strip() == str(version):
+            return candidate
+    return None
+
+
+def test_pareto_draws_match_on_python_3_9():
+    """pow-baseline's golden (Pareto hash rates) comes out byte for byte
+    under Python 3.9, whose ``random.paretovariate`` is spelt otherwise."""
+    python = _interpreter((3, 9))
+    if python is None:
+        pytest.skip("no Python 3.9 interpreter can be started here")
+    script = ("import sys\n"
+              "from repro.scenarios import goldens\n"
+              "from repro.scenarios.execution import execute_plan\n"
+              "plan = goldens.golden_plan('scenario', 'pow-baseline')\n"
+              "sys.stdout.write(execute_plan(plan).to_json() + '\\n')\n")
+    source = Path(goldens.__file__).resolve().parents[2]
+    run = subprocess.run([python, "-c", script], capture_output=True,
+                         text=True, timeout=600,
+                         env={**os.environ, "PYTHONPATH": str(source)})
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == goldens.golden_path(
+        "scenario", "pow-baseline").read_text(encoding="utf-8")

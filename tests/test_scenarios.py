@@ -19,6 +19,17 @@ from repro.scenarios import (
     scenario_names,
 )
 from repro.run import main as run_main
+from repro.scenarios import (
+    EXPERIMENTS,
+    SpecError,
+    compile_scenario,
+    compile_study,
+    compile_sweep,
+    experiment_for,
+    study_names,
+)
+from repro.scenarios.adapters import check_spec
+from repro.scenarios.knobs import Knobs, _coerced, _declared, _model
 from repro.scenarios.runner import resolve_spec
 
 
@@ -114,6 +125,13 @@ class TestRegistry:
         for family in FAMILIES:
             assert adapter_for(family).family == family
 
+    def test_experiments_md_is_rendered_from_the_registries(self):
+        from repro.analysis.experiments import render_experiments_markdown
+
+        committed = Path(__file__).resolve().parents[1] / "EXPERIMENTS.md"
+        assert render_experiments_markdown() == committed.read_text(
+            encoding="utf-8"), "EXPERIMENTS.md is stale: run `make experiments`"
+
     def test_registered_points_and_experiments_cover_each_other(self):
         # Every point of every registered scenario and study resolves to a
         # registered experiment, and no experiment is registered that no
@@ -125,7 +143,7 @@ class TestRegistry:
             experiment_for,
             study_names,
         )
-        from repro.scenarios.adapters import mode_of
+        from repro.scenarios.knobs import mode_of
 
         plans = [compile_sweep(name) for name in scenario_names()]
         plans += [compile_study(name) for name in study_names()]
@@ -199,6 +217,17 @@ class TestRunner:
         assert base.metrics != reseeded.metrics
         assert base.to_json() == run_scenario("edge-federation",
                                               overrides=overrides, seed=6).to_json()
+
+    def test_an_island_seed_offset_defaults_to_its_position(self):
+        overrides = {"duration": 0.5}
+        islands = [{"name": "trade", "domain": "supply-chain"},
+                   {"name": "health", "domain": "healthcare"}]
+        registered = run_scenario("edge-federation", overrides=overrides)
+        unset = run_scenario("edge-federation", overrides={
+            **overrides, "architecture.islands": islands})
+        assert [island["seed_offset"] for island in get_scenario(
+            "edge-federation").architecture["islands"]] == [1, 2]
+        assert unset.metrics == registered.metrics
 
     def test_adapter_configs_match_hand_wiring(self):
         # The framework must reproduce a hand-wired run bit-for-bit.
@@ -276,113 +305,247 @@ class TestConfigDefaults:
             adapter_for("overlay").setup(spec, seed=1)
 
 
-#: Calls whose result is the spec data they are handed (so is its root).
-_HANDS_ON = {"dict", "enumerate", "getattr", "iter", "list", "sorted", "tuple"}
-_READS = {"copy", "get", "items", "pop", "setdefault", "values"}
+#: The spec fields an experiment reads only through its knob table.
+_SPEC_SECTIONS = {"architecture", "topology", "workload", "churn", "duration"}
 
 
-def _is_spec_data(node, names) -> bool:
-    """Whether ``node`` is taken from spec data: an attribute, item or
-    read of a name in ``names``, or of a call that hands one on."""
-    while True:
-        if isinstance(node, ast.Name):
-            return node.id in names
-        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Starred)):
-            node = node.value
+def section_reads(source: str) -> list:
+    """``(line, section)`` of every place ``source`` touches a spec section:
+    ``x.topology``, or ``getattr(x, "topology")``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _SPEC_SECTIONS:
+            found.append((node.lineno, node.attr))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in _HANDS_ON and node.args:
-            node = node.args[0]
-        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _READS:
-            node = node.func.value
-        elif isinstance(node, ast.BoolOp):
-            return any(_is_spec_data(value, names) for value in node.values)
-        elif isinstance(node, ast.IfExp):
-            return _is_spec_data(node.body, names) or _is_spec_data(node.orelse, names)
-        else:
-            return False
-
-
-def _spec_names(scope) -> set:
-    """``spec`` and every name ``scope`` binds (assignment, loop target)
-    to spec data, transitively."""
-    bindings = []
-    for node in ast.walk(scope):
-        if isinstance(node, ast.Assign):
-            bindings += [(target, node.value) for target in node.targets]
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)) \
-                and node.value is not None:
-            bindings.append((node.target, node.value))
-        elif isinstance(node, (ast.For, ast.comprehension)):
-            bindings.append((node.target, node.iter))
-    names, grew = {"spec"}, True
-    while grew:
-        grew = False
-        for target, value in bindings:
-            if _is_spec_data(value, names):
-                for leaf in ast.walk(target):
-                    if isinstance(leaf, ast.Name) and leaf.id not in names:
-                        names.add(leaf.id)
-                        grew = True
-    return names
-
-
-def second_routes(source: str) -> list:
-    """Every place ``source`` reads a spec value around ``_pick`` →
-    ``_config``: a ``.get(key, default)`` of spec data (a second copy of
-    a model's default) or a ``**`` expansion of spec data (values that
-    reach a model unchecked)."""
-    tree = ast.parse(source)
-    found = set()
-    scopes = [tree] + [node for node in ast.walk(tree)
-                       if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
-    for scope in scopes:
-        names = _spec_names(scope)
-        for node in ast.walk(scope):
-            expanded = []
-            if isinstance(node, ast.Call):
-                expanded = [keyword.value for keyword in node.keywords
-                            if keyword.arg is None]
-                if isinstance(node.func, ast.Attribute) and node.func.attr == "get" \
-                        and len(node.args) + len(node.keywords) > 1 \
-                        and _is_spec_data(node.func.value, names):
-                    found.add((node.lineno, "get with a default"))
-            elif isinstance(node, ast.Dict):
-                expanded = [value for key, value in zip(node.keys, node.values)
-                            if key is None]
-            for value in expanded:
-                if _is_spec_data(value, names):
-                    found.add((value.lineno, "** of spec data"))
+                and node.func.id == "getattr" and len(node.args) > 1 \
+                and isinstance(node.args[1], ast.Constant) \
+                and node.args[1].value in _SPEC_SECTIONS:
+            found.append((node.lineno, node.args[1].value))
     return sorted(found)
 
 
 class TestOneRoute:
-    """``_pick`` → ``_config``/``_arguments`` is the only way an
-    experiment turns spec data into model inputs."""
+    """An experiment reads the spec only through its knob table
+    (:mod:`repro.scenarios.knobs`), whose reader is the one route from a
+    spec value to its model."""
 
-    def test_adapters_read_spec_values_only_through_picks(self):
+    def test_experiments_touch_no_spec_section(self):
         from repro.scenarios import adapters
 
         source = Path(adapters.__file__).read_text(encoding="utf-8")
-        assert second_routes(source) == []
+        assert section_reads(source) == []
 
     @pytest.mark.parametrize("source,found", [
         ("def f(spec):\n    x = spec.topology.get('size', 500)\n",
-         [(2, "get with a default")]),
+         [(2, "topology")]),
         ("def f(spec):\n    arch = spec.architecture\n"
-         "    n = int(arch.get('steps', 250))\n", [(3, "get with a default")]),
-        ("def f(spec):\n    g(**spec.topology)\n", [(2, "** of spec data")]),
+         "    n = int(arch.get('steps', 250))\n", [(2, "architecture")]),
+        ("def f(spec):\n    g(**spec.topology)\n", [(2, "topology")]),
         ("def f(spec):\n    arch = dict(spec.architecture)\n"
-         "    arch.pop('seed', None)\n    g(**arch)\n", [(4, "** of spec data")]),
+         "    arch.pop('seed', None)\n    g(**arch)\n", [(2, "architecture")]),
         ("def f(spec):\n    for i, d in enumerate(spec.architecture.get('x') or []):\n"
-         "        p = dict(d)\n        g(**p)\n", [(4, "** of spec data")]),
+         "        p = dict(d)\n        g(**p)\n", [(2, "architecture")]),
         ("def f(spec):\n    o = spec.architecture.get('o') or {}\n"
-         "    return {**o}\n", [(3, "** of spec data")]),
-        ("def f(spec):\n    g(**_arguments(h, _pick(spec, 'a', 'b')))\n"
-         "    k = spec.workload.get('kind')\n    return {**context['x']}\n", []),
+         "    return {**o}\n", [(2, "architecture")]),
+        ("def f(spec):\n    return spec.duration or 5.0, spec.churn\n",
+         [(2, "churn"), (2, "duration")]),
+        ("def f(spec):\n    return getattr(spec, 'workload')['kind']\n",
+         [(2, "workload")]),
+        ("def setup(self, spec, seed):\n"
+         "    return self.knobs.config(spec, 'params', seed=seed, metrics=spec.metrics)\n",
+         []),
     ])
-    def test_the_scan_finds_each_second_route(self, source, found):
-        assert second_routes(source) == found
+    def test_the_scan_finds_each_section_read(self, source, found):
+        assert section_reads(source) == found
+
+
+def _registered_points():
+    """``{experiment class name: [point, ...]}`` over every registered
+    scenario point, in registry order."""
+    points = {}
+    for name in scenario_names():
+        for slot in compile_sweep(name).slots:
+            points.setdefault(type(experiment_for(slot.spec)).__name__,
+                              []).append(slot.spec)
+    return points
+
+
+POINTS = _registered_points()
+
+
+def _knobs(name):
+    return experiment_for(POINTS[name][0]).knobs
+
+
+def _misspellings():
+    """``(experiment, section, a key it reads there)`` per section read."""
+    cases = []
+    for name in POINTS:
+        by_section = {}
+        for key, _, _ in _knobs(name).keys():
+            section, _, rest = key.partition(".")
+            if rest and "." not in rest:
+                by_section.setdefault(section, rest)
+        cases += [(name, section, key) for section, key in by_section.items()]
+    return cases
+
+
+def _set(spec, key, value):
+    """``spec`` with ``key`` set to ``value``; a key below a list of dicts
+    (``architecture.islands.name``) is set in its first dict."""
+    parent, _, name = key.rpartition(".")
+    found, items = Knobs._at(spec, parent) if parent else (False, None)
+    if found and isinstance(items, list):
+        return spec.with_overrides({parent: [{**items[0], name: value}, *items[1:]]})
+    return spec.with_overrides({key: value})
+
+
+def _current(spec, key):
+    """What ``spec`` gives ``key`` (in the first dict of a list), if set."""
+    parent, _, name = key.rpartition(".")
+    found, items = Knobs._at(spec, parent) if parent else (False, None)
+    if found and isinstance(items, list):
+        return name in items[0], items[0].get(name)
+    return Knobs._at(spec, key)
+
+
+def _reaching(knobs, spec, role):
+    """What the spec sets for ``role``'s target (its first dict's, for a
+    list read whole), coerced as the model receives it."""
+    target = _model(knobs.roles[role][0])
+    listed = any(path.endswith(".*") and isinstance(Knobs._at(spec, path[:-2])[1], list)
+                 for path, _ in knobs.roles[role][1])
+    return _coerced(target, knobs.each(spec, role)[:1] if listed
+                    else [knobs.picks(spec, role)])
+
+
+def _another(knobs, key, spec, declared):
+    """A value for ``key`` other than the one ``spec`` gives it."""
+    found, now = _current(spec, key)
+    default, kind = declared
+    now = now if found else default
+    if key in knobs.presets:
+        presets, _ = knobs.presets[key]()
+        return next(name for name in presets
+                    if name != now and presets[name] is not None)
+    if key in knobs.choices:
+        return next(name for name in _model(knobs.choices[key]) if name != now)
+    if kind is bool:
+        return not now
+    if kind is str:
+        return f"{now}-other"
+    return (now or 0) + 3 if kind is int or now is None else now * 2 + 1
+
+
+class TestKnobTables:
+    """Each experiment's :class:`Knobs` table is its whole interface:
+    compiling rejects what it does not list, and what it lists is read."""
+
+    def test_every_registered_point_and_study_member_validates(self):
+        plans = [compile_sweep(name) for name in scenario_names()]
+        plans += [compile_study(name) for name in study_names()]
+        for slot in [slot for plan in plans for slot in plan.slots]:
+            check_spec(slot.spec)
+        assert set(POINTS) == {type(found).__name__
+                               for found in EXPERIMENTS.values()}
+
+    @pytest.mark.parametrize("name,section,key", _misspellings())
+    def test_a_misspelt_key_is_rejected_with_a_hint(self, name, section, key):
+        spec = POINTS[name][0].with_overrides({f"{section}.{key}s": 1})
+        with pytest.raises(SpecError, match=(
+                rf"unknown key {section}\.{key}s; did you mean {section}\.{key}\?")):
+            compile_scenario(spec)
+
+    @pytest.mark.parametrize("scenario,key,value,message", [
+        ("pos-slashing", "architecture.slash_fraction", 0.01,
+         r"did you mean architecture\.slashing\?"),
+        ("pbft-consortium", "workload.rate_tpss", 999,
+         r"did you mean workload\.rate_tps\?"),
+        ("kad-lookup", "architecture.client_overrides.rpc_timout", 2.0,
+         r"did you mean architecture\.client_overrides\.rpc_timeout\?"),
+        ("edge-federation", "architecture.islands",
+         [{"name": "a", "domain": "energy"}, {"name": "b", "domian": "energy"}],
+         r"unknown key architecture\.islands\[1\]\.domian; did you mean "
+         r"architecture\.islands\[1\]\.domain\?"),
+        ("pow-baseline", "architecture.seed", 3, "unknown key architecture.seed"),
+        ("pos-slashing", "workload.kind", "payment",
+         "unknown key workload.kind; workload takes no keys"),
+        ("edge-placement", "workload.kind", "lookup",
+         "cannot run a 'lookup' workload"),
+        ("fabric-consortium", "workload.domain", "energy",
+         "unknown key workload.domain"),
+    ])
+    def test_named_cases(self, scenario, key, value, message):
+        with pytest.raises(SpecError, match=message):
+            compile_scenario(scenario, overrides={key: value})
+
+    def test_a_null_preset_keeps_the_model_default(self):
+        from repro.blockchain.network import PoWNetworkConfig
+
+        plan = compile_scenario("pow-baseline",
+                                overrides={"architecture.protocol": None})
+        spec = plan.slots[0].spec
+        config = adapter_for("permissionless").setup(spec, 1)["model"].config
+        assert config.protocol == PoWNetworkConfig().protocol
+
+    @pytest.mark.parametrize("field,value", [("duration", 5.0), ("churn", "kad")])
+    def test_an_ignored_top_level_field_is_rejected(self, field, value):
+        for name, points in POINTS.items():
+            if field in _knobs(name).paths:
+                compile_scenario(points[0], overrides={field: value})
+            else:
+                with pytest.raises(SpecError, match=f"{field}=.* is ignored"):
+                    compile_scenario(points[0], overrides={field: value})
+
+    def test_a_kind_only_role_names_an_accepted_kind(self):
+        for name in POINTS:
+            knobs = _knobs(name)
+            for role, kind in knobs.only_for.items():
+                assert role in knobs.roles and kind in knobs.kinds, (name, role)
+
+    def test_setup_reads_every_declared_path(self, monkeypatch):
+        # While the registered points set up, every role of a table is
+        # picked, or each of its paths is read by value (or lies below one).
+        from repro.scenarios import goldens
+
+        seen = {}
+        picks, value = Knobs.picks, Knobs.value
+
+        def recording_picks(knobs, spec, role):
+            seen.setdefault(id(knobs), set()).add(role)
+            return picks(knobs, spec, role)
+
+        def recording_value(knobs, spec, path):
+            seen.setdefault(id(knobs), set()).add(path)
+            return value(knobs, spec, path)
+
+        plans = [goldens.golden_plan("scenario", name) for name in scenario_names()]
+        monkeypatch.setattr(Knobs, "picks", recording_picks)
+        monkeypatch.setattr(Knobs, "value", recording_value)
+        for slot in [slot for plan in plans for slot in plan.slots]:
+            experiment_for(slot.spec).setup(slot.spec, slot.spec.seed)
+        for name in POINTS:
+            knobs = _knobs(name)
+            read = seen[id(knobs)]
+            for role, (_, entries, _) in knobs.roles.items():
+                for path, _ in entries:
+                    assert role in read or any(path == key or path.startswith(key + ".")
+                                               for key in read), (name, path)
+
+    @pytest.mark.parametrize("name", sorted(POINTS))
+    def test_each_knob_changes_what_reaches_the_model(self, name):
+        knobs = _knobs(name)
+        for base in POINTS[name]:
+            kind = knobs.kind(base) if knobs.kinds else None
+            for key, role, parameter in knobs.keys():
+                target = knobs.roles[role][0]
+                if not target or knobs.only_for.get(role, kind) != kind:
+                    continue
+                declared = _declared(_model(target))
+                spec = _set(base, key, _another(knobs, key, base, declared[parameter]))
+                before = _reaching(knobs, base, role)
+                after = _reaching(knobs, spec, role)
+                assert before.get(parameter, "unset") != after[parameter], key
 
 
 class TestNewScenarioModes:
@@ -536,6 +699,29 @@ class TestCli:
         assert [point["label"] for point in payload] == [
             "multi_vote_fraction=0.5", "multi_vote_fraction=1.0",
         ]
+
+    @pytest.mark.parametrize("argv", [
+        ["pos-slashing", "--set", "architecture.slash_fraction=0.01"],
+        ["pbft-consortium", "--set", "workload.rate_tpss=999"],
+        ["sweep", "pos-slashing", "--sweep", "architecture.slash_fraction=0.01,0.5"],
+        ["superpeer-search", "--set", "churn=aggressive"],
+        ["pow-baseline", "--set", "duration=5"],
+        ["fabric-supply-chain", "--set", "workload.domain=bogus"],
+        ["pbft-consortium", "--set", "architecture.protocol=paxos"],
+        ["fabric-consortium", "--set", "architecture.chaincode=bogus"],
+    ], ids=lambda argv: argv[-1])
+    def test_a_key_or_value_off_the_table_is_one_line_before_any_job(
+            self, capsys, monkeypatch, argv):
+        import repro.run
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a job ran")
+
+        monkeypatch.setattr(repro.run, "execute_plan", no_run)
+        assert run_main(argv + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("scenario "), err
 
     def test_set_value_parsing(self, capsys):
         argv = ["kad-lookup", "--set", "churn=none", "--set", "topology.size=60",

@@ -220,12 +220,13 @@ class TestChurnProcess:
 
 def network_of(value):
     """``topology.network`` resolved the way every experiment resolves it."""
-    from repro.scenarios.adapters import _network
+    from repro.scenarios.adapters import EXPERIMENTS
     from repro.scenarios.spec import ScenarioSpec
 
     topology = {} if value is None else {"network": value}
-    return _network(ScenarioSpec(name="net", family="overlay",
-                                 topology=topology))
+    return EXPERIMENTS[("overlay", "kad")].knobs.value(
+        ScenarioSpec(name="net", family="overlay", topology=topology),
+        "topology.network")
 
 
 class TestNetworkPresets:

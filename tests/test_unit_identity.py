@@ -13,10 +13,11 @@ import copy
 import hashlib
 import itertools
 import json
+from unittest import mock
 
 import pytest
 
-from repro.scenarios import goldens
+from repro.scenarios import execution, goldens
 from repro.scenarios.execution import execute_unit, unit_spec
 from repro.scenarios.registry import get_scenario, scenario_names
 from repro.scenarios.runner import compile_sweep
@@ -64,13 +65,21 @@ def hostile_specs():
     return [streaming, decoy]
 
 
+def hostile_plan(spec):
+    """``compile_sweep(spec)`` with no point held to its experiment's knob
+    table: the decoy sets keys no experiment reads, which compiling rejects."""
+    with mock.patch.object(execution, "check_spec", lambda point: None):
+        return compile_sweep(spec)
+
+
 def all_plans():
     for name in scenario_names():
         yield f"scenario:{name}", compile_sweep(name, replicates=3)
     for name in study_names():
         yield f"study:{name}", compile_study(name, replicates=2)
-    for spec in hostile_specs():
-        yield f"hostile:{spec.name}", compile_sweep(spec)
+    streaming, decoy = hostile_specs()
+    yield f"hostile:{streaming.name}", compile_sweep(streaming)
+    yield f"hostile:{decoy.name}", hostile_plan(decoy)
 
 
 PLANS = list(all_plans())

@@ -8,9 +8,8 @@ actually change the stream.
 
 import pytest
 
-from repro.scenarios import SpecError
-from repro.scenarios.adapters import _workload
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios import SpecError, compile_scenario
+from repro.scenarios.knobs import _arguments, _every
 from repro.workloads import (
     LookupWorkload,
     PaymentWorkload,
@@ -91,16 +90,16 @@ class TestVerticalWorkload:
         assert stream() == stream()
 
 
-def workload_of(workload, seed):
-    """The generator a scenario's ``workload`` section builds at ``seed``."""
-    return _workload(ScenarioSpec(name="w", family="permissioned",
-                                  workload=workload), seed)
+def workload_of(generator, workload, seed):
+    """``generator`` built from a ``workload`` section's fields at ``seed``,
+    by the one route a spec value takes to its model."""
+    return generator(**_arguments(generator, _every(workload, "workload"), seed=seed))
 
 
 class TestWorkloadFromSpec:
     def test_spec_matches_direct_construction(self):
-        spec = {"kind": "payment", "rate_tps": 20, "accounts": 500.0}
-        from_spec = workload_of(spec, seed=7)
+        spec = {"rate_tps": 20, "accounts": 500.0}
+        from_spec = workload_of(PaymentWorkload, spec, seed=7)
         events = [
             (event.timestamp, tuple(sorted(event.payload.items())))
             for event in from_spec.events(duration=30.0)
@@ -111,17 +110,17 @@ class TestWorkloadFromSpec:
         assert events == direct
 
     def test_seed_override_wins(self):
-        workload = workload_of({"kind": "lookup", "seed": 1}, seed=42)
+        workload = workload_of(LookupWorkload, {"seed": 1}, seed=42)
         assert workload.rng.seed == 42
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SpecError, match="cannot run a 'nonsense' workload"):
-            workload_of({"kind": "nonsense"}, seed=0)
+            compile_scenario("fabric-supply-chain",
+                             overrides={"workload.kind": "nonsense"})
 
     def test_unknown_and_lossy_keys_rejected(self):
         with pytest.raises(SpecError, match="unknown key workload.bogus"):
-            workload_of({"kind": "vertical", "domain": "healthcare",
-                         "bogus": 1}, seed=0)
+            compile_scenario("fabric-supply-chain", overrides={"workload.bogus": 1})
         with pytest.raises(SpecError,
                            match="workload.accounts expects an integer"):
-            workload_of({"kind": "payment", "accounts": 2.5}, seed=0)
+            workload_of(PaymentWorkload, {"accounts": 2.5}, seed=0)
