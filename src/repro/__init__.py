@@ -24,8 +24,6 @@ and exposes the paper's quantitative claims as runnable experiments:
   :class:`~repro.scenarios.ScenarioSpec` per experiment, five architecture
   adapters, a named registry and the ``python -m repro.run`` /
   ``repro-run`` CLI.
-* :mod:`repro.workloads` — seeded workload generators (payments, lookups,
-  object requests, vertical domains) shared by every architecture.
 
 Quickstart::
 

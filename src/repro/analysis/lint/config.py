@@ -35,7 +35,6 @@ SIM_SEMANTICS_ZONE: Tuple[str, ...] = (
     "repro.edge",
     "repro.permissioned",
     "repro.economics",
-    "repro.workloads",
     "repro.core",
     "repro.scenarios.adapters",
     "repro.scenarios.runner",

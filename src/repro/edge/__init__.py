@@ -22,7 +22,6 @@ from repro.edge.islands import (
     BlockchainIsland,
     InteropGateway,
     IslandFederation,
-    VERTICAL_DOMAINS,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "BlockchainIsland",
     "InteropGateway",
     "IslandFederation",
-    "VERTICAL_DOMAINS",
 ]

@@ -30,19 +30,14 @@ from repro.permissioned.fabric import (
 )
 from repro.sim.rng import SeededRNG
 
-#: Vertical domains the paper names, with a representative chaincode each.
-VERTICAL_DOMAINS: Dict[str, str] = {
-    "supply-chain": "provenance",
-    "healthcare": "record-sharing",
-    "education": "credentials",
-    "energy": "grid-settlement",
-    "finance": "asset-transfer",
-}
-
 
 @dataclass
 class BlockchainIsland:
-    """One vertical-domain consortium running its own permissioned network."""
+    """One vertical-domain consortium running its own permissioned network.
+
+    ``domain`` is a label: every island installs asset-transfer and
+    provenance and runs asset-transfer, whatever its domain.
+    """
 
     name: str
     domain: str

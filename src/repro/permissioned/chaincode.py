@@ -5,7 +5,8 @@ endorsing peers; what the simulation needs from it is (a) which keys it
 reads and writes for a given invocation, (b) how much CPU the execution
 costs, and (c) whether the invocation succeeds.  :class:`Chaincode` wraps a
 Python function with that signature; :func:`asset_transfer_chaincode` and the
-vertical-domain chaincodes used by the examples are provided ready-made.
+vertical-domain chaincodes used by the examples are provided ready-made, and
+:class:`VerticalWorkload` generates the invocations of each vertical domain.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional
 
 from repro.permissioned.ledger import ReadWriteSet, WorldState
+from repro.sim.rng import SeededRNG
 
 #: A chaincode function takes (world_state, invocation args) and returns a
 #: read/write set.  Raising ``ChaincodeError`` marks the proposal as failed.
@@ -177,3 +179,54 @@ def chaincode_by_name(name: str = "asset-transfer",
     if execution_time is None:
         return factory()
     return factory(execution_time=execution_time)
+
+
+class VerticalWorkload:
+    """Seeded chaincode invocations for the Section V-A vertical domains:
+    supply-chain custody events, healthcare consent grants, education
+    credentials and energy meter settlements (both as asset transfers)."""
+
+    #: The vertical domains, each with the chaincode its invocations call.
+    DOMAINS = {
+        "supply-chain": "provenance",
+        "healthcare": "record-sharing",
+        "education": "asset-transfer",
+        "energy": "asset-transfer",
+    }
+
+    def __init__(self, domain: str, entities: int = 2000, seed: int = 0) -> None:
+        if domain not in self.DOMAINS:
+            raise ValueError(f"unknown domain {domain!r}; pick one of {sorted(self.DOMAINS)}")
+        self.domain = domain
+        self.chaincode = self.DOMAINS[domain]
+        self.entities = entities
+        self.rng = SeededRNG(seed)
+
+    def _entity(self, prefix: str) -> str:
+        return f"{prefix}-{self.rng.randint(0, self.entities - 1)}"
+
+    def invocation(self) -> Dict[str, object]:
+        """The arguments of one invocation of :attr:`chaincode`."""
+        if self.domain == "supply-chain":
+            return {
+                "item": self._entity("item"),
+                "actor": self._entity("carrier"),
+                "step": self.rng.choice(["produced", "shipped", "customs", "delivered"]),
+            }
+        if self.domain == "healthcare":
+            return {
+                "patient": self._entity("patient"),
+                "grantee": self._entity("hospital"),
+                "grant": self.rng.bernoulli(0.8),
+            }
+        if self.domain == "education":
+            return {
+                "source": self._entity("university"),
+                "target": self._entity("student"),
+                "amount": 1.0,
+            }
+        return {
+            "source": self._entity("producer"),
+            "target": self._entity("consumer"),
+            "amount": max(0.1, self.rng.gauss(5.0, 2.0)),
+        }

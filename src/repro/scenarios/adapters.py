@@ -89,15 +89,6 @@ def _lookup_config(knobs: Knobs, spec: ScenarioSpec, seed: int):
                                                  config.kademlia))
 
 
-def _workload(knobs: Knobs, spec: ScenarioSpec, role: str, seed: int):
-    """The generator ``workload["kind"]`` names
-    (:data:`~repro.workloads.WORKLOAD_KINDS`), built from ``role``'s
-    knobs; the replicate seed owns ``seed``."""
-    from repro.workloads import WORKLOAD_KINDS
-
-    return WORKLOAD_KINDS[knobs.kind(spec)](**knobs.arguments(spec, role, seed=seed))
-
-
 def _latency_metrics(latencies: List[float]) -> Dict[str, float]:
     """The latency columns every overlay experiment reports alike, so
     cross-substrate studies can pivot on them directly."""
@@ -469,8 +460,9 @@ class FabricConsortium(Experiment):
     """A Fabric-like consortium running a chaincode workload on one channel.
 
     A ``"payment"`` workload transfers over ``key_space`` accounts; a
-    ``"vertical"`` one builds the :class:`~repro.workloads.VerticalWorkload`
-    giving each invocation's arguments.
+    ``"vertical"`` one builds the
+    :class:`~repro.permissioned.chaincode.VerticalWorkload` giving each
+    invocation's arguments, for the chaincode its domain calls.
     """
 
     knobs = Knobs(
@@ -478,18 +470,19 @@ class FabricConsortium(Experiment):
         only_for={"vertical": "vertical"},
         choices={"architecture.chaincode":
                  "repro.permissioned.chaincode:CHAINCODE_FACTORIES",
-                 "workload.domain": "repro.workloads:VerticalWorkload.DOMAINS"},
+                 "workload.domain":
+                 "repro.permissioned.chaincode:VerticalWorkload.DOMAINS"},
         network=("repro.permissioned.fabric:FabricNetworkConfig",
                  "architecture.organizations", "architecture.peers_per_org"),
         chaincode=("repro.permissioned.chaincode:chaincode_by_name",
                    "architecture.chaincode=name"),
         run=("repro.permissioned.fabric:FabricNetwork.run_workload",
              "workload.rate_tps=request_rate", "architecture.key_space", "duration"),
-        vertical=("repro.workloads:VerticalWorkload", "workload.rate_tps", "workload.*",
+        vertical=("repro.permissioned.chaincode:VerticalWorkload", "workload.*",
                   "=seed"))
 
     def setup(self, spec: ScenarioSpec, seed: int):
-        from repro.permissioned.chaincode import chaincode_by_name
+        from repro.permissioned.chaincode import VerticalWorkload, chaincode_by_name
         from repro.permissioned.fabric import FabricNetwork
 
         network = FabricNetwork(self.knobs.config(spec, "network", seed=seed))
@@ -498,10 +491,15 @@ class FabricConsortium(Experiment):
 
         args_factory = None
         if self.knobs.kind(spec) == "vertical":
-            vertical = _workload(self.knobs, spec, "vertical", seed)
+            vertical = VerticalWorkload(**self.knobs.arguments(spec, "vertical", seed=seed))
+            if vertical.chaincode != chaincode["name"]:
+                raise SpecError(
+                    f"workload.domain={vertical.domain!r} invokes the "
+                    f"{vertical.chaincode!r} chaincode, but architecture.chaincode "
+                    f"is {chaincode['name']!r}")
 
             def args_factory(rng) -> Dict:
-                return dict(vertical.invocation()["args"])
+                return vertical.invocation()
 
         return {
             "network": network,
@@ -876,6 +874,8 @@ class IslandFederationOverhead(Experiment):
 
     knobs = Knobs(
         kinds=("vertical",),
+        choices={"architecture.islands.domain":
+                 "repro.permissioned.chaincode:VerticalWorkload.DOMAINS"},
         island=("repro.edge.islands:BlockchainIsland", "architecture.islands.*",
                 "architecture.islands.seed_offset=seed"),
         federation=("", "architecture.connections"),

@@ -53,9 +53,9 @@ class ScenarioSpec:
         :data:`repro.sim.churn.CHURN_PRESETS` name, or a dict of
         :class:`~repro.sim.churn.ChurnModel` fields.
     workload:
-        Offered load, understood by the family adapter; ``kind`` selects a
-        :mod:`repro.workloads` generator where per-request objects are
-        simulated (``rate_tps``, ``lookups``, ``requests``, ...).
+        Offered load, understood by the family adapter (``rate_tps``,
+        ``lookups``, ``requests``, ...); ``kind`` names its shape, one of
+        the kinds the experiment accepts.
     duration:
         Virtual-time length of the measured run in seconds, where the
         family measures in time (PoW networks measure in

@@ -138,6 +138,16 @@ class TestMalformedOverrides:
           '[{"name": "trade", "domain": "supply-chain", "seed_offset": 1.5}]'],
          "scenario 'edge-federation': architecture.islands[0].seed_offset "
          "expects an integer"),
+        # A domain whose invocations the installed chaincode cannot take,
+        # and an island domain off the same table.
+        (["fabric-supply-chain", "--set", "workload.domain=healthcare"],
+         "scenario 'fabric-supply-chain': workload.domain='healthcare' invokes "
+         "the 'record-sharing' chaincode, but architecture.chaincode is "
+         "'provenance'"),
+        (["edge-federation", "--set", 'architecture.islands='
+          '[{"name": "trade", "domain": "bogus"}]'],
+         "scenario 'edge-federation': architecture.islands.domain expects one "
+         "of supply-chain, healthcare, education, energy, got 'bogus'"),
         (["kad-lookup", "--set", 'churn={"mean_session": "x"}'],
          "scenario 'kad-lookup': churn.mean_session expects a number"),
         (["kad-lookup", "--set", 'architecture.client_overrides={"k": 2.5}'],

@@ -2,21 +2,16 @@
 
 import pytest
 
-from repro.blockchain.primitives import Transaction
 from repro.core.claims import CLAIMS
 from repro.blockchain.network import BITCOIN_PROTOCOL, ETHEREUM_PROTOCOL
 from repro.blockchain.throughput import REFERENCE_SYSTEMS
 from repro.core.decision import DecisionInput, recommend_architecture
-from repro.edge.islands import BlockchainIsland, IslandFederation, VERTICAL_DOMAINS
+from repro.edge.islands import BlockchainIsland, IslandFederation
 from repro.edge.placement import PlacementStrategy, compare_placements
 from repro.edge.topology import EdgeTopology, EdgeTopologyConfig, TIER_LATENCIES
+from repro.permissioned.chaincode import VerticalWorkload, chaincode_by_name
+from repro.permissioned.ledger import WorldState
 from repro.scenarios import run_study
-from repro.workloads.generators import (
-    LookupWorkload,
-    PaymentWorkload,
-    VerticalWorkload,
-    ZipfObjectWorkload,
-)
 
 
 class TestEdgeTopology:
@@ -132,51 +127,20 @@ class TestIslands:
         assert len(entities) == 6
         assert sum(entities.values()) == pytest.approx(1.0)
 
-    def test_vertical_domains_listed(self):
-        assert "healthcare" in VERTICAL_DOMAINS
-        assert "supply-chain" in VERTICAL_DOMAINS
-
 
 class TestWorkloads:
-    def test_payment_workload_rate(self):
-        events = list(PaymentWorkload(rate_tps=20, seed=1).events(duration=100.0))
-        assert 1500 < len(events) < 2500
-        assert all(event.timestamp <= 100.0 for event in events)
-
-    def test_payment_transactions_valid(self):
-        txs = PaymentWorkload(rate_tps=5, seed=2).transactions(duration=20.0)
-        assert all(isinstance(tx, Transaction) for tx in txs)
-        assert all(tx.amount > 0 for tx in txs)
-
-    def test_payment_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            PaymentWorkload(rate_tps=0.0)
-
-    def test_lookup_workload_keys(self):
-        events = list(LookupWorkload(rate_per_second=10, keys=100, seed=3).events(duration=30.0))
-        assert all(event.kind == "lookup" for event in events)
-        assert len(events) > 100
-
-    def test_zipf_objects_skewed(self):
-        workload = ZipfObjectWorkload(objects=1000, zipf_exponent=1.1, seed=4)
-        requests = [workload.sample_object() for _ in range(2000)]
-        popular = sum(1 for r in requests if int(str(r["object_id"]).split("-")[1]) <= 100)
-        assert popular / len(requests) > 0.4
-
     def test_vertical_workload_domains(self):
-        for domain in VerticalWorkload.DOMAINS:
-            invocation = VerticalWorkload(domain, seed=5).invocation()
-            assert "chaincode" in invocation
-            assert "args" in invocation
+        # Every domain's invocations are arguments its chaincode accepts.
+        for domain, name in VerticalWorkload.DOMAINS.items():
+            workload = VerticalWorkload(domain, entities=50, seed=5)
+            chaincode = chaincode_by_name(name)
+            assert workload.chaincode == chaincode.name
+            for _ in range(20):
+                assert chaincode.execute(WorldState(), workload.invocation()).writes
 
     def test_vertical_workload_unknown_domain(self):
         with pytest.raises(ValueError):
             VerticalWorkload("gaming")
-
-    def test_vertical_workload_event_stream(self):
-        events = list(VerticalWorkload("supply-chain", rate_tps=30, seed=6).events(duration=10.0))
-        assert len(events) > 100
-        assert all(event.kind == "supply-chain" for event in events)
 
 
 class TestDecisionFramework:

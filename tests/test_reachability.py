@@ -191,6 +191,8 @@ def _public_definitions(module: str, tree: ast.Module) -> Iterator[_Definition]:
         if isinstance(node, ast.Assign):
             return [target.id for target in node.targets
                     if isinstance(target, ast.Name)]
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            return [node.target.id]
         return []
 
     for node in tree.body:
@@ -335,11 +337,15 @@ def test_name_rule_roots_and_dead_definitions(tmp_path):
         "    return 2\n"
         "\n"
         "def reexported():\n"
-        "    return 3\n")
+        "    return 3\n"
+        "\n"
+        "TABLE: dict = {'a': 1}\n")
     # The registered class and its method, and the handler nothing names,
     # are roots; a name mentioned only inside a dead definition is dead
-    # too; the package re-export is not a reference.
+    # too; the package re-export is not a reference; an annotated constant
+    # counts like a plain one.
     assert unreferenced_names(tmp_path, roots={"repro.pkg.models.Registered"}) == [
+        "repro.pkg.models.TABLE",
         "repro.pkg.models.dead",
         "repro.pkg.models.fed_by_dead",
         "repro.pkg.models.reexported",

@@ -18,6 +18,7 @@ from repro.scenarios import (
     run_sweep,
     scenario_names,
 )
+from repro.permissioned.chaincode import VerticalWorkload
 from repro.run import main as run_main
 from repro.scenarios import (
     EXPERIMENTS,
@@ -207,6 +208,14 @@ class TestRunner:
     def test_workload_kind_is_validated(self):
         with pytest.raises(ValueError, match="cannot run a 'lookup' workload"):
             run_scenario("pow-baseline", overrides={"workload.kind": "lookup"})
+
+    @pytest.mark.parametrize("domain", sorted(VerticalWorkload.DOMAINS))
+    def test_every_vertical_domain_commits_on_its_chaincode(self, domain):
+        result = run_scenario("fabric-supply-chain", overrides={
+            "workload.domain": domain,
+            "architecture.chaincode": VerticalWorkload.DOMAINS[domain],
+            "duration": 0.5})
+        assert result.metric("committed_valid") > 0
 
     def test_federation_islands_follow_the_seed(self):
         # Island seeds are offsets from the run seed, so --seed re-seeds the
